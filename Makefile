@@ -14,9 +14,9 @@ LDFLAGS = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION)"
 check:
 	sh scripts/check.sh
 
-# lint runs the repo-specific analyzers (cmd/simlint): nosyncpool,
-# nowallclock, maporder, noclosuresched, poolretain, pkgdoc, lpowner,
-# servebound, hotalloc, staledirective — each enforcing an
+# lint runs the nine repo-specific analyzers (cmd/simlint): nosyncpool,
+# nowallclock, maporder, poolretain, pkgdoc, lpowner, servebound,
+# hotalloc, staledirective — each enforcing an
 # ARCHITECTURE.md contract clause (the last three over the module call
 # graph). -suppressions audits the //simlint: annotation inventory.
 lint:

@@ -29,7 +29,7 @@ import (
 //     neighbor arithmetic to ~74k. The 150k budget admits drift — any
 //     return toward per-replay program construction fails the gate.
 //   - table5cLPBudget: the same regeneration with every replay partitioned
-//     into 4 logical processes (bench.Table5cLP). LP mode costs ~1.5k extra
+//     into 4 logical processes (RunOptions.LP). LP mode costs ~1.5k extra
 //     allocs over serial (shard clusters, window channels, cross-shard
 //     outbox growth), measured ~96k against serial's ~95k; the slightly
 //     wider budget keeps the gate sensitive to a leak in the
@@ -69,13 +69,13 @@ func TestAllocBudgets(t *testing.T) {
 
 	t.Run("EngineSchedule", func(t *testing.T) {
 		e := sim.NewEngine()
-		fn := func() {}
+		fn := func(any) {}
 		for i := 0; i < 1024; i++ {
-			e.Schedule(sim.Time(i), fn)
+			e.ScheduleCall(sim.Time(i), fn, nil)
 		}
 		i := 0
 		got := testing.AllocsPerRun(1000, func() {
-			e.Schedule(e.Now()+sim.Time(i%64)+1, fn)
+			e.ScheduleCall(e.Now()+sim.Time(i%64)+1, fn, nil)
 			e.Step()
 			i++
 		})
@@ -134,59 +134,28 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 
-	t.Run("Table5c", func(t *testing.T) {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Table5c(benchScale); err != nil {
-					b.Fatal(err)
+	// Each regeneration goes through the registry (regen), the path
+	// spinbench takes.
+	for _, c := range []struct {
+		name, id string
+		opts     bench.RunOptions
+		budget   int64
+	}{
+		{"Table5c", "table5c", bench.RunOptions{}, table5cBudget},
+		{"Table5cLP4", "table5c", bench.RunOptions{LP: 4}, table5cLPBudget},
+		{"Fig5a", "fig5a", bench.RunOptions{}, fig5aBudget},
+		{"SPC", "spc", bench.RunOptions{}, spcBudget},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					regen(b, c.id, benchScale, c.opts)
 				}
+			})
+			if got := res.AllocsPerOp(); got > c.budget {
+				t.Errorf("%s regeneration = %d allocs/op, budget %d", c.name, got, c.budget)
 			}
 		})
-		if got := res.AllocsPerOp(); got > table5cBudget {
-			t.Errorf("Table5c regeneration = %d allocs/op, budget %d", got, table5cBudget)
-		}
-	})
-
-	t.Run("Table5cLP4", func(t *testing.T) {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Table5cLP(benchScale, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if got := res.AllocsPerOp(); got > table5cLPBudget {
-			t.Errorf("Table5cLP(4) regeneration = %d allocs/op, budget %d", got, table5cLPBudget)
-		}
-	})
-
-	t.Run("Fig5a", func(t *testing.T) {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.Fig5a(benchScale); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if got := res.AllocsPerOp(); got > fig5aBudget {
-			t.Errorf("Fig5a regeneration = %d allocs/op, budget %d", got, fig5aBudget)
-		}
-	})
-
-	t.Run("SPC", func(t *testing.T) {
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.SPCTraces(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if got := res.AllocsPerOp(); got > spcBudget {
-			t.Errorf("SPC regeneration = %d allocs/op, budget %d", got, spcBudget)
-		}
-	})
+	}
 }

@@ -16,22 +16,31 @@ import (
 // benchScale subsamples the sweeps so a full -bench=. run stays fast.
 const benchScale = 4
 
-func runTable(b *testing.B, f func(int) (*bench.Table, error)) *bench.Table {
-	b.Helper()
-	var t *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		t, err = f(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
+// regen regenerates one registry experiment at scale under opts — the same
+// FindExperiment(id).Build(scale).Run(opts) path spinbench takes — and
+// fails tb on any error.
+func regen(tb testing.TB, id string, scale int, opts bench.RunOptions) {
+	tb.Helper()
+	exp, ok := bench.FindExperiment(id)
+	if !ok {
+		tb.Fatalf("experiment %q not registered", id)
 	}
-	return t
+	if _, err := exp.Build(scale).Run(opts); err != nil {
+		tb.Fatalf("%s: %v", id, err)
+	}
+}
+
+// runTable regenerates experiment id b.N times at benchScale.
+func runTable(b *testing.B, id string, opts bench.RunOptions) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		regen(b, id, benchScale, opts)
+	}
 }
 
 // BenchmarkFig3b regenerates Figure 3b (ping-pong, integrated NIC).
 func BenchmarkFig3b(b *testing.B) {
-	runTable(b, bench.Fig3b)
+	runTable(b, "fig3b", bench.RunOptions{})
 	small, _ := bench.PingPongHalfRTT(netsim.Integrated(), bench.SpinStore, 8, noise.None())
 	rdma, _ := bench.PingPongHalfRTT(netsim.Integrated(), bench.RDMA, 8, noise.None())
 	b.ReportMetric(small.Microseconds(), "sPIN-8B-us")
@@ -40,7 +49,7 @@ func BenchmarkFig3b(b *testing.B) {
 
 // BenchmarkFig3c regenerates Figure 3c (ping-pong, discrete NIC).
 func BenchmarkFig3c(b *testing.B) {
-	runTable(b, bench.Fig3c)
+	runTable(b, "fig3c", bench.RunOptions{})
 	small, _ := bench.PingPongHalfRTT(netsim.Discrete(), bench.SpinStore, 8, noise.None())
 	rdma, _ := bench.PingPongHalfRTT(netsim.Discrete(), bench.RDMA, 8, noise.None())
 	b.ReportMetric(small.Microseconds(), "sPIN-8B-us")
@@ -49,7 +58,7 @@ func BenchmarkFig3c(b *testing.B) {
 
 // BenchmarkFig3d regenerates Figure 3d (remote accumulate).
 func BenchmarkFig3d(b *testing.B) {
-	runTable(b, bench.Fig3d)
+	runTable(b, "fig3d", bench.RunOptions{})
 	spin, _ := bench.AccumulateTime(netsim.Discrete(), true, 1<<18)
 	rdma, _ := bench.AccumulateTime(netsim.Discrete(), false, 1<<18)
 	b.ReportMetric(float64(rdma)/float64(spin), "speedup-256KiB-x")
@@ -57,9 +66,7 @@ func BenchmarkFig3d(b *testing.B) {
 
 // BenchmarkFig4 regenerates Figure 4 (HPUs needed, analytic model).
 func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig4()
-	}
+	runTable(b, "fig4", bench.RunOptions{})
 	p := netsim.Integrated()
 	b.ReportMetric(float64(bench.GBoundCrossover(p)), "gG-crossover-B")
 	b.ReportMetric(bench.MaxHandlerTimeLine(p, 8, 4096).Nanoseconds(), "Tl-4096-ns")
@@ -67,7 +74,7 @@ func BenchmarkFig4(b *testing.B) {
 
 // BenchmarkFig5a regenerates Figure 5a (binomial broadcast).
 func BenchmarkFig5a(b *testing.B) {
-	runTable(b, bench.Fig5a)
+	runTable(b, "fig5a", bench.RunOptions{})
 	spin, _ := bench.BroadcastTime(netsim.Discrete(), bench.SpinStream, 1024, 8)
 	rdma, _ := bench.BroadcastTime(netsim.Discrete(), bench.RDMA, 1024, 8)
 	b.ReportMetric(spin.Microseconds(), "sPIN-1024p-8B-us")
@@ -76,7 +83,7 @@ func BenchmarkFig5a(b *testing.B) {
 
 // BenchmarkTable5c regenerates Table 5c (application speedups).
 func BenchmarkTable5c(b *testing.B) {
-	runTable(b, bench.Table5c)
+	runTable(b, "table5c", bench.RunOptions{})
 }
 
 // BenchmarkTable5cLP{1,2,4} regenerate Table 5c with every mpisim replay
@@ -92,12 +99,12 @@ func BenchmarkTable5cLP4(b *testing.B) { benchTable5cLP(b, 4) }
 
 func benchTable5cLP(b *testing.B, lp int) {
 	b.Helper()
-	runTable(b, func(scale int) (*bench.Table, error) { return bench.Table5cLP(scale, lp) })
+	runTable(b, "table5c", bench.RunOptions{LP: lp})
 }
 
 // BenchmarkFig7a regenerates Figure 7a (strided datatype receive).
 func BenchmarkFig7a(b *testing.B) {
-	runTable(b, bench.Fig7a)
+	runTable(b, "fig7a", bench.RunOptions{})
 	spin, _ := bench.StridedReceiveTime(netsim.Integrated(), true, 4096)
 	gib := float64(bench.DDTTotalBytes) / (spin.Seconds() * float64(1<<30))
 	b.ReportMetric(gib, "sPIN-4KiB-GiB/s")
@@ -105,7 +112,7 @@ func BenchmarkFig7a(b *testing.B) {
 
 // BenchmarkFig7c regenerates Figure 7c (RAID-5 update).
 func BenchmarkFig7c(b *testing.B) {
-	runTable(b, bench.Fig7c)
+	runTable(b, "fig7c", bench.RunOptions{})
 	spin, _ := bench.RaidUpdateTime(netsim.Discrete(), true, 1<<18)
 	rdma, _ := bench.RaidUpdateTime(netsim.Discrete(), false, 1<<18)
 	b.ReportMetric(float64(rdma)/float64(spin), "speedup-256KiB-x")
@@ -113,21 +120,21 @@ func BenchmarkFig7c(b *testing.B) {
 
 // BenchmarkSPC regenerates the §5.3 SPC trace study.
 func BenchmarkSPC(b *testing.B) {
-	runTable(b, func(int) (*bench.Table, error) { return bench.SPCTraces() })
+	runTable(b, "spc", bench.RunOptions{})
 }
 
 // BenchmarkAblationNoise regenerates the OS-noise sensitivity ablation.
 func BenchmarkAblationNoise(b *testing.B) {
-	runTable(b, func(int) (*bench.Table, error) { return bench.AblationNoise() })
+	runTable(b, "noise", bench.RunOptions{})
 }
 
 // BenchmarkAblationBcastStore regenerates the store-vs-stream ablation.
 func BenchmarkAblationBcastStore(b *testing.B) {
-	runTable(b, func(int) (*bench.Table, error) { return bench.AblationBcastStore() })
+	runTable(b, "bcast-store", bench.RunOptions{})
 }
 
 // BenchmarkAblationTrees regenerates the broadcast-algorithm ablation
 // (binomial vs pipeline, the paper's §4.4.3 future-work item).
 func BenchmarkAblationTrees(b *testing.B) {
-	runTable(b, func(int) (*bench.Table, error) { return bench.AblationTrees() })
+	runTable(b, "trees", bench.RunOptions{})
 }

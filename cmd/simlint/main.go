@@ -1,11 +1,10 @@
-// Command simlint is the repository's multichecker: it runs the ten
+// Command simlint is the repository's multichecker: it runs the nine
 // analyzers that mechanically enforce the determinism, pooling,
 // serve-boundary, and LP-ownership contracts of ARCHITECTURE.md —
 // nosyncpool (free lists must be engine-owned), nowallclock (no wall
 // clock or global PRNG in simulation code), maporder (no unordered map
-// iteration), noclosuresched (no closure scheduling on the engine hot
-// path), poolretain (no pooled *Packet/*Message homes outside the owner
-// layers), pkgdoc (every package documents its role), servebound (no
+// iteration), poolretain (no pooled *Packet/*Message homes outside the
+// owner layers), pkgdoc (every package documents its role), servebound (no
 // engine calls reachable from an HTTP handler except through bench.Pool
 // submission), lpowner (no cross-shard access to shard-owned LP cluster
 // state), hotalloc (no unannotated allocation sites reachable from

@@ -153,12 +153,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Parallel: ONE shared persistent pool of N workers executes every
 	// simulation point of every selected experiment as a queued task, so a
-	// wide run is bounded at N executing engines by construction (the
-	// pre-pool Budget bounded the same thing by semaphore around spawned
-	// goroutines). Up to N experiment goroutines only orchestrate — build
-	// sweeps, render tables — into per-experiment buffers, and the flush
-	// below reproduces the serial byte stream regardless of completion
-	// order. Note -wall alloc counts include concurrently running
+	// wide run is bounded at N executing engines by construction. Up to N
+	// experiment goroutines only orchestrate — build sweeps, render tables —
+	// into per-experiment buffers, and the flush below reproduces the
+	// serial byte stream regardless of completion order. Note -wall alloc
+	// counts include concurrently running
 	// experiments in this mode (runtime.MemStats is process-global).
 	// LP parallelism multiplies the engine count per executing point, so the
 	// pool's worker budget is divided by K to keep machine-wide concurrency

@@ -31,9 +31,10 @@ func main() {
 	ranks := flag.Int("ranks", 64, "process count (bcast)")
 	flag.Parse()
 
-	p := netsim.Integrated()
-	if *nic == "dis" {
-		p = netsim.Discrete()
+	p, err := netsim.ParseNIC(*nic)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spinsim: -nic: %v\n", err)
+		os.Exit(2)
 	}
 	variants := map[string]bench.Variant{
 		"rdma": bench.RDMA, "p4": bench.P4,
@@ -46,7 +47,6 @@ func main() {
 	}
 
 	var d sim.Time
-	var err error
 	var what string
 	switch *scenario {
 	case "pingpong":

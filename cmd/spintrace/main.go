@@ -32,12 +32,12 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV spans instead of ASCII")
 	flag.Parse()
 
-	p := netsim.Integrated()
-	if *nic == "dis" {
-		p = netsim.Discrete()
+	p, err := netsim.ParseNIC(*nic)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spintrace: -nic: %v\n", err)
+		os.Exit(2)
 	}
 	rec := &timeline.Recorder{}
-	var err error
 	switch *scenario {
 	case "pingpong-rdma":
 		err = bench.TracePingPong(p, bench.RDMA, *size, rec)

@@ -20,9 +20,10 @@
 //   - Event cost. The engine (internal/sim) dispatches events from a
 //     hand-specialized 4-ary min-heap over a flat []event slice: one
 //     schedule+dispatch cycle is ~150 ns with 0 allocs/op
-//     (BenchmarkEngineSchedule). Hot callers use Engine.ScheduleCall, which
-//     stores a pre-bound (func(any), pointer-arg) pair in the event instead
-//     of a fresh closure.
+//     (BenchmarkEngineSchedule). Every event is scheduled with
+//     Engine.ScheduleCall, which stores a pre-bound (func(any),
+//     pointer-arg) pair in the event instead of a fresh closure; the
+//     engine has no closure-taking form.
 //   - Allocation budget. The transport (internal/netsim) injects a
 //     message's packets as a single walking event chain and draws Packet,
 //     walk, and per-message state (core.msgState, portals.recvState)
@@ -89,13 +90,12 @@
 //     the naive first-fit scan returns. Together: fig7a ~60x wall-clock,
 //     0 allocs per scatter (BenchmarkVectorScatter), every printed digit
 //     unchanged.
-//   - Closure-free triggered operations. TriggeredPut/TriggeredGet used to
-//     arm one closure per operation (and panic from inside the event loop
-//     if the arguments could never fire). Armed operations are now pooled
-//     triggeredOp records dispatched through CT.OnReachCall, validated at
-//     arm time by the same checks the device path runs
-//     (ArmTriggeredPut/ArmTriggeredGet are the fallible forms; the old
-//     signatures remain as panicking wrappers). Matching entries embed
+//   - Closure-free triggered operations. NI.ArmTriggeredPut/ArmTriggeredGet
+//     store each armed operation in a pooled triggeredOp record dispatched
+//     through CT.OnReachCall, and validate its arguments at arm time by the
+//     same checks the device path runs, so an operation that could never
+//     fire is an error at the arm call, not a panic inside the event loop.
+//     Matching entries embed
 //     their core.MEContext by value and serve its upcalls through the
 //     core.MEOwner interface — no per-append context or callback closures —
 //     NB DMA handles became stack values, and portal-table entries, EQs,
@@ -111,19 +111,18 @@
 //     coordinate vectors — together a Table 5c regeneration fell from ~439k
 //     to ~74k allocations.
 //   - Parallel sweeps. The engine stays single-threaded by design, so
-//     bench.Sweep parallelizes across measurement points instead: point i
-//     runs on worker i mod W (each worker owns its Env, engines, and
+//     bench.Sweep parallelizes across measurement points instead: with
+//     RunOptions.Pool set, every point queues as a task on a persistent
+//     bench.Pool of N workers, each owning a long-lived Env (engines and
 //     clusters), and rows merge back in point order, making the output
 //     byte-identical for every worker count. cmd/spinbench additionally
 //     runs independent experiments concurrently with per-experiment output
 //     buffering, preserving the serial byte stream — both levels pinned by
 //     golden tests that `make check` runs, and exposed as
-//     `spinbench -parallel`. The two levels share one persistent bench.Pool
-//     of N workers: every measurement point of every experiment queues as a
-//     task, each worker owns a long-lived Env, so a wide run executes at
-//     most N engines instead of composing to N^2; queuing order never
-//     reaches output order (points are hermetic and rows merge in
-//     registration order), so output bytes are unaffected.
+//     `spinbench -parallel`. The two levels share the one pool, so a wide
+//     run executes at most N engines instead of composing to N^2; queuing
+//     order never reaches output order (points are hermetic and rows merge
+//     in registration order), so output bytes are unaffected.
 //   - Conservative parallel DES. Where parallel sweeps shard independent
 //     measurement points, `spinbench -lp K` parallelizes a single
 //     simulation: netsim.NewClusterLP partitions the node slice into K

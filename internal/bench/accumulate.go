@@ -76,10 +76,8 @@ func accumulateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, err
 	return done, nil
 }
 
-// Fig3d regenerates Figure 3d: remote accumulate completion time for both
-// NIC types.
-func Fig3d(scale int) (*Table, error) { return fig3dSweep(scale).Run(RunOptions{}) }
-
+// fig3dSweep lays out Figure 3d: remote accumulate completion time for
+// both NIC types.
 func fig3dSweep(scale int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "fig3d",

@@ -71,18 +71,10 @@ func RunApp(e *Env, a apps.App, iterations int) (AppResult, error) {
 	}, nil
 }
 
-// Table5c regenerates Table 5c: full-application improvement from fully
+// table5cSweep lays out Table 5c: full-application improvement from fully
 // offloaded matching protocols.
-func Table5c(scale int) (*Table, error) { return table5cSweep(scale).Run(RunOptions{}) }
-
-// Table5cLP is Table5c with every replay partitioned into up to lp logical
-// processes (RunOptions.LP): identical bytes, parallel wall-clock. It is the
-// surface the LP benchmarks and equivalence tests drive.
-func Table5cLP(scale, lp int) (*Table, error) {
-	return table5cSweep(scale).Run(RunOptions{LP: lp})
-}
-
-// table5cSweep lays out one point per application. The replays draw their
+//
+// There is one point per application. The replays draw their
 // engines from the Env's mpisim cache: applications sharing a rank count
 // and protocol reuse one engine (Reset per program set), so the sweep pays
 // cluster construction once per (ranks, mode) instead of per replay.

@@ -108,9 +108,11 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 			})
 		case P4:
 			for _, child := range children {
-				nis[r].TriggeredPut(portals.PutArgs{
+				if err := nis[r].ArmTriggeredPut(portals.PutArgs{
 					Length: size, NoData: true, Target: child, PTIndex: 0, MatchBits: 7,
-				}, ct, 1)
+				}, ct, 1); err != nil {
+					return 0, err
+				}
 			}
 			got := 0
 			eq.OnEvent(func(ev portals.Event) {
@@ -180,10 +182,8 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 // Fig5aProcs is the paper's process-count sweep.
 func Fig5aProcs() []int { return []int{4, 16, 64, 256, 1024} }
 
-// Fig5a regenerates Figure 5a: broadcast latency on the discrete NIC for
+// fig5aSweep lays out Figure 5a: broadcast latency on the discrete NIC for
 // 8 B and 64 KiB messages.
-func Fig5a(scale int) (*Table, error) { return fig5aSweep(scale).Run(RunOptions{}) }
-
 func fig5aSweep(scale int) *Sweep {
 	s := NewSweep(&Table{
 		ID:    "fig5a",
@@ -217,11 +217,9 @@ func fig5aSweep(scale int) *Sweep {
 	return s
 }
 
-// AblationBcastStore regenerates the §4.4.3 store-vs-stream comparison:
-// the paper reports store-and-forward within 5% of streaming for
-// single-packet messages and of Portals 4 for multi-packet messages.
-func AblationBcastStore() (*Table, error) { return bcastStoreSweep(1).Run(RunOptions{}) }
-
+// bcastStoreSweep lays out the §4.4.3 store-vs-stream comparison: the
+// paper reports store-and-forward within 5% of streaming for single-packet
+// messages and of Portals 4 for multi-packet messages.
 func bcastStoreSweep(int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "bcast-store",

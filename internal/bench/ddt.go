@@ -92,12 +92,10 @@ func Fig7aBlocksizes() []int {
 	return out
 }
 
-// Fig7a regenerates Figure 7a: 4 MiB strided receive, completion time and
-// achieved bandwidth vs blocksize. Both NIC types produce near-identical
-// curves (the paper plots them together); we emit the integrated one plus
-// a discrete spot check in the notes.
-func Fig7a(scale int) (*Table, error) { return fig7aSweep(scale).Run(RunOptions{}) }
-
+// fig7aSweep lays out Figure 7a: 4 MiB strided receive, completion time
+// and achieved bandwidth vs blocksize. Both NIC types produce
+// near-identical curves (the paper plots them together); we emit the
+// integrated one plus a discrete spot check in the notes.
 func fig7aSweep(scale int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "fig7a",

@@ -190,10 +190,8 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	}, nil
 }
 
-// FTBcastTable regenerates the fault-tolerance experiment: broadcast
-// delivery under injected link failures and packet loss.
-func FTBcastTable(scale int) (*Table, error) { return ftbcastSweep(scale).Run(RunOptions{}) }
-
+// ftbcastSweep lays out the fault-tolerance experiment: broadcast delivery
+// under injected link failures and packet loss.
 func ftbcastSweep(scale int) *Sweep {
 	s := NewSweep(&Table{
 		ID:    "ftbcast",

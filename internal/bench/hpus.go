@@ -38,13 +38,8 @@ func MaxHandlerTimeLine(p netsim.Params, k int, s int) sim.Time {
 	return sim.Time(k) * p.GBytes(s)
 }
 
-// Fig4 regenerates Figure 4: HPUs needed to guarantee line rate as a
+// fig4Sweep lays out Figure 4: HPUs needed to guarantee line rate as a
 // function of packet size, for the paper's four handler times.
-func Fig4() *Table {
-	t, _ := fig4Sweep(1).Run(RunOptions{}) // analytic points cannot error
-	return t
-}
-
 func fig4Sweep(int) *Sweep {
 	p := netsim.Integrated()
 	s := NewSweep(&Table{

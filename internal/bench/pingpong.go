@@ -93,7 +93,9 @@ func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Mod
 			}
 		})
 	case P4:
-		nis[farPeer].TriggeredPut(pong, respCT, 1)
+		if err := nis[farPeer].ArmTriggeredPut(pong, respCT, 1); err != nil {
+			return 0, err
+		}
 	case SpinStore, SpinStream:
 		maxSize := p.MTU
 		if v == SpinStream {
@@ -163,13 +165,9 @@ func Fig3Sizes() []int {
 	return sizes
 }
 
-// Fig3b regenerates Figure 3b (ping-pong, integrated NIC). The scale
-// parameter subsamples the sweep for quick runs (1 = full).
-func Fig3b(scale int) (*Table, error) { return fig3bSweep(scale).Run(RunOptions{}) }
-
-// Fig3c regenerates Figure 3c (ping-pong, discrete NIC).
-func Fig3c(scale int) (*Table, error) { return fig3cSweep(scale).Run(RunOptions{}) }
-
+// fig3bSweep lays out Figure 3b (ping-pong, integrated NIC) and fig3cSweep
+// Figure 3c (discrete NIC). The scale parameter subsamples the sweep for
+// quick runs (1 = full).
 func fig3bSweep(scale int) *Sweep { return fig3(netsim.Integrated(), "fig3b", "integrated", scale) }
 func fig3cSweep(scale int) *Sweep { return fig3(netsim.Discrete(), "fig3c", "discrete", scale) }
 
@@ -203,11 +201,9 @@ func fig3(p netsim.Params, id, kind string, scale int) *Sweep {
 	return s
 }
 
-// AblationNoise regenerates the noise-sensitivity ablation (§5.1's
-// motivation, DESIGN.md A2): ping-pong under 1 kHz / 25 us OS noise. Only
-// the CPU-driven variant degrades.
-func AblationNoise() (*Table, error) { return noiseSweep(1).Run(RunOptions{}) }
-
+// noiseSweep lays out the noise-sensitivity ablation (§5.1's motivation,
+// DESIGN.md A2): ping-pong under 1 kHz / 25 us OS noise. Only the
+// CPU-driven variant degrades.
 func noiseSweep(int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "noise",

@@ -7,12 +7,11 @@ import (
 )
 
 // Pool is a persistent queued-task worker pool: n workers, each owning one
-// long-lived Env, draining a shared task queue. It replaces Budget's
-// spawn-then-bound model — instead of every sweep spawning goroutines that
-// compete for execution slots, sweeps enqueue their points and a fixed set
-// of workers executes them, so concurrent sweeps are bounded structurally
-// (at most n engines ever execute) and worker Envs amortize cluster
-// construction across every run the pool ever serves, not just one sweep.
+// long-lived Env, draining a shared task queue. Sweeps enqueue their points
+// and the fixed set of workers executes them, so concurrent sweeps are
+// bounded structurally (at most n engines ever execute) and worker Envs
+// amortize cluster construction across every run the pool ever serves, not
+// just one sweep.
 //
 // Determinism is unaffected by which worker dequeues a point: points are
 // hermetic under the reset-equals-fresh contract, Env caches key on

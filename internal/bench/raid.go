@@ -50,6 +50,10 @@ func RaidUpdateTime(p netsim.Params, spin bool, size int) (sim.Time, error) {
 	return raidUpdateTime(nil, p, spin, size)
 }
 
+// stampTime is an OnReachCall target that records the firing instant into
+// the *sim.Time it is armed with.
+func stampTime(a any, now sim.Time) { *a.(*sim.Time) = now }
+
 func raidUpdateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, error) {
 	// Saturating sweeps would otherwise trip flow control; these
 	// experiments measure completion time, not drop behaviour.
@@ -76,7 +80,7 @@ func raidUpdateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, err
 	}
 	ackCT := portals.NewCT(c.Eng)
 	var done sim.Time
-	ackCT.OnReach(uint64(expectedAcks), func(now sim.Time) { done = now })
+	ackCT.OnReachCall(uint64(expectedAcks), stampTime, &done)
 	if err := nis[raidClient].MEAppend(raidCAckPT, &portals.ME{
 		Start: make([]byte, 4096), IgnoreBits: ^uint64(0), ManageLocal: true, CT: ackCT,
 	}, portals.PriorityList); err != nil {
@@ -208,10 +212,8 @@ func raidUpdateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, err
 	return done, nil
 }
 
-// Fig7c regenerates Figure 7c: RAID-5 update time vs transfer size for
+// fig7cSweep lays out Figure 7c: RAID-5 update time vs transfer size for
 // both NIC types.
-func Fig7c(scale int) (*Table, error) { return fig7cSweep(scale).Run(RunOptions{}) }
-
 func fig7cSweep(scale int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "fig7c",

@@ -6,8 +6,8 @@ import "strings"
 // CLI listings, a builder that lays out the sweep at a given subsample
 // scale (1 = full resolution), and machine-readable metadata that
 // `spinbench -list -json`, the serve layer's GET /experiments, and request
-// validation all consume — one struct, one truth. The per-figure functions
-// (Fig3b, Table5c, ...) are serial conveniences over the same builders.
+// validation all consume — one struct, one truth. The registry is the only
+// entry point that regenerates a whole table or figure.
 //
 // The JSON field names are the serve layer's wire format; Build is
 // deliberately excluded from it.

@@ -19,13 +19,12 @@ func ReplayTrace(p netsim.Params, spin bool, recs []spctrace.Record) (sim.Time, 
 	return replayTrace(nil, p, spin, recs)
 }
 
-// SPCTraces regenerates the §5.3 trace study: processing-time improvement
-// of sPIN over RDMA for the five SPC traces, on both NIC types. The paper
+// spcSweep lays out the §5.3 trace study: processing-time improvement of
+// sPIN over RDMA for the five SPC traces, on both NIC types. The paper
 // reports improvements between 2.8% and 43.7%, with the largest on the
 // financial (OLTP) traces with the integrated NIC.
-func SPCTraces() (*Table, error) { return spcSweep(1).Run(RunOptions{}) }
-
-// spcSweep lays out one point per trace. The trace records are generated
+//
+// There is one point per trace. The trace records are generated
 // once at build time and shared read-only by the replay points; the RAID
 // systems come from the Env's raidsim cache — one service per (NIC type,
 // protocol), Reset between traces — so the sweep builds four systems

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -353,55 +352,15 @@ func (e *Env) programBuffer() *mpisim.ProgramBuffer {
 	return e.progs
 }
 
-// Budget is a shared bound on the number of simulation points executing at
-// once across every sweep that draws from it. spinbench's two parallelism
-// levels — concurrent experiments and sharded sweep points — compose
-// multiplicatively (W experiments x W workers), so without a shared budget
-// a wide run oversubscribes the machine with up to W^2 active engines. A
-// Budget of W keeps the deterministic point->worker assignment (which is
-// what output order is defined by) while capping actual execution at W
-// points machine-wide; waiting workers block, they don't spin.
-//
-// A nil *Budget disables the bound. Budgets are safe for concurrent use —
-// the semaphore is the only state — and must be acquired only around leaf
-// work (a measurement point), never while waiting on other budget holders,
-// which is what keeps the two-level composition deadlock-free.
-type Budget struct {
-	sem chan struct{}
-}
-
-// NewBudget returns a budget admitting n concurrently executing points;
-// n <= 0 uses GOMAXPROCS.
-func NewBudget(n int) *Budget {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return &Budget{sem: make(chan struct{}, n)}
-}
-
-// acquire blocks until an execution slot is free. Nil-safe.
-func (b *Budget) acquire() {
-	if b != nil {
-		b.sem <- struct{}{}
-	}
-}
-
-// release returns a slot. Nil-safe.
-func (b *Budget) release() {
-	if b != nil {
-		<-b.sem
-	}
-}
-
-// Sweep is a deterministic parallel sweep runner: an experiment registers
-// its measurement points in output order, and Run executes them either
-// serially on one Env or sharded across worker goroutines — one Env (and
-// therefore one engine per cluster configuration) per worker, so each
-// engine stays single-threaded. Point i always runs on worker i mod
-// workers, and rows are merged back in point order, so the resulting table
-// is byte-identical no matter how many workers run it. Each point is an
-// independent simulation (its cluster is reset to the post-construction
-// state first), which is what makes the sharding sound.
+// Sweep is a deterministic sweep runner: an experiment registers its
+// measurement points in output order, and Run executes them either serially
+// on one Env or as queued tasks on a shared Pool — one Env (and therefore
+// one engine per cluster configuration) per pool worker, so each engine
+// stays single-threaded. Rows are merged back in point order, so the
+// resulting table is byte-identical no matter which worker ran which point.
+// Each point is an independent simulation (its cluster is reset to the
+// post-construction state first), which is what makes the distribution
+// sound.
 type Sweep struct {
 	table  *Table
 	points []func(e *Env) ([][]string, error)
@@ -444,36 +403,25 @@ func (s *Sweep) Row(fn func(e *Env) ([]string, error)) {
 }
 
 // RunOptions selects how Run executes a sweep. The zero value runs
-// serially, with cluster reuse, on a perfect network — the same behaviour
-// the old Run(1) had. Exactly one execution shape applies, chosen in this
-// order: Fresh (serial, no reuse), Pool (queued tasks on a shared pool),
-// Workers (per-run goroutines), serial.
+// serially, with cluster reuse, on a perfect network. Exactly one execution
+// shape applies, chosen in this order: Fresh (serial, no reuse), Pool
+// (queued tasks on a shared pool), serial.
 type RunOptions struct {
-	// Workers > 1 shards points round-robin across that many goroutines,
-	// one Env per worker; <= 1 runs serially. Callers that want "all
-	// cores" resolve GOMAXPROCS themselves. Ignored when Pool is set or
-	// Fresh is true.
-	Workers int
-	// Budget, when non-nil, is the shared execution-slot semaphore each
-	// point holds while simulating; it bounds several concurrently running
-	// sweeps together. Superseded by Pool, which bounds execution
-	// structurally; ignored when Pool is set.
-	Budget *Budget
 	// Fresh disables cluster reuse: every point builds its system from
 	// scratch, serially — the from-scratch baseline the determinism
 	// goldens compare against.
 	Fresh bool
 	// Impairment installs a fault model for the whole run (nil or a
 	// disabled impairment = perfect network). Output stays byte-identical
-	// across serial, parallel, pool, fresh, and Reset-reuse runs for a
-	// fixed impairment.
+	// across serial, pool, fresh, and Reset-reuse runs for a fixed
+	// impairment.
 	Impairment *netsim.Impairment
 	// Pool, when non-nil, executes every point as a queued task on the
-	// shared persistent worker pool instead of spawning goroutines: the
-	// pool's long-lived Envs carry their cluster caches across runs, and
-	// its worker count — not this sweep's — bounds execution. Output is
-	// byte-identical to every other execution shape because points are
-	// hermetic (reset == fresh) and rows merge in point order.
+	// shared persistent worker pool: the pool's long-lived Envs carry their
+	// cluster caches across runs, and its worker count bounds execution.
+	// Output is byte-identical to the serial shape because points are
+	// hermetic (reset == fresh) and rows merge in point order. Ignored when
+	// Fresh is true.
 	Pool *Pool
 	// LP > 1 partitions every mpisim replay in the sweep into up to that
 	// many logical processes advancing on private engines under a
@@ -481,9 +429,9 @@ type RunOptions struct {
 	// row and every fault counter — is byte-identical to the serial run;
 	// only wall-clock changes. Experiments that never replay mpisim traces
 	// ignore it: portals-based clusters always run serially. LP composes
-	// with Pool/Workers multiplicatively (each concurrent point runs up to
-	// LP engine goroutines), so callers sharing a machine should divide
-	// their worker budget by LP.
+	// with Pool multiplicatively (each concurrent point runs up to LP
+	// engine goroutines), so callers sharing a machine should divide their
+	// worker budget by LP.
 	LP int
 	// Progress, when non-nil, is called after each point completes with
 	// the number of completed points and the total. It may be called from
@@ -491,14 +439,13 @@ type RunOptions struct {
 	Progress func(done, total int)
 }
 
-// Run executes every point under opts and returns the completed table. On
-// error, each worker abandons the rest of its own stride (other workers run
-// to completion — they don't watch each other) and the earliest-indexed
-// error is returned; since every worker visits its points in increasing
-// index order, stopping at its first error never hides an earlier one.
-// Successful output is byte-identical across all execution shapes: rows
-// merge in point registration order, and each point is an independent
-// simulation under the reset-equals-fresh contract.
+// Run executes every point under opts and returns the completed table,
+// or the earliest-indexed point error. A serial run stops at its first
+// error; a Pool run executes every point and then reports the earliest
+// error, so the returned error never depends on scheduling. Successful
+// output is byte-identical across all execution shapes: rows merge in
+// point registration order, and each point is an independent simulation
+// under the reset-equals-fresh contract.
 func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 	im := opts.Impairment
 	if !im.Enabled() {
@@ -513,12 +460,7 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 			opts.Progress(int(done.Add(1)), len(s.points))
 		}
 	}
-	workers := opts.Workers
-	if workers > len(s.points) {
-		workers = len(s.points)
-	}
-	switch {
-	case !opts.Fresh && opts.Pool != nil:
+	if !opts.Fresh && opts.Pool != nil {
 		// Queued tasks on the persistent pool: whichever worker dequeues a
 		// point runs it on its long-lived Env. Fault counters are charged
 		// per point by snapshot delta, so concurrent sweeps sharing the
@@ -543,7 +485,7 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 			})
 		}
 		wg.Wait()
-	case opts.Fresh || workers <= 1:
+	} else {
 		var e *Env
 		if !opts.Fresh {
 			e = NewEnv()
@@ -559,41 +501,13 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 			e.lp = opts.LP
 		}
 		for i, fn := range s.points {
-			opts.Budget.acquire()
 			rows[i], errs[i] = fn(e)
-			opts.Budget.release()
 			progress()
 			if errs[i] != nil {
 				break
 			}
 		}
 		s.faults.Add(e.FaultStats())
-	default:
-		envs := make([]*Env, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e := NewEnv()
-				e.impair = im
-				e.lp = opts.LP
-				envs[w] = e
-				for i := w; i < len(s.points); i += workers {
-					opts.Budget.acquire()
-					rows[i], errs[i] = s.points[i](e)
-					opts.Budget.release()
-					progress()
-					if errs[i] != nil {
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, e := range envs {
-			s.faults.Add(e.FaultStats())
-		}
 	}
 	for _, err := range errs {
 		if err != nil {

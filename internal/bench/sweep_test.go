@@ -15,6 +15,15 @@ func tableCSV(t *Table) string {
 	return sb.String()
 }
 
+// runPooled runs s as queued tasks on a short-lived pool of n workers: the
+// parallel shape the determinism tests compare against serial.
+func runPooled(s *Sweep, n int, opts RunOptions) (*Table, error) {
+	pool := NewPool(n)
+	defer pool.Close()
+	opts.Pool = pool
+	return s.Run(opts)
+}
+
 func buildExperiment(t *testing.T, id string) Experiment {
 	t.Helper()
 	for _, e := range Experiments() {
@@ -30,8 +39,8 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // the reuse and parallelism contracts: for each listed experiment the CSV
 // output must be byte-identical across (a) the from-scratch baseline (a
 // fresh cluster/engine/system per measurement point, the pre-reuse
-// behaviour), (b) the serial runner reusing Reset state, and (c) the
-// sharded parallel runner. The list covers every reuse mechanism: fig3b
+// behaviour), (b) the serial runner reusing Reset state, and (c) a
+// short-lived worker pool. The list covers every reuse mechanism: fig3b
 // and fig5a exercise the cluster cache, table5c the mpisim engine cache,
 // spc the raidsim system cache, and fig7a the non-zeroed Env.hostMem
 // scratch region plus the vectorized scatter path (both columns, so the
@@ -58,7 +67,7 @@ func TestSweepResetAndParallelDeterminism(t *testing.T) {
 			t.Fatalf("%s: Reset-reuse output differs from fresh-cluster output:\n--- fresh ---\n%s--- reuse ---\n%s", id, fresh, reuse)
 		}
 
-		parTab, err := exp.Build(scale).Run(RunOptions{Workers: 4})
+		parTab, err := runPooled(exp.Build(scale), 4, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", id, err)
 		}
@@ -134,7 +143,7 @@ func TestSweepErrorPropagates(t *testing.T) {
 	if _, err := build().Run(RunOptions{}); err != errPoint {
 		t.Fatalf("serial: err = %v, want errPoint", err)
 	}
-	if _, err := build().Run(RunOptions{Workers: 3}); err != errPoint {
+	if _, err := runPooled(build(), 3, RunOptions{}); err != errPoint {
 		t.Fatalf("parallel: err = %v, want errPoint", err)
 	}
 }
@@ -170,7 +179,7 @@ func TestSingleHelperEquivalence(t *testing.T) {
 // TestImpairedSweepDeterminism extends the golden equality check to sweeps
 // running under a fault model: with a fixed impairment, CSV output and the
 // accumulated fault counters must be byte-identical across the from-scratch
-// baseline, the Reset-reuse serial runner, and the sharded parallel runner.
+// baseline, the Reset-reuse serial runner, and a short-lived worker pool.
 // fig3b runs under jitter+latency only — ping-pong has no retransmission
 // path, so loss would legitimately stall it — while ftbcast layers user
 // loss+jitter on top of its built-in recovery machinery. This is the -race
@@ -212,7 +221,7 @@ func TestImpairedSweepDeterminism(t *testing.T) {
 		}
 
 		par := exp.Build(scale)
-		parTab, err := par.Run(RunOptions{Workers: 4, Impairment: tc.im})
+		parTab, err := runPooled(par, 4, RunOptions{Impairment: tc.im})
 		if err != nil {
 			t.Fatalf("%s impaired parallel: %v", tc.id, err)
 		}

@@ -80,12 +80,10 @@ func treeBroadcastTime(e *Env, p netsim.Params, tree handlers.Tree, nprocs, size
 	return last, nil
 }
 
-// AblationTrees regenerates the collective-algorithm ablation the paper
-// leaves as future work (§4.4.3): binomial (latency-optimal, log depth)
-// versus pipeline (bandwidth-optimal chain) broadcast on sPIN. Small
-// messages favor the binomial tree; large ones the pipeline.
-func AblationTrees() (*Table, error) { return treesSweep(1).Run(RunOptions{}) }
-
+// treesSweep lays out the collective-algorithm ablation the paper leaves
+// as future work (§4.4.3): binomial (latency-optimal, log depth) versus
+// pipeline (bandwidth-optimal chain) broadcast on sPIN. Small messages
+// favor the binomial tree; large ones the pipeline.
 func treesSweep(int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "trees",

@@ -457,23 +457,25 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 
 // Get issues a handler get (PtlHandlerGet): fetch req.Length bytes from the
 // target ME and deposit them into this ME's host memory at req.LocalOffset.
-// Requires the Portals layer to provide the MEContext.IssueGet plumbing.
+// Requires an MEContext.Owner to plumb the get through the Portals layer.
 func (c *Ctx) Get(req GetRequest) error {
 	c.Charge(CostGet)
-	if !c.me.hasIssueGet() {
-		err := fmt.Errorf("core: Get issued but no IssueGet plumbing installed")
+	if c.me.Owner == nil {
+		err := fmt.Errorf("core: Get issued but no MEOwner installed to plumb it")
 		c.fail(err)
 		return err
 	}
-	c.me.issueGet(c.now, req)
+	c.me.Owner.MEIssueGet(c.now, req)
 	return nil
 }
 
 // CTInc atomically increments the counter attached to the ME
-// (PtlHandlerCTInc), if the upper layer installed one.
+// (PtlHandlerCTInc), if the upper layer installed an owner.
 func (c *Ctx) CTInc(n uint64) {
 	c.Charge(CostAtomic)
-	c.me.ctInc(c.now, n)
+	if c.me.Owner != nil {
+		c.me.Owner.MECTInc(c.now, n)
+	}
 }
 
 // SteerTo overrides the offset at which this message's default action

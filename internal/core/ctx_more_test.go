@@ -141,8 +141,8 @@ func TestCompletionWaitsForDepositVisibility(t *testing.T) {
 	p := netsim.Discrete()
 	var done sim.Time
 	me := &MEContext{
-		HostMem:    make([]byte, 8192),
-		OnComplete: func(now sim.Time, r MessageResult) { done = now },
+		HostMem: make([]byte, 8192),
+		Owner:   completeFunc(func(now sim.Time, r MessageResult) { done = now }),
 	}
 	h := newHarness(t, p, me)
 	h.send(4096, nil)

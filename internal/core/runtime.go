@@ -7,11 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// MEOwner receives a matching entry's upcalls as a single interface — the
-// closure-free alternative to MEContext's function fields. A layer that
-// installs many entries (Portals) implements it once on its entry type and
-// stores itself in MEContext.Owner, so building a context allocates neither
-// a closure per callback nor the context itself (it can embed by value).
+// MEOwner receives a matching entry's upcalls as a single interface. A
+// layer that installs many entries (Portals) implements it once on its
+// entry type and stores itself in MEContext.Owner, so building a context
+// allocates neither a closure per callback nor the context itself (it can
+// embed by value).
 type MEOwner interface {
 	// MEComplete delivers the message result (event queue / counter
 	// updates).
@@ -24,9 +24,8 @@ type MEOwner interface {
 
 // MEContext is everything the runtime needs to process messages matched to
 // one sPIN-enabled matching entry: the handlers, the HPU shared memory, the
-// host memory windows, and callbacks into the layer above (Portals event
-// queues, counters, and get plumbing). Upcalls dispatch to the function
-// fields when set, else to Owner; either (or both) may be nil.
+// host memory windows, and the owner that receives upcalls into the layer
+// above (Portals event queues, counters, and get plumbing).
 type MEContext struct {
 	Handlers HandlerSet
 	// State is the HPU shared memory handle (PtlHPUAllocMem); may be nil
@@ -36,58 +35,16 @@ type MEContext struct {
 	HostMem []byte
 	// HandlerHostMem is the optional extra host region for handler output.
 	HandlerHostMem []byte
-	// Owner receives the upcalls below when the corresponding function
-	// field is nil; the allocation-free form.
+	// Owner receives the entry's upcalls: message completion, handler
+	// counter increments, and handler gets. May be nil, in which case
+	// completions are discarded, CTInc is a no-op, and Get fails.
 	Owner MEOwner
-	// OnComplete delivers the message result to the upper layer (event
-	// queue / counter updates). May be nil.
-	OnComplete func(now sim.Time, r MessageResult)
-	// OnCTInc propagates PtlHandlerCTInc to the ME's counter. May be nil.
-	OnCTInc func(now sim.Time, n uint64)
-	// IssueGet sends a handler get through the Portals layer. May be nil
-	// when handlers never call Get.
-	IssueGet func(now sim.Time, req GetRequest)
-}
-
-// hasComplete reports whether a completion upcall is installed.
-func (me *MEContext) hasComplete() bool { return me.OnComplete != nil || me.Owner != nil }
-
-// complete dispatches the completion upcall.
-func (me *MEContext) complete(now sim.Time, r MessageResult) {
-	if me.OnComplete != nil {
-		me.OnComplete(now, r)
-		return
-	}
-	me.Owner.MEComplete(now, r)
-}
-
-// ctInc dispatches a PtlHandlerCTInc upcall, if any is installed.
-func (me *MEContext) ctInc(now sim.Time, n uint64) {
-	if me.OnCTInc != nil {
-		me.OnCTInc(now, n)
-		return
-	}
-	if me.Owner != nil {
-		me.Owner.MECTInc(now, n)
-	}
-}
-
-// hasIssueGet reports whether handler gets can be plumbed.
-func (me *MEContext) hasIssueGet() bool { return me.IssueGet != nil || me.Owner != nil }
-
-// issueGet dispatches a handler get.
-func (me *MEContext) issueGet(now sim.Time, req GetRequest) {
-	if me.IssueGet != nil {
-		me.IssueGet(now, req)
-		return
-	}
-	me.Owner.MEIssueGet(now, req)
 }
 
 // msgState tracks one in-flight message on the NIC. After the last packet
 // it doubles as the deferred-completion carrier: the message's header
 // fields are copied into res and the msg pointer dropped, so the transport
-// can recycle the wire message at dispatch while the OnComplete event is
+// can recycle the wire message at dispatch while the completion event is
 // still in flight.
 type msgState struct {
 	rt    *Runtime
@@ -108,14 +65,14 @@ type msgState struct {
 	res          MessageResult
 }
 
-// runOnComplete is the ScheduleCall entry point that delivers a message's
+// runComplete is the ScheduleCall entry point that delivers a message's
 // result to the upper layer; the state is recycled first, because the
 // callback may start processing new messages.
-func runOnComplete(a any) {
+func runComplete(a any) {
 	ms := a.(*msgState)
 	rt, me, res := ms.rt, ms.me, ms.res
 	rt.freeMsgState(ms)
-	me.complete(rt.C.Eng.Now(), res)
+	me.Owner.MEComplete(rt.C.Eng.Now(), res)
 }
 
 // Runtime is the per-NIC sPIN runtime: it owns the HPU contexts and HPU
@@ -490,7 +447,7 @@ func (rt *Runtime) maybeComplete(ms *msgState) {
 			end = ms.lastEnd
 		}
 	}
-	if ms.me.hasComplete() {
+	if ms.me.Owner != nil {
 		// Copy the header fields out of the wire message: the result is
 		// delivered by a deferred event, and the transport recycles pooled
 		// messages as soon as this (final) dispatch returns. The msgState
@@ -511,7 +468,7 @@ func (rt *Runtime) maybeComplete(ms *msgState) {
 			Err:          ms.err,
 		}
 		ms.msg = nil
-		rt.C.Eng.ScheduleCall(end, runOnComplete, ms)
+		rt.C.Eng.ScheduleCall(end, runComplete, ms)
 		return
 	}
 	rt.freeMsgState(ms)

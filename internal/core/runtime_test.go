@@ -21,6 +21,14 @@ func (r *meReceiver) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	r.rt.Deliver(now, pkt, r.me)
 }
 
+// completeFunc is a test MEOwner that hands every message completion to
+// the function; counter increments and handler gets are ignored.
+type completeFunc func(now sim.Time, r MessageResult)
+
+func (f completeFunc) MEComplete(now sim.Time, r MessageResult) { f(now, r) }
+func (completeFunc) MECTInc(sim.Time, uint64)                   {}
+func (completeFunc) MEIssueGet(sim.Time, GetRequest)            {}
+
 type harness struct {
 	c  *netsim.Cluster
 	rt *Runtime
@@ -203,7 +211,7 @@ func TestFlowControlDropCountsMessageOnce(t *testing.T) {
 				return Proceed
 			},
 		},
-		OnComplete: func(now sim.Time, r MessageResult) { results = append(results, r) },
+		Owner: completeFunc(func(now sim.Time, r MessageResult) { results = append(results, r) }),
 	}
 	h := newHarness(t, p, me)
 	const size = 3 * 4096
@@ -238,12 +246,12 @@ func TestDefaultDepositWritesHostMemory(t *testing.T) {
 	var end sim.Time
 	me := &MEContext{
 		HostMem: host,
-		OnComplete: func(now sim.Time, r MessageResult) {
+		Owner: completeFunc(func(now sim.Time, r MessageResult) {
 			end = now
 			if r.Err != nil {
 				t.Errorf("unexpected error: %v", r.Err)
 			}
-		},
+		}),
 	}
 	h := newHarness(t, netsim.Integrated(), me)
 	h.send(len(data), data, func(m *netsim.Message) { m.Offset = 100 })
@@ -252,7 +260,7 @@ func TestDefaultDepositWritesHostMemory(t *testing.T) {
 		t.Fatal("deposit did not land at ME offset")
 	}
 	if end == 0 {
-		t.Fatal("OnComplete never fired")
+		t.Fatal("completion never fired")
 	}
 	// Completion must be after DMA visibility of the last packet.
 	minEnd := h.c.P.DMA.L
@@ -291,7 +299,7 @@ func TestPendingPropagates(t *testing.T) {
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC { return ProceedPending },
 		},
-		OnComplete: func(now sim.Time, r MessageResult) { res = r },
+		Owner: completeFunc(func(now sim.Time, r MessageResult) { res = r }),
 	}
 	h := newHarness(t, netsim.Integrated(), me)
 	h.send(64, nil)
@@ -307,7 +315,7 @@ func TestHandlerErrorReported(t *testing.T) {
 		Handlers: HandlerSet{
 			Payload: func(c *Ctx, p Payload) PayloadRC { return PayloadFail },
 		},
-		OnComplete: func(now sim.Time, r MessageResult) { res = r },
+		Owner: completeFunc(func(now sim.Time, r MessageResult) { res = r }),
 	}
 	h := newHarness(t, netsim.Integrated(), me)
 	h.send(64, nil)
@@ -436,7 +444,7 @@ func TestDMAOutOfRangeSetsError(t *testing.T) {
 				return Proceed
 			},
 		},
-		OnComplete: func(now sim.Time, r MessageResult) { res = r },
+		Owner: completeFunc(func(now sim.Time, r MessageResult) { res = r }),
 	}
 	h := newHarness(t, netsim.Integrated(), me)
 	h.send(8, nil)

@@ -509,7 +509,7 @@ func (c *Cluster) packetAccounted(m *Message) {
 	if m.track > 0 || !m.pooled {
 		return
 	}
-	if m.faulted && (m.touched || m.Delivered != nil || m.OnDelivered != nil) {
+	if m.faulted && (m.touched || m.Delivered != nil) {
 		c.quarantine = append(c.quarantine, m)
 		return
 	}

@@ -76,7 +76,6 @@ func NewClusterLP(n int, p Params, lp int) (*Cluster, error) {
 			idBase: uint64(s+1) << 48,
 		}
 		sh.deliveredCall = sh.runDelivered
-		sh.onDeliveredCall = sh.runOnDelivered
 		root.shards[s] = sh
 		engines[s] = sh.Eng
 	}

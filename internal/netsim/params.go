@@ -7,6 +7,8 @@
 package netsim
 
 import (
+	"fmt"
+
 	"repro/internal/fattree"
 	"repro/internal/membus"
 	"repro/internal/sim"
@@ -94,6 +96,19 @@ func Discrete() Params {
 	p := base()
 	p.DMA = membus.Discrete()
 	return p
+}
+
+// ParseNIC resolves a NIC name as the CLIs' -nic flag spells it: "int"
+// (Integrated) or "dis" (Discrete). Any other value is an error naming the
+// valid ones, never a silent fallback.
+func ParseNIC(name string) (Params, error) {
+	switch name {
+	case "int":
+		return Integrated(), nil
+	case "dis":
+		return Discrete(), nil
+	}
+	return Params{}, fmt.Errorf("unknown NIC %q (valid: int, dis)", name)
 }
 
 // GBytes returns the wire serialization time of n bytes.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,36 @@ func TestPresetsDiffer(t *testing.T) {
 	// The network side is identical across NIC types.
 	if i.O != d.O || i.Gap != d.Gap || i.GFemtoPerByte != d.GFemtoPerByte || i.MTU != d.MTU {
 		t.Fatal("network parameters should not depend on NIC attachment")
+	}
+}
+
+func TestParseNIC(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    string // DMA preset name; "" = rejected
+		wantErr bool
+	}{
+		{"int", "int", false},
+		{"dis", "dis", false},
+		{"", "", true},
+		{"discrete", "", true},
+		{"DIS", "", true},
+		{"integrated", "", true},
+		{" int", "", true},
+	}
+	for _, c := range cases {
+		p, err := ParseNIC(c.in)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("ParseNIC(%q) = %s NIC, want an error", c.in, p.DMA.Name)
+			} else if !strings.Contains(err.Error(), "int, dis") {
+				t.Errorf("ParseNIC(%q) error %q does not name the valid values", c.in, err)
+			}
+			continue
+		}
+		if err != nil || p.DMA.Name != c.want {
+			t.Errorf("ParseNIC(%q) = %q, %v; want %q", c.in, p.DMA.Name, err, c.want)
+		}
 	}
 }
 

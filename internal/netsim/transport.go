@@ -62,16 +62,12 @@ type Message struct {
 	// the requester can correlate completions.
 	ReplyTo uint64
 
-	// OnDelivered, if set, runs at the source when the last packet has
-	// been injected (send-side completion, e.g. MD events). Hot paths use
-	// the pre-bound Delivered/DeliveredArg pair instead, which schedules
-	// without allocating a closure; when both are set only Delivered runs.
-	OnDelivered func(now sim.Time)
-
-	// Delivered is the closure-free form of OnDelivered, in the style of
-	// sim.Engine.ScheduleCall: at send-side completion the transport invokes
-	// Delivered(DeliveredArg, now) through a dispatcher pre-bound at cluster
-	// construction. The callback must not retain the message.
+	// Delivered, if set, runs at the source when the last packet has been
+	// injected (send-side completion, e.g. MD events). In the style of
+	// sim.Engine.ScheduleCall, the transport invokes Delivered(DeliveredArg,
+	// now) through a dispatcher pre-bound at cluster construction, so
+	// completion schedules without a per-message closure. The callback must
+	// not retain the message.
 	Delivered    func(arg any, now sim.Time)
 	DeliveredArg any
 
@@ -204,12 +200,10 @@ type Cluster struct {
 	walkFree []*msgWalk
 	msgFree  []*Message
 
-	// deliveredCall and onDeliveredCall are the pre-bound dispatchers for
-	// Message.Delivered and Message.OnDelivered, built once at construction
-	// so send-side completion schedules via ScheduleCall without a
-	// per-message closure.
-	deliveredCall   func(any)
-	onDeliveredCall func(any)
+	// deliveredCall is the pre-bound dispatcher for Message.Delivered, built
+	// once at construction so send-side completion schedules via
+	// ScheduleCall without a per-message closure.
+	deliveredCall func(any)
 
 	// imp is the installed fault model (nil = perfect network); linkSeq
 	// counts packets per directed link, keying the impairment PRNG; and
@@ -235,7 +229,6 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 	}
 	c := &Cluster{Eng: sim.NewEngine(), P: p}
 	c.deliveredCall = c.runDelivered
-	c.onDeliveredCall = c.runOnDelivered
 	c.Nodes = make([]*Node, n)
 	for i := range c.Nodes {
 		c.Nodes[i] = &Node{
@@ -413,14 +406,6 @@ func (c *Cluster) runDelivered(a any) {
 	m.Delivered(m.DeliveredArg, c.Eng.Now())
 }
 
-// runOnDelivered is the ScheduleCall dispatcher behind Message.OnDelivered.
-// The callback itself rides as the event argument (a func value is
-// pointer-shaped, so boxing it allocates nothing), captured at schedule
-// time so firing never re-reads the — by then possibly recycled — message.
-func (c *Cluster) runOnDelivered(a any) {
-	a.(func(sim.Time))(c.Eng.Now())
-}
-
 func (c *Cluster) allocPacket() *Packet {
 	if n := len(c.pktFree); n > 0 {
 		p := c.pktFree[n-1]
@@ -523,8 +508,8 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 		// shard's outbox; the window barrier injects them into the
 		// destination engine (Cluster.flush), which is safe because
 		// firstArrival >= now + cross-shard latency >= window bound.
-		if msg.Delivered != nil || msg.OnDelivered != nil {
-			panic("netsim: cross-LP send with a Delivered/OnDelivered callback (the source engine cannot observe destination-side completion)")
+		if msg.Delivered != nil {
+			panic("netsim: cross-LP send with a Delivered callback (the source engine cannot observe destination-side completion)")
 		}
 		c.outbox = append(c.outbox, crossSend{
 			dst: dc, dstNode: dst, msg: msg, length: msg.Length, n: n,
@@ -540,11 +525,6 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 	c.Eng.ScheduleCallSeq(firstArrival, stamp, pri, w.seq0, walkDeliver, w)
 	if msg.Delivered != nil {
 		c.Eng.ScheduleCall(lastInjected, c.deliveredCall, msg)
-	} else if msg.OnDelivered != nil {
-		// Same instant, same single sequence number as the closure form this
-		// replaces, so simulated output is untouched (determinism contract
-		// clause 1); the pre-bound dispatcher just drops the per-send closure.
-		c.Eng.ScheduleCall(lastInjected, c.onDeliveredCall, msg.OnDelivered)
 	}
 }
 

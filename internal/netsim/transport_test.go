@@ -241,16 +241,22 @@ func TestHostSendChargesOverhead(t *testing.T) {
 	}
 }
 
-func TestOnDeliveredFiresAtLastInjection(t *testing.T) {
+func TestDeliveredFiresAtLastInjection(t *testing.T) {
 	c := mkCluster(t, 2, Integrated())
 	var at sim.Time = -1
+	var got any
+	token := new(int)
 	msg := &Message{Type: OpPut, Src: 0, Dst: 1, Length: 8192,
-		OnDelivered: func(now sim.Time) { at = now }}
+		Delivered:    func(arg any, now sim.Time) { got, at = arg, now },
+		DeliveredArg: token}
 	c.Send(0, msg)
 	c.Eng.Run()
 	want := 2 * c.P.PacketOccupancy(4096)
 	if at != want {
-		t.Fatalf("OnDelivered at %v, want %v", at, want)
+		t.Fatalf("Delivered at %v, want %v", at, want)
+	}
+	if got != token {
+		t.Fatalf("Delivered arg = %v, want the DeliveredArg %p", got, token)
 	}
 }
 

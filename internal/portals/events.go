@@ -164,12 +164,10 @@ func (q *EQ) PollUpTo(now sim.Time) []Event {
 	return out
 }
 
-// trigger is one armed threshold action on a counter, stored by value so
-// arming on the hot path allocates nothing. Exactly one of fn (closure
-// form, OnReach) and call (pre-bound form, OnReachCall) is set.
+// trigger is one armed threshold action on a counter (OnReachCall), stored
+// by value so arming on the hot path allocates nothing.
 type trigger struct {
 	threshold uint64
-	fn        func(now sim.Time)
 	call      func(arg any, now sim.Time)
 	arg       any
 }
@@ -178,7 +176,6 @@ type trigger struct {
 // recycled when it runs.
 type ctNote struct {
 	ct   *CT
-	fn   func(now sim.Time)
 	call func(arg any, now sim.Time)
 	arg  any
 }
@@ -186,15 +183,10 @@ type ctNote struct {
 // runCTNote is the ScheduleCall entry point for fired triggers.
 func runCTNote(a any) {
 	n := a.(*ctNote)
-	ct, fn, call, arg := n.ct, n.fn, n.call, n.arg
+	ct, call, arg := n.ct, n.call, n.arg
 	*n = ctNote{}
 	ct.noteFree = append(ct.noteFree, n)
-	now := ct.eng.Now()
-	if call != nil {
-		call(arg, now)
-	} else {
-		fn(now)
-	}
+	call(arg, ct.eng.Now())
 }
 
 // CT is a counting event (§3.1): a success counter with threshold triggers,
@@ -245,24 +237,14 @@ func (ct *CT) Inc(now sim.Time, n uint64) {
 // IncFailure records a failure.
 func (ct *CT) IncFailure(now sim.Time) { ct.failures++ }
 
-// OnReach arms fn to run once when the counter reaches threshold. If the
-// threshold has already been reached the action fires immediately. Hot
-// paths use OnReachCall, which neither allocates a closure at arm time nor
-// one at fire time.
-func (ct *CT) OnReach(threshold uint64, fn func(now sim.Time)) {
-	ct.arm(trigger{threshold: threshold, fn: fn})
-}
-
-// OnReachCall is the closure-free form of OnReach, in the style of
-// sim.Engine.ScheduleCall: when the counter reaches threshold, fn(arg, now)
-// runs once through the engine. Arming draws no heap allocation (triggers
-// are stored by value) and firing dispatches through a pooled record.
+// OnReachCall arms fn(arg, now) to run once through the engine when the
+// counter reaches threshold, in the style of sim.Engine.ScheduleCall. If
+// the threshold has already been reached the action fires as the next event
+// at the current instant. Arming draws no heap allocation (triggers are
+// stored by value) and firing dispatches through a pooled record.
 func (ct *CT) OnReachCall(threshold uint64, fn func(arg any, now sim.Time), arg any) {
-	ct.arm(trigger{threshold: threshold, call: fn, arg: arg})
-}
-
-func (ct *CT) arm(tr trigger) {
-	if ct.count >= tr.threshold {
+	tr := trigger{threshold: threshold, call: fn, arg: arg}
+	if ct.count >= threshold {
 		ct.schedule(ct.eng.Now(), tr)
 		return
 	}
@@ -270,7 +252,7 @@ func (ct *CT) arm(tr trigger) {
 }
 
 // schedule dispatches a reached trigger through the engine via a pooled
-// note, preserving the deferred (next-event) semantics of the closure form.
+// note, so the action always runs as its own event, never inline.
 func (ct *CT) schedule(now sim.Time, tr trigger) {
 	var n *ctNote
 	if ln := len(ct.noteFree); ln > 0 {
@@ -279,7 +261,7 @@ func (ct *CT) schedule(now sim.Time, tr trigger) {
 	} else {
 		n = &ctNote{}
 	}
-	n.ct, n.fn, n.call, n.arg = ct, tr.fn, tr.call, tr.arg
+	n.ct, n.call, n.arg = ct, tr.call, tr.arg
 	ct.eng.ScheduleCall(now, runCTNote, n)
 }
 

@@ -639,19 +639,3 @@ func (ni *NI) ArmTriggeredGet(a GetArgs, ct *CT, threshold uint64) error {
 	ct.OnReachCall(threshold, runTriggeredOp, op)
 	return nil
 }
-
-// TriggeredPut is ArmTriggeredPut for callers with static arguments: it
-// panics on arguments the fallible form would reject.
-func (ni *NI) TriggeredPut(a PutArgs, ct *CT, threshold uint64) {
-	if err := ni.ArmTriggeredPut(a, ct, threshold); err != nil {
-		panic(err)
-	}
-}
-
-// TriggeredGet is ArmTriggeredGet for callers with static arguments: it
-// panics on arguments the fallible form would reject.
-func (ni *NI) TriggeredGet(a GetArgs, ct *CT, threshold uint64) {
-	if err := ni.ArmTriggeredGet(a, ct, threshold); err != nil {
-		panic(err)
-	}
-}

@@ -290,7 +290,9 @@ func TestTriggeredPutFiresAtThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	pongData := bytes.Repeat([]byte{0x42}, 256)
-	nis[1].TriggeredPut(PutArgs{MD: nis[1].MDBind(pongData, nil, nil), Length: 256, Target: 0, PTIndex: 0, MatchBits: 1}, ct1, 1)
+	if err := nis[1].ArmTriggeredPut(PutArgs{MD: nis[1].MDBind(pongData, nil, nil), Length: 256, Target: 0, PTIndex: 0, MatchBits: 1}, ct1, 1); err != nil {
+		t.Fatal(err)
+	}
 
 	me0, eq0 := postME(t, nis[0], 0, 1, 4096)
 	ping := bytes.Repeat([]byte{0x41}, 256)
@@ -309,14 +311,18 @@ func TestTriggeredAlreadyReachedFiresImmediately(t *testing.T) {
 	postME(t, nis[0], 0, 1, 64)
 	ct := NewCT(c.Eng)
 	ct.Inc(0, 5)
-	fired := false
-	ct.OnReach(3, func(now sim.Time) { fired = true })
+	fired := 0
+	ct.OnReachCall(3, countFire, &fired)
 	c.Eng.Run()
-	if !fired {
-		t.Fatal("trigger armed past threshold did not fire")
+	if fired != 1 {
+		t.Fatalf("trigger armed past threshold fired %d times, want 1", fired)
 	}
 	_ = nis
 }
+
+// countFire is an OnReachCall target that counts firings into the *int it
+// is armed with.
+func countFire(a any, _ sim.Time) { *a.(*int)++ }
 
 func TestHandlerMECompletionEvent(t *testing.T) {
 	c, nis := pair(t)
@@ -482,7 +488,7 @@ func TestCTSetAndFailures(t *testing.T) {
 		t.Fatalf("ct = %d/%d", ct.Get(), ct.Failures())
 	}
 	fired := 0
-	ct.OnReach(10, func(now sim.Time) { fired++ })
+	ct.OnReachCall(10, countFire, &fired)
 	ct.Set(0, 10)
 	c.Eng.Run()
 	if fired != 1 {
@@ -535,15 +541,6 @@ func TestTriggeredOpsValidateAtArmTime(t *testing.T) {
 	if c.MessagesSent != sent {
 		t.Fatalf("rejected triggered ops fired %d messages", c.MessagesSent-sent)
 	}
-
-	// The legacy form panics at arm time (not at fire time) for the same
-	// arguments.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TriggeredPut did not panic on invalid arguments")
-		}
-	}()
-	nis[0].TriggeredPut(PutArgs{MD: md, LocalOffset: 32, Length: 64, Target: 1, PTIndex: 0, MatchBits: 1}, ct, 2)
 }
 
 func TestTriggeredGetFiresAtThreshold(t *testing.T) {

@@ -8,14 +8,14 @@ import "testing"
 // realistic depths.
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := NewEngine()
-	fn := func() {}
+	fn := func(any) {}
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Time(i), fn)
+		e.ScheduleCall(Time(i), fn, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now()+Time(i%64)+1, fn)
+		e.ScheduleCall(e.Now()+Time(i%64)+1, fn, nil)
 		e.Step()
 	}
 }

@@ -64,7 +64,7 @@ func (h *windowHarness) seedWork(n int, span Time) {
 func (h *windowHarness) schedule(i int, at Time, depth int) {
 	e := h.engines[i]
 	rng := h.rngs[i]
-	e.Schedule(at, func() {
+	e.ScheduleCall(at, runFunc, func() {
 		now := e.Now()
 		h.trace[i] = append(h.trace[i], now)
 		if depth <= 0 {

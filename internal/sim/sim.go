@@ -9,11 +9,11 @@
 // The event queue is a hand-specialized 4-ary min-heap over a flat []event
 // slice: no interface boxing, no container/heap indirection, and popped
 // slots are recycled in place, so steady-state scheduling allocates nothing.
-// Hot callers that would otherwise allocate a fresh closure per event can
-// use ScheduleCall, which carries a pre-bound (func(any), arg) pair instead,
-// and ReserveSeq/ScheduleCallSeq, which let a caller claim a block of
-// sequence numbers up front so deferred scheduling preserves the exact
-// tie-break order of eager scheduling.
+// Every event is a pre-bound (func(any), arg) pair scheduled with
+// ScheduleCall — a non-capturing callback plus a pointer-shaped argument
+// schedules without allocating a closure — and ReserveSeq/ScheduleCallSeq
+// let a caller claim a block of sequence numbers up front so deferred
+// scheduling preserves the exact tie-break order of eager scheduling.
 package sim
 
 import "fmt"
@@ -54,18 +54,16 @@ func (t Time) String() string {
 	}
 }
 
-// event is one queue entry. Exactly one of fn and call is set: fn is the
-// closure form, call+arg the pre-bound form (ScheduleCall). stamp is the
+// event is one queue entry: the pre-bound callback call(arg). stamp is the
 // engine clock at the moment the event's sequence number was allocated
-// (Schedule time, or ReserveSeq time for deferred scheduling); pri is the
-// caller-supplied priority key of ScheduleCallSeq events (0 for everything
-// else).
+// (ScheduleCall time, or ReserveSeq time for deferred scheduling); pri is
+// the caller-supplied priority key of ScheduleCallSeq events (0 for
+// everything else).
 type event struct {
 	at    Time
 	stamp Time
 	pri   uint64
 	seq   uint64
-	fn    func()
 	call  func(any)
 	arg   any
 }
@@ -76,9 +74,9 @@ type event struct {
 // gets a fresh local seq, so seq values cannot be compared across engines —
 // instead, migratable events carry a priority key derived from
 // simulation-visible state (netsim uses the source node's send counter),
-// identical no matter which engine schedules them. Plain Schedule/
-// ScheduleCall events have pri 0 and win every tie against keyed events,
-// again identically in serial and parallel runs; between two pri-0 events
+// identical no matter which engine schedules them. Plain ScheduleCall
+// events have pri 0 and win every tie against keyed events, again
+// identically in serial and parallel runs; between two pri-0 events
 // the seq tie-break is sound because such events are always scheduled by
 // the same logical process in the same relative order in either mode.
 func (a *event) less(b *event) bool {
@@ -122,7 +120,7 @@ func NewEngine() *Engine { return &Engine{} }
 // which restart identically.
 func (e *Engine) Reset() {
 	for i := range e.events {
-		e.events[i] = event{} // release fn/arg references for the GC
+		e.events[i] = event{} // release call/arg references for the GC
 	}
 	e.events = e.events[:0]
 	e.now = 0
@@ -160,7 +158,7 @@ func (e *Engine) pop() event {
 	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // drop fn/arg references so the GC can reclaim them
+	h[n] = event{} // drop call/arg references so the GC can reclaim them
 	h = h[:n]
 	i := 0
 	for {
@@ -196,17 +194,10 @@ func (e *Engine) checkAt(at Time) {
 	}
 }
 
-// Schedule runs fn at absolute time at.
-func (e *Engine) Schedule(at Time, fn func()) {
-	e.checkAt(at)
-	e.seq++
-	e.push(event{at: at, stamp: e.now, seq: e.seq, fn: fn})
-}
-
-// ScheduleCall runs fn(arg) at absolute time at. Unlike Schedule, the
-// callback and its argument are stored directly in the event, so callers
-// that reuse a non-capturing fn (and a pooled or pointer-typed arg) schedule
-// without allocating a closure.
+// ScheduleCall runs fn(arg) at absolute time at. The callback and its
+// argument are stored directly in the event, so callers that reuse a
+// non-capturing fn (and a pooled or pointer-typed arg) schedule without
+// allocating a closure.
 func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) {
 	e.checkAt(at)
 	e.seq++
@@ -241,9 +232,6 @@ func (e *Engine) ScheduleCallSeq(at, stamp Time, pri, seq uint64, fn func(any), 
 	e.push(event{at: at, stamp: stamp, pri: pri, seq: seq, call: fn, arg: arg})
 }
 
-// After runs fn d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
-
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
@@ -252,11 +240,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.processed++
-	if ev.call != nil {
-		ev.call(ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.call(ev.arg)
 	return true
 }
 

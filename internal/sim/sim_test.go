@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// runFunc dispatches a closure carried as the event argument (a func value
+// is pointer-shaped, so boxing it allocates nothing). Tests use it where a
+// capturing closure reads better than a pre-bound callback.
+func runFunc(a any) { a.(func())() }
+
+// after schedules fn d picoseconds after e's current time.
+func after(e *Engine, d Time, fn func()) { e.ScheduleCall(e.Now()+d, runFunc, fn) }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -22,7 +30,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.Schedule(at, func() { got = append(got, e.Now()) })
+		e.ScheduleCall(at, runFunc, func() { got = append(got, e.Now()) })
 	}
 	e.Run()
 	want := []Time{10, 20, 30, 40, 50}
@@ -41,7 +49,7 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(100, func() { order = append(order, i) })
+		e.ScheduleCall(100, runFunc, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -54,10 +62,10 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []string
-	e.Schedule(10, func() {
+	e.ScheduleCall(10, runFunc, func() {
 		trace = append(trace, "a")
-		e.After(5, func() { trace = append(trace, "c") })
-		e.Schedule(12, func() { trace = append(trace, "b") })
+		after(e, 5, func() { trace = append(trace, "c") })
+		e.ScheduleCall(12, runFunc, func() { trace = append(trace, "b") })
 	})
 	end := e.Run()
 	if end != 15 {
@@ -73,21 +81,21 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {})
+	e.ScheduleCall(100, runFunc, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(50, func() {})
+	e.ScheduleCall(50, runFunc, func() {})
 }
 
 func TestRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(30, func() { fired++ })
+	e.ScheduleCall(10, runFunc, func() { fired++ })
+	e.ScheduleCall(30, runFunc, func() { fired++ })
 	e.RunUntil(20)
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
@@ -111,12 +119,12 @@ func TestEngineDeterminism(t *testing.T) {
 			got = append(got, e.Now())
 			if depth < 3 {
 				for i := 0; i < 2; i++ {
-					e.After(Time(rng.Intn(100)+1), func() { rec(depth + 1) })
+					after(e, Time(rng.Intn(100)+1), func() { rec(depth + 1) })
 				}
 			}
 		}
 		for i := 0; i < 5; i++ {
-			e.Schedule(Time(rng.Intn(1000)), func() { rec(0) })
+			e.ScheduleCall(Time(rng.Intn(1000)), runFunc, func() { rec(0) })
 		}
 		e.Run()
 		return got
@@ -140,11 +148,11 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	workload := func(e *Engine) []Time {
 		var got []Time
 		for i := 0; i < 4; i++ {
-			e.Schedule(Time(10), func() { got = append(got, e.Now()) }) // ties: FIFO
+			e.ScheduleCall(Time(10), runFunc, func() { got = append(got, e.Now()) }) // ties: FIFO
 		}
-		e.After(5, func() {
+		after(e, 5, func() {
 			got = append(got, e.Now())
-			e.After(20, func() { got = append(got, e.Now()) })
+			after(e, 20, func() { got = append(got, e.Now()) })
 		})
 		e.Run()
 		return got
@@ -154,7 +162,7 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 
 	reused := NewEngine()
 	workload(reused)
-	reused.Schedule(reused.Now()+100, func() { t.Fatal("event survived Reset") })
+	reused.ScheduleCall(reused.Now()+100, runFunc, func() { t.Fatal("event survived Reset") })
 	reused.Reset()
 	if reused.Now() != 0 || reused.Pending() != 0 || reused.Processed() != 0 {
 		t.Fatalf("after Reset: now=%v pending=%d processed=%d, want all zero",
@@ -178,7 +186,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var got []Time
 		for _, r := range raw {
 			at := Time(r)
-			e.Schedule(at, func() { got = append(got, e.Now()) })
+			e.ScheduleCall(at, runFunc, func() { got = append(got, e.Now()) })
 		}
 		e.Run()
 		want := make([]Time, len(raw))
@@ -220,7 +228,7 @@ func TestReserveSeqPreservesEagerOrder(t *testing.T) {
 	base := e.ReserveSeq(2)
 	// ...then schedule a competitor at the same instant. Without the
 	// reservation it would fire first (earlier seq).
-	e.Schedule(100, func() { order = append(order, "late") })
+	e.ScheduleCall(100, runFunc, func() { order = append(order, "late") })
 	e.ScheduleCallSeq(100, e.Now(), 0, base, func(a any) {
 		order = append(order, "first")
 		// The second reserved slot is claimed from inside the first event,
@@ -243,15 +251,14 @@ func TestReserveSeqPreservesEagerOrder(t *testing.T) {
 // allocate.
 func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	fn := func() {}
 	call := func(any) {}
-	for i := 0; i < 256; i++ {
-		e.Schedule(Time(i), fn)
-	}
 	var arg *Engine // pointer arg: no boxing
+	for i := 0; i < 256; i++ {
+		e.ScheduleCall(Time(i), call, arg)
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(e.Now()+5, fn)
-		e.ScheduleCall(e.Now()+3, call, arg)
+		e.ScheduleCall(e.Now()+5, call, arg)
+		e.ScheduleCallSeq(e.Now()+3, e.Now(), 1, e.ReserveSeq(1), call, arg)
 		e.Step()
 		e.Step()
 	})
@@ -262,7 +269,7 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 
 func TestScheduleCallSeqPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(100, func() {})
+	e.ScheduleCall(100, runFunc, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {

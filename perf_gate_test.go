@@ -29,10 +29,8 @@ func TestFig7aWallClock(t *testing.T) {
 		t.Skip("wall-clock gate regenerates Fig 7a; skipped in -short")
 	}
 	start := time.Now()
-	if _, err := bench.Fig7a(benchScale); err != nil {
-		t.Fatal(err)
-	}
+	regen(t, "fig7a", benchScale, bench.RunOptions{})
 	if elapsed := time.Since(start); elapsed > fig7aWallBudget {
-		t.Errorf("Fig7a(benchScale) took %v, budget %v — the per-segment scatter regression is back", elapsed, fig7aWallBudget)
+		t.Errorf("fig7a at benchScale took %v, budget %v — the per-segment scatter regression is back", elapsed, fig7aWallBudget)
 	}
 }

@@ -28,15 +28,16 @@ echo "== simlint =="
 # Repo-specific analyzers, one per ARCHITECTURE.md contract clause:
 # nosyncpool (engine-owned free lists only), nowallclock (simulated time is
 # a function of the seed), maporder (no nondeterministic map iteration),
-# noclosuresched (pooled ScheduleCall over per-event closures), poolretain
-# (pooled transport objects stay with their owner packages), pkgdoc
-# (every package documents its role), lpowner (shard-owned LP state stays
-# with its owning receiver), and — over the module call graph — servebound
-# (no engine call reachable from an HTTP handler), hotalloc (no allocation
-# site reachable from an event-dispatch root), staledirective (every
-# annotation still suppresses something). The run is timed: the whole
-# suite, call-graph construction included, must finish within 5 seconds so
-# linting stays cheap enough to gate every merge.
+# poolretain (pooled transport objects stay with their owner packages),
+# pkgdoc (every package documents its role), lpowner (shard-owned LP state
+# stays with its owning receiver), and — over the module call graph —
+# servebound (no engine call reachable from an HTTP handler), hotalloc (no
+# allocation site, capturing closures included, reachable from an
+# event-dispatch root), staledirective (every annotation still suppresses
+# something). The engine has no closure-taking schedule method, so the
+# compiler itself keeps per-event closures off the queue. The run is timed:
+# the whole suite, call-graph construction included, must finish within 5
+# seconds so linting stays cheap enough to gate every merge.
 lint_start=$(date +%s)
 go run ./cmd/simlint ./...
 lint_end=$(date +%s)
@@ -57,8 +58,8 @@ go run ./cmd/simlint -suppressions ./...
 echo "== go test =="
 go test ./...
 
-echo "== sweep determinism smoke (fresh vs Reset-reuse vs parallel) =="
-# Byte-equality across the from-scratch, serial-reuse, and sharded-parallel
+echo "== sweep determinism smoke (fresh vs Reset-reuse vs pool) =="
+# Byte-equality across the from-scratch, serial-reuse, and worker-pool
 # runners for every reuse mechanism: fig3b/fig5a (cluster cache), table5c
 # (mpisim engine cache), spc (raidsim system cache). A nondeterministic
 # merge or a state field missed by a Reset fails here before it can corrupt
@@ -66,7 +67,7 @@ echo "== sweep determinism smoke (fresh vs Reset-reuse vs parallel) =="
 go test -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench
 # The same equality under a fixed fault model: impaired sweeps (jittered
 # fig3b, lossy ftbcast) must be byte-identical across fresh, Reset-reuse,
-# and parallel runs, fault counters included.
+# and pool runs, fault counters included.
 go test -count=1 -run 'TestImpairedSweepDeterminism' ./internal/bench
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
@@ -84,6 +85,20 @@ echo "== impairment-grammar fuzz smoke (FuzzParseImpairment, 5s) =="
 # Key() stays a canonical re-parse fixed point (the property the result
 # cache keys depend on).
 go test -run '^$' -fuzz 'FuzzParseImpairment' -fuzztime 5s ./internal/netsim
+
+echo "== engine reference-oracle fuzz (FuzzEngineMatchesReference, 5s) =="
+# Random schedule/reserve/nested/RunUntil/RunBefore/Reset programs must
+# dispatch in exactly the order of the test-only container/heap closure
+# engine — the (at, stamp, pri, seq) tie-break included. Minimizing a new
+# corpus entry replays a program up to 2 KiB long thousands of times, which
+# would stall a 5 s smoke, so minimization is capped at one attempt.
+go test -run '^$' -fuzz 'FuzzEngineMatchesReference' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
+
+echo "== nested benchmark module (go vet) =="
+# benchmark/ is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it; vetting it here catches an exported
+# name it uses being renamed or deleted.
+go -C benchmark vet ./...
 
 echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per

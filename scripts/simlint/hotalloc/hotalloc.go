@@ -1,7 +1,7 @@
 // Package hotalloc names the line behind an allocation-budget
 // regression before TestAllocBudgets trips the gate. It walks every
 // function reachable from an event-dispatch root — function values
-// handed to sim.Engine.Schedule/After/ScheduleCall/ScheduleCallSeq, and
+// handed to sim.Engine.ScheduleCall/ScheduleCallSeq, and
 // the pre-bound dispatcher-shaped callbacks (func(any) /
 // func(any, sim.Time)) the transport invokes per packet — and reports
 // allocation sites on that hot path:

@@ -77,7 +77,7 @@ type FuncNode struct {
 	Out  []Edge
 
 	// DispatchRoot marks event-dispatch entry points: function values
-	// handed to sim.Engine.Schedule/After/ScheduleCall/ScheduleCallSeq,
+	// handed to sim.Engine.ScheduleCall/ScheduleCallSeq,
 	// and named functions or methods referenced as values with the
 	// pre-bound dispatcher signatures func(any) / func(any, sim.Time).
 	DispatchRoot bool
@@ -368,9 +368,7 @@ func (b *graphBuilder) visitCall(cur *FuncNode, call *ast.CallExpr) {
 	b.edge(cur, EdgeStatic, call.Pos(), b.g.NodeFor(callee))
 
 	simPath := ModulePath + "/internal/sim"
-	if IsMethod(callee, simPath, "Engine", "Schedule") ||
-		IsMethod(callee, simPath, "Engine", "After") ||
-		IsMethod(callee, simPath, "Engine", "ScheduleCall") ||
+	if IsMethod(callee, simPath, "Engine", "ScheduleCall") ||
 		IsMethod(callee, simPath, "Engine", "ScheduleCallSeq") {
 		for _, arg := range call.Args {
 			b.markDispatchArg(arg)

@@ -10,8 +10,8 @@
 // carry //simlint:lpowner-ok <reason>.
 //
 // Rule B (packages building LP clusters): any package that calls
-// netsim.NewClusterLP must not install Message.Delivered/OnDelivered
-// callbacks or a Cluster recorder by field assignment — cross-LP
+// netsim.NewClusterLP must not install Message.Delivered callbacks or a
+// Cluster recorder by field assignment — cross-LP
 // delivery callbacks are exactly what the transport's runtime panic
 // rejects at the barrier, and this flags them before the first run.
 package lpowner
@@ -134,7 +134,7 @@ func runClient(pass *lintkit.Pass, netsimPath string) {
 					if !ok {
 						continue
 					}
-					if key, ok := kv.Key.(*ast.Ident); ok && (key.Name == "Delivered" || key.Name == "OnDelivered") {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Delivered" {
 						report(pass, kv.Pos(), key.Name)
 					}
 				}
@@ -144,16 +144,15 @@ func runClient(pass *lintkit.Pass, netsimPath string) {
 	}
 }
 
-// checkRegistration flags `x.Delivered = ...` / `x.OnDelivered = ...` on
-// netsim.Message and `x.Rec = ...` on netsim.Cluster in LP-building
-// packages.
+// checkRegistration flags `x.Delivered = ...` on netsim.Message and
+// `x.Rec = ...` on netsim.Cluster in LP-building packages.
 func checkRegistration(pass *lintkit.Pass, sel *ast.SelectorExpr, field, netsimPath string) {
 	s, ok := pass.TypesInfo.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return
 	}
 	switch field {
-	case "Delivered", "OnDelivered":
+	case "Delivered":
 		if isNetsimNamed(s.Recv(), netsimPath, "Message") {
 			report(pass, sel.Pos(), field)
 		}

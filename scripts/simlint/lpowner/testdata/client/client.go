@@ -15,7 +15,6 @@ func buildLP() (*netsim.Cluster, error) {
 
 func register(c *netsim.Cluster, msg *netsim.Message) {
 	msg.Delivered = onDone // want `Message\.Delivered set in a package that builds LP clusters`
-	msg.OnDelivered = nil  // want `Message\.OnDelivered set in a package that builds LP clusters`
 	c.Rec = nil            // want `Cluster\.Rec assigned in a package that builds LP clusters`
 }
 

@@ -14,6 +14,5 @@ func build() (*netsim.Cluster, error) {
 
 func register(c *netsim.Cluster, msg *netsim.Message) {
 	msg.Delivered = func(arg any, now sim.Time) {}
-	msg.OnDelivered = func(now sim.Time) {}
 	c.Rec = nil
 }

@@ -1,13 +1,16 @@
-// Package simlint assembles the repository's analyzer suite: ten
+// Package simlint assembles the repository's analyzer suite: nine
 // lintkit analyzers, each enforcing one normative clause of
 // ARCHITECTURE.md mechanically instead of by prose and post-hoc golden
-// diffs — six per-package checks plus the call-graph analyzers
+// diffs — five per-package checks plus the call-graph analyzers
 // (servebound, hotalloc), the LP shard-ownership check (lpowner), and
-// the suppression-inventory audit (staledirective). cmd/simlint runs the
-// whole suite (`go run ./cmd/simlint ./...`, wired into make lint,
-// scripts/check.sh, and CI); the repo-wide smoke test in this package
-// keeps `go test ./...` failing on any new violation even when the lint
-// step itself is skipped.
+// the suppression-inventory audit (staledirective). The closure-free
+// scheduling clause needs no analyzer of its own: sim.Engine has no
+// closure-taking method, so the compiler rejects a per-event closure, and
+// hotalloc flags capturing closures built on dispatch paths. cmd/simlint
+// runs the whole suite (`go run ./cmd/simlint ./...`, wired into make
+// lint, scripts/check.sh, and CI); the repo-wide smoke test in this
+// package keeps `go test ./...` failing on any new violation even when
+// the lint step itself is skipped.
 package simlint
 
 import (
@@ -15,7 +18,6 @@ import (
 	"repro/scripts/simlint/lintkit"
 	"repro/scripts/simlint/lpowner"
 	"repro/scripts/simlint/maporder"
-	"repro/scripts/simlint/noclosuresched"
 	"repro/scripts/simlint/nosyncpool"
 	"repro/scripts/simlint/nowallclock"
 	"repro/scripts/simlint/pkgdoc"
@@ -32,7 +34,6 @@ func Analyzers() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		lpowner.Analyzer,
 		maporder.Analyzer,
-		noclosuresched.Analyzer,
 		nosyncpool.Analyzer,
 		nowallclock.Analyzer,
 		pkgdoc.Analyzer,

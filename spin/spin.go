@@ -112,9 +112,9 @@ type (
 	CT = portals.CT
 	// Event is a full event.
 	Event = portals.Event
-	// PutArgs are the arguments of Put/TriggeredPut.
+	// PutArgs are the arguments of Put/ArmTriggeredPut.
 	PutArgs = portals.PutArgs
-	// GetArgs are the arguments of Get/TriggeredGet.
+	// GetArgs are the arguments of Get/ArmTriggeredGet.
 	GetArgs = portals.GetArgs
 	// ListKind selects the priority or overflow list.
 	ListKind = portals.ListKind
