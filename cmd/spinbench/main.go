@@ -34,8 +34,9 @@
 // bandwidth throttling, and timed link failures. Fault draws are a pure
 // function of (seed, link, packet), so impaired runs are byte-identical
 // across re-runs and across -parallel settings; the per-experiment fault
-// counters are reported on stderr. raidsim replays ignore the model (the
-// storage service has no recovery layer).
+// counters are reported on stderr. spc's raidsim trace replays ignore the
+// model (the storage service has no recovery layer); fig7c's single
+// updates on raidsim systems take it.
 //
 // -lp K runs every mpisim trace replay (table5c) as a conservative parallel
 // discrete-event simulation: the cluster is partitioned into up to K logical

@@ -21,14 +21,14 @@ import (
 //   - sPIN: each packet's handler DMAs the destination slice up, multiplies,
 //     and writes it back; packets pipeline across HPUs and the bus.
 func AccumulateTime(p netsim.Params, spin bool, size int) (sim.Time, error) {
-	return accumulateTime(nil, p, spin, size)
+	return accumulateTime(freshEnv(nil), p, spin, size)
 }
 
 func accumulateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, error) {
 	// Saturating sweeps would otherwise trip flow control; these
 	// experiments measure completion time, not drop behaviour.
 	p.FlowDeadline = 100 * sim.Millisecond
-	c, nis, err := e.cluster(farPeer+1, p)
+	c, nis, err := e.cluster(farPeer+1, p, e.impair)
 	if err != nil {
 		return 0, err
 	}

@@ -27,11 +27,15 @@ type AppResult struct {
 
 // RunApp replays one application with both protocol engines, drawing the
 // engines from the Env's replay-engine cache and building every program set
-// into the Env's grow-only program buffer (a nil Env builds everything
-// fresh per run, the pre-reuse behaviour). The build→run cycle is strictly
-// sequential — each program set is fully replayed before the buffer is
-// rebuilt — which is what the buffer's ownership contract requires.
+// into the Env's grow-only program buffer (a nil Env stands for a fresh
+// one, which builds a new engine per replay). The build→run cycle is
+// strictly sequential — each program set is fully replayed before the
+// buffer is rebuilt — which is what the buffer's ownership contract
+// requires.
 func RunApp(e *Env, a apps.App, iterations int) (AppResult, error) {
+	if e == nil {
+		e = freshEnv(nil)
+	}
 	buf := e.programBuffer()
 	baseRun := e.mpiRunner(mpisim.DefaultConfig(mpisim.HostMatching))
 	compute, err := a.Calibrate(baseRun, 8, buf)

@@ -11,27 +11,13 @@ import (
 	"repro/internal/sim"
 )
 
-// binomialChildren lists rank's children in a binomial tree rooted at 0.
-func binomialChildren(rank, nprocs int) []int {
-	var out []int
-	for half := nprocs / 2; half >= 1; half /= 2 {
-		if rank%(half*2) == 0 && rank+half < nprocs {
-			out = append(out, rank+half)
-		}
-	}
-	return out
-}
-
-// binomialKids is binomialChildren carved from the Env's grow-only arena:
-// a broadcast point builds one child list per rank (nprocs-1 entries in
-// total across the tree), so a warm Env arms a whole tree without
-// allocating. The lists are valid until the point's resetScratch. If the
-// arena grows mid-point, earlier lists keep the old backing array — still
-// valid, never aliased.
+// binomialKids lists rank's children in a binomial tree rooted at 0,
+// carved from the Env's grow-only arena: a broadcast point builds one child
+// list per rank (nprocs-1 entries in total across the tree), so a warm Env
+// arms a whole tree without allocating. The lists are valid until the
+// point's resetScratch. If the arena grows mid-point, earlier lists keep
+// the old backing array — still valid, never aliased.
 func (e *Env) binomialKids(rank, nprocs int) []int {
-	if e == nil {
-		return binomialChildren(rank, nprocs)
-	}
 	start := len(e.kids)
 	for half := nprocs / 2; half >= 1; half /= 2 {
 		if rank%(half*2) == 0 && rank+half < nprocs {
@@ -44,7 +30,7 @@ func (e *Env) binomialKids(rank, nprocs int) []int {
 // BroadcastTime measures a binomial-tree broadcast of size bytes to nprocs
 // ranks (§4.4.3, Fig. 5a): the time until the last rank holds the data.
 func BroadcastTime(p netsim.Params, v Variant, nprocs, size int) (sim.Time, error) {
-	return broadcastTime(nil, p, v, nprocs, size)
+	return broadcastTime(freshEnv(nil), p, v, nprocs, size)
 }
 
 func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Time, error) {
@@ -52,7 +38,7 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 	// generous flow budget so the measurement reflects latency, not drops.
 	p.FlowDeadline = 10 * sim.Millisecond
 	e.resetScratch()
-	c, nis, err := e.cluster(nprocs, p)
+	c, nis, err := e.cluster(nprocs, p, e.impair)
 	if err != nil {
 		return 0, err
 	}

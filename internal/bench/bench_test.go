@@ -245,8 +245,7 @@ func TestRaidShape(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	tab := &Table{ID: "x", Title: "t", Header: []string{"a", "b"}}
-	tab.Add("1", "2")
+	tab := &Table{ID: "x", Title: "t", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
 	var sbPrint, sbCSV stringsBuilder
 	tab.Fprint(&sbPrint)
 	tab.CSV(&sbCSV)

@@ -24,7 +24,7 @@ const DDTTotalBytes = 4 << 20
 //     DMA each block directly to its final location; small blocks are
 //     dominated by the per-transaction DMA overhead.
 func StridedReceiveTime(p netsim.Params, spin bool, blocksize int) (sim.Time, error) {
-	return stridedReceiveTime(nil, p, spin, blocksize)
+	return stridedReceiveTime(freshEnv(nil), p, spin, blocksize)
 }
 
 func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.Time, error) {
@@ -32,7 +32,7 @@ func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.
 	// experiments measure completion time, not drop behaviour.
 	p.FlowDeadline = 100 * sim.Millisecond
 	e.resetScratch()
-	c, nis, err := e.cluster(farPeer+1, p)
+	c, nis, err := e.cluster(farPeer+1, p, e.impair)
 	if err != nil {
 		return 0, err
 	}

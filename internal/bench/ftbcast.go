@@ -63,11 +63,8 @@ func ftbcastScenario(nprocs int) *netsim.Impairment {
 }
 
 // ftKids carves cfg's binomial-graph forwarding list from the Env's kids
-// arena (fresh on a nil Env), the FT-bcast analogue of binomialKids.
+// arena, the FT-bcast analogue of binomialKids.
 func (e *Env) ftKids(cfg handlers.FTBcastConfig) []int {
-	if e == nil {
-		return cfg.Neighbors()
-	}
 	start := len(e.kids)
 	e.kids = cfg.AppendNeighbors(e.kids)
 	return e.kids[start:len(e.kids):len(e.kids)]
@@ -83,14 +80,17 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	// sweeps, measure latency rather than flow-control drops.
 	p.FlowDeadline = 10 * sim.Millisecond
 	e.resetScratch()
-	c, nis, err := e.cluster(nprocs, p)
+	// The built-in fault schedule applies only when the run has no model:
+	// an explicit -impair model wins. Either way the model is part of the
+	// cluster request, so the Env never hands a cluster carrying the
+	// built-in schedule to another experiment's point.
+	im := e.impair
+	if im == nil {
+		im = ftbcastScenario(nprocs)
+	}
+	c, nis, err := e.cluster(nprocs, p, im)
 	if err != nil {
 		return nil, err
-	}
-	// The built-in fault schedule applies only when no cluster-wide model
-	// is installed: an explicit -impair model wins.
-	if c.Impairment() == nil {
-		c.SetImpairment(ftbcastScenario(nprocs))
 	}
 	red := log2floor(nprocs)
 	delivered := make([]uint64, nprocs)

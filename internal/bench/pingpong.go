@@ -56,16 +56,16 @@ const farPeer = 324
 // PingPongHalfRTT runs one ping-pong of the given size between two
 // neighbor ranks and returns the half round-trip time (§4.4.1).
 func PingPongHalfRTT(p netsim.Params, v Variant, size int, nz *noise.Model) (sim.Time, error) {
-	return pingPongHalfRTT(nil, p, v, size, nz)
+	return pingPongHalfRTT(freshEnv(nil), p, v, size, nz)
 }
 
-// pingPongHalfRTT is PingPongHalfRTT on a sweep environment: a non-nil env
-// supplies the (reset) cluster, so sweeps skip per-point construction.
+// pingPongHalfRTT is PingPongHalfRTT on a sweep environment, which supplies
+// the (reset) cluster, so sweeps skip per-point construction.
 func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Model) (sim.Time, error) {
 	// Saturating sweeps would otherwise trip flow control; these
 	// experiments measure completion time, not drop behaviour.
 	p.FlowDeadline = 100 * sim.Millisecond
-	c, nis, err := e.cluster(farPeer+1, p)
+	c, nis, err := e.cluster(farPeer+1, p, e.impair)
 	if err != nil {
 		return 0, err
 	}

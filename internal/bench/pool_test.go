@@ -95,6 +95,35 @@ func TestPoolRunByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsFtbcastScheduleToItself pins that ftbcast's built-in fault
+// schedule is part of its cluster request: a warm pool worker that ran
+// ftbcast must still hand bcast-store, which asks for the same 64-rank
+// discrete configuration, a perfect network.
+func TestPoolKeepsFtbcastScheduleToItself(t *testing.T) {
+	serialTab, err := buildExperiment(t, "bcast-store").Build(1).Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tableCSV(serialTab)
+
+	pool := NewPool(1)
+	defer pool.Close()
+	if _, err := buildExperiment(t, "ftbcast").Build(1).Run(RunOptions{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	s := buildExperiment(t, "bcast-store").Build(1)
+	tab, err := s.Run(RunOptions{Pool: pool})
+	if err != nil {
+		t.Fatalf("bcast-store after ftbcast on one worker: %v", err)
+	}
+	if f := s.Faults(); f.Any() {
+		t.Fatalf("bcast-store after ftbcast on one worker was charged faults: %+v", f)
+	}
+	if got := tableCSV(tab); got != want {
+		t.Fatalf("bcast-store after ftbcast on one worker differs from serial:\n--- serial ---\n%s--- pool ---\n%s", want, got)
+	}
+}
+
 // TestPoolProgress pins the Progress callback: called once per point with
 // the running count and a constant total.
 func TestPoolProgress(t *testing.T) {
@@ -119,9 +148,8 @@ func TestPoolProgress(t *testing.T) {
 
 // TestRegistryMetadata pins the machine-readable registry against drift:
 // every experiment's Columns must match the header its builder lays out (at
-// min and max scale), scale bounds must be sane, and the spc replay — the
-// one raidsim-backed experiment — must be the only one refusing fault
-// models.
+// min and max scale), scale bounds must be sane, and the spc trace replay
+// must be the only experiment refusing fault models.
 func TestRegistryMetadata(t *testing.T) {
 	for _, e := range Experiments() {
 		if e.Desc == "" {
@@ -143,7 +171,7 @@ func TestRegistryMetadata(t *testing.T) {
 			}
 		}
 		if !e.Impairable && e.ID != "spc" {
-			t.Errorf("%s: only spc (raidsim, no recovery layer) may refuse impairment", e.ID)
+			t.Errorf("%s: only spc (raidsim trace replays, no recovery layer) may refuse impairment", e.ID)
 		}
 	}
 	if _, ok := FindExperiment("FIG3B"); !ok {

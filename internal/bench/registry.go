@@ -29,9 +29,11 @@ type Experiment struct {
 	// Build(scale).Header() at every scale; a registry test pins the two
 	// against drift.
 	Columns []string `json:"columns"`
-	// Impairable reports whether an impairment spec is honored: raidsim-
-	// backed replays have no recovery layer, so the spc experiment ignores
-	// fault models and requests carrying one are rejected by the server.
+	// Impairable reports whether an impairment spec is honored. spc's
+	// trace replays run unimpaired — the RAID-5 service has no recovery
+	// layer, so a lost packet would only wedge a replay — and requests
+	// carrying a fault model for it are rejected by the server. fig7c's
+	// single updates on the same raidsim systems do take the fault model.
 	Impairable bool `json:"impairable"`
 }
 

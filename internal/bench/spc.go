@@ -13,10 +13,15 @@ import (
 // a few hundred requests of the same mixture.
 const SPCOpsPerTrace = 400
 
-// ReplayTrace runs one trace on a fresh RAID-5 system and returns the
-// total processing time.
-func ReplayTrace(p netsim.Params, spin bool, recs []spctrace.Record) (sim.Time, error) {
-	return replayTrace(nil, p, spin, recs)
+// replayTrace runs one SPC trace on the Env's unimpaired RAID system for
+// (p, spin) and returns the total processing time: the storage service has
+// no recovery layer, so a lost packet would only wedge a replay.
+func replayTrace(e *Env, p netsim.Params, spin bool, recs []spctrace.Record) (sim.Time, error) {
+	sys, err := e.raidSystem(p, spin, nil)
+	if err != nil {
+		return 0, err
+	}
+	return sys.Replay(recs)
 }
 
 // spcSweep lays out the §5.3 trace study: processing-time improvement of

@@ -10,24 +10,28 @@ import (
 	"repro/internal/portals"
 	"repro/internal/raidsim"
 	"repro/internal/sim"
-	"repro/internal/spctrace"
+	"repro/internal/timeline"
 )
 
-// Env is one sweep worker's reusable simulation environment. Building a
-// cluster (nodes, resources, Portals NIs, HPU pools) costs far more
-// allocations than simulating a measurement point on it, so Env caches one
-// cluster per distinct (size, parameters) configuration and returns it
-// Reset — back in its post-construction state — for every subsequent point
-// that asks for the same configuration. Clusters produce bit-identical
-// simulated times whether fresh or reset (see netsim.Cluster.Reset), which
-// is what keeps sweep output byte-identical to the build-per-point path.
+// Env is one sweep worker's reusable simulation environment and the only
+// way the harness gets a simulated system. Building a cluster (nodes,
+// resources, Portals NIs, HPU pools) costs far more allocations than
+// simulating a measurement point on it, so Env caches one cluster per
+// distinct (size, parameters) configuration and returns it Reset — back in
+// its post-construction state — for every subsequent point that asks for
+// the same configuration. Clusters produce bit-identical simulated times
+// whether fresh or reset (see netsim.Cluster.Reset), which is what keeps
+// sweep output byte-identical to the build-per-point path.
+//
+// A fresh Env (freshEnv) builds a new system for every request instead:
+// the new system replaces the cached one once the old one's fault counters
+// are harvested. It backs the Fresh sweep shape — the from-scratch baseline
+// the determinism goldens compare against — and the exported single-point
+// helpers (PingPongHalfRTT, BroadcastTime, ...).
 //
 // An Env must only ever be used from one goroutine: the engine is
 // single-threaded by design (determinism), and the sweep runner gives each
-// worker its own Env. A nil *Env is valid and disables reuse — every
-// cluster request builds from scratch, which is the behaviour of the
-// exported single-point helpers (PingPongHalfRTT, BroadcastTime, ...) and
-// of the determinism tests' fresh baseline.
+// worker its own Env.
 type Env struct {
 	clusters map[envKey]*envCluster
 	// mpis and raids extend the same caching to the two trace-replay
@@ -52,13 +56,16 @@ type Env struct {
 	// slices once per worker instead of once per replay.
 	progs *mpisim.ProgramBuffer
 
-	// impair is the fault model installed on every cluster and mpisim
-	// engine this Env hands out (nil = perfect network). It joins the cache
-	// keys — an impaired cluster must never be reused for an unimpaired
-	// point or vice versa — and survives Reset, so reuse replays the exact
-	// same fault schedule. raidsim is deliberately excluded: the storage
-	// service has no recovery layer, so impairing it would only wedge
-	// replays.
+	// impair is the run's fault model (nil = perfect network): every mpisim
+	// engine this Env hands out carries it, and experiments pass it to
+	// their cluster and raidsim requests. Each system's model joins its
+	// cache key — an impaired system must never be reused for an
+	// unimpaired point or vice versa — and survives Reset, so reuse replays
+	// the exact same fault schedule. Two requests pass another model:
+	// ftbcast substitutes its built-in schedule when the run has none, and
+	// spc's trace replays ask for unimpaired raidsim systems, because the
+	// storage service has no recovery layer and a lost packet would only
+	// wedge a replay.
 	impair *netsim.Impairment
 	// lp is the logical-process count requested for mpisim replays (0 or 1 =
 	// serial). Like impair it joins the mpisim cache key: a partitioned
@@ -66,18 +73,16 @@ type Env struct {
 	// is byte-identical at any lp, so it never needs to join envKey —
 	// portals-based clusters always run serially.
 	lp int
-	// noCache disables reuse while keeping the impairment plumbing: the
-	// Fresh baseline of impaired determinism tests builds every system
-	// from scratch but still needs the fault model applied.
-	noCache bool
+	// fresh makes every request build a new system (see freshEnv).
+	fresh bool
+	// rec, when non-nil, is attached to every cluster and raidsim system
+	// this Env builds, so cmd/spintrace can render the Appendix C style
+	// activity diagrams (see the Trace* functions).
+	rec *timeline.Recorder
 	// faultAcc accumulates fault counters harvested from cached systems
-	// just before each Reset wipes them; FaultStats adds the live ones.
+	// just before each Reset or replacement wipes them; FaultStats adds the
+	// live ones.
 	faultAcc netsim.FaultStats
-	// freshC and freshM retain impaired systems built on the noCache path,
-	// which would otherwise be dropped before FaultStats could read their
-	// counters. Only impaired noCache builds append here.
-	freshC []*netsim.Cluster
-	freshM []*mpisim.Engine
 }
 
 // envKey identifies a cluster configuration by value. netsim.Params is
@@ -105,54 +110,45 @@ func NewEnv() *Env {
 	}
 }
 
-// cluster returns a cluster of n nodes with parameters p, plus its Portals
-// interfaces. On a nil Env (or the first request for a configuration) it
+// freshEnv returns an Env on which every request builds a new system, with
+// rec (nil = none) attached to each cluster and raidsim system it builds.
+func freshEnv(rec *timeline.Recorder) *Env {
+	e := NewEnv()
+	e.fresh = true
+	e.rec = rec
+	return e
+}
+
+// cluster returns a cluster of n nodes with parameters p and the fault
+// model im installed (nil = perfect network), plus its Portals interfaces.
+// The first request for a configuration (and every request on a fresh Env)
 // builds one; afterwards the cached cluster is returned reset.
-func (e *Env) cluster(n int, p netsim.Params) (*netsim.Cluster, []*portals.NI, error) {
-	if e == nil {
-		c, err := netsim.NewCluster(n, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		attachTrace(c)
-		return c, portals.Setup(c), nil
-	}
-	if e.noCache {
-		c, err := netsim.NewCluster(n, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.SetImpairment(e.impair)
-		if e.impair != nil {
-			e.freshC = append(e.freshC, c)
-		}
-		return c, portals.Setup(c), nil
-	}
-	k := envKey{n: n, p: p, topo: *p.Topo, impair: e.impair.Key()}
+func (e *Env) cluster(n int, p netsim.Params, im *netsim.Impairment) (*netsim.Cluster, []*portals.NI, error) {
+	k := envKey{n: n, p: p, topo: *p.Topo, impair: im.Key()}
 	k.p.Topo = nil
 	if ec, ok := e.clusters[k]; ok {
 		e.faultAcc.Add(ec.c.Faults)
-		ec.c.Reset()
-		return ec.c, ec.nis, nil
+		if !e.fresh {
+			ec.c.Reset()
+			return ec.c, ec.nis, nil
+		}
 	}
 	c, err := netsim.NewCluster(n, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.SetImpairment(e.impair)
+	c.SetImpairment(im)
+	c.Rec = e.rec
 	ec := &envCluster{c: c, nis: portals.Setup(c)}
 	e.clusters[k] = ec
 	return ec.c, ec.nis, nil
 }
 
 // FaultStats returns every injected-fault and recovery counter this Env has
-// seen: the accumulator of counters harvested before cache resets plus the
-// live counters of cached systems. Sums are commutative, so the result is
-// independent of map iteration order. Nil-safe.
+// seen: the accumulator of counters harvested before cache resets and
+// replacements plus the live counters of cached systems. Sums are
+// commutative, so the result is independent of map iteration order.
 func (e *Env) FaultStats() netsim.FaultStats {
-	if e == nil {
-		return netsim.FaultStats{}
-	}
 	s := e.faultAcc
 	for _, ec := range e.clusters { //simlint:unordered-ok commutative counter sums; result independent of iteration order
 		s.Add(ec.c.Faults)
@@ -160,11 +156,8 @@ func (e *Env) FaultStats() netsim.FaultStats {
 	for _, eng := range e.mpis { //simlint:unordered-ok commutative counter sums; result independent of iteration order
 		s.Add(eng.C.Faults)
 	}
-	for _, c := range e.freshC {
-		s.Add(c.Faults)
-	}
-	for _, eng := range e.freshM {
-		s.Add(eng.C.Faults)
+	for _, sys := range e.raids { //simlint:unordered-ok commutative counter sums; result independent of iteration order
+		s.Add(sys.C.Faults)
 	}
 	return s
 }
@@ -185,22 +178,17 @@ type mpiKey struct {
 }
 
 // mpiEngine returns a replay engine for cfg primed with the given rank
-// programs. On a nil Env or a noisy config it builds one from scratch;
-// otherwise the cached engine for (rank count, configuration) is returned
-// Reset for the new program set — the replay-engine analogue of cluster.
+// programs. A noisy config, the first request for a configuration, and
+// every request on a fresh Env build one; otherwise the cached engine for
+// (rank count, configuration) is returned Reset for the new program set —
+// the replay-engine analogue of cluster.
 func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine, error) {
-	if e != nil && e.impair != nil {
+	if e.impair != nil {
 		cfg.Impair = e.impair // retry defaults are filled in by mpisim.New
 	}
-	if e != nil {
-		cfg.LP = e.lp
-	}
-	if e == nil || cfg.Noise != nil || e.noCache {
-		eng, err := mpisim.New(cfg, progs)
-		if err == nil && e != nil && e.noCache && e.impair != nil {
-			e.freshM = append(e.freshM, eng)
-		}
-		return eng, err
+	cfg.LP = e.lp
+	if cfg.Noise != nil {
+		return mpisim.New(cfg, progs)
 	}
 	k := mpiKey{
 		n: len(progs), mode: cfg.Mode, eager: cfg.EagerThreshold,
@@ -210,10 +198,12 @@ func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine,
 	k.p.Topo = nil
 	if eng, ok := e.mpis[k]; ok {
 		e.faultAcc.Add(eng.C.Faults)
-		if err := eng.Reset(progs); err != nil {
-			return nil, err
+		if !e.fresh {
+			if err := eng.Reset(progs); err != nil {
+				return nil, err
+			}
+			return eng, nil
 		}
-		return eng, nil
 	}
 	eng, err := mpisim.New(cfg, progs)
 	if err != nil {
@@ -236,54 +226,46 @@ func (e *Env) mpiRunner(cfg mpisim.Config) func(progs [][]mpisim.Op) (mpisim.Res
 }
 
 // raidKey identifies a RAID system configuration by value (same topology
-// treatment as envKey).
+// and impairment treatment as envKey).
 type raidKey struct {
-	p    netsim.Params // Topo cleared; represented by topo below
-	topo fattree.Topology
-	spin bool
+	p      netsim.Params // Topo cleared; represented by topo below
+	topo   fattree.Topology
+	spin   bool
+	impair string // canonical impairment key (netsim.Impairment.Key)
 }
 
-// raidSystem returns a RAID-5 service for (p, spin). On a nil Env it builds
-// one; otherwise the cached system is returned Reset, ready for its next
-// trace replay.
-func (e *Env) raidSystem(p netsim.Params, spin bool) (*raidsim.System, error) {
-	if e == nil {
-		return raidsim.New(p, spin)
-	}
-	k := raidKey{p: p, topo: *p.Topo, spin: spin}
+// raidSystem returns a RAID-5 service for (p, spin) with the fault model im
+// installed (nil = perfect network). The first request for a configuration
+// (and every request on a fresh Env) builds one; afterwards the cached
+// system is returned Reset, ready for its next update or trace replay.
+func (e *Env) raidSystem(p netsim.Params, spin bool, im *netsim.Impairment) (*raidsim.System, error) {
+	k := raidKey{p: p, topo: *p.Topo, spin: spin, impair: im.Key()}
 	k.p.Topo = nil
 	if sys, ok := e.raids[k]; ok {
-		sys.Reset()
-		return sys, nil
+		e.faultAcc.Add(sys.C.Faults)
+		if !e.fresh {
+			sys.Reset()
+			return sys, nil
+		}
 	}
 	sys, err := raidsim.New(p, spin)
 	if err != nil {
 		return nil, err
 	}
+	sys.C.SetImpairment(im)
+	sys.C.Rec = e.rec
 	e.raids[k] = sys
 	return sys, nil
-}
-
-// replayTrace runs one SPC trace on the Env's cached RAID system (or a
-// fresh one on a nil Env) and returns the total processing time.
-func replayTrace(e *Env, p netsim.Params, spin bool, recs []spctrace.Record) (sim.Time, error) {
-	sys, err := e.raidSystem(p, spin)
-	if err != nil {
-		return 0, err
-	}
-	return sys.Replay(recs)
 }
 
 // resetScratch rewinds the Env's point-scoped arenas (hostMem regions and
 // binomialKids lists). Experiments that draw from either arena call it once
 // at the start of each measurement point; regions carved before the rewind
-// must no longer be in use. Nil-safe.
+// must no longer be in use.
 func (e *Env) resetScratch() {
-	if e != nil {
-		e.scratchOff = 0
-		e.kids = e.kids[:0]
-		e.mesOff = 0
-	}
+	e.scratchOff = 0
+	e.kids = e.kids[:0]
+	e.mesOff = 0
 }
 
 // allocME returns a zeroed matching entry from the Env's grow-only arena.
@@ -291,13 +273,10 @@ func (e *Env) resetScratch() {
 // reuses their slots, which is safe because the only references that
 // outlive a point live in portal-table lists of Env-cached clusters, and
 // those lists are truncated (without dereferencing the entries) by the
-// cluster Reset that precedes any reuse. A nil Env allocates fresh. Like
-// hostMem, growing the arena leaves earlier entries on the old backing
-// array, so live pointers never move.
+// cluster Reset that precedes any reuse (a fresh Env replaces the cluster
+// instead). Like hostMem, growing the arena leaves earlier entries on the
+// old backing array, so live pointers never move.
 func (e *Env) allocME() *portals.ME {
-	if e == nil {
-		return new(portals.ME)
-	}
 	if e.mesOff == len(e.mes) {
 		grow := 2 * len(e.mes)
 		if grow < 64 {
@@ -317,13 +296,10 @@ func (e *Env) allocME() *portals.ME {
 // measurement point. Contents are unspecified — callers must be
 // NoData/timing-only. Regions are valid for the current point (until the
 // next resetScratch); several may be live at once (the broadcast sweeps
-// carve one per rank). A nil Env allocates fresh, like every other Env
-// helper. When the arena must grow mid-point, previously carved regions
-// keep the old backing array, so they stay valid and distinct.
+// carve one per rank). When the arena must grow mid-point, previously
+// carved regions keep the old backing array, so they stay valid and
+// distinct.
 func (e *Env) hostMem(n int) []byte {
-	if e == nil {
-		return make([]byte, n)
-	}
 	need := e.scratchOff + n
 	if cap(e.scratch) < need {
 		grow := 2 * cap(e.scratch)
@@ -339,13 +315,8 @@ func (e *Env) hostMem(n int) []byte {
 	return s
 }
 
-// programBuffer returns the Env's grow-only mpisim program buffer (nil on
-// a nil Env — apps.App.ProgramsInto then builds fresh storage, the
-// pre-reuse behaviour).
+// programBuffer returns the Env's grow-only mpisim program buffer.
 func (e *Env) programBuffer() *mpisim.ProgramBuffer {
-	if e == nil {
-		return nil
-	}
 	if e.progs == nil {
 		e.progs = new(mpisim.ProgramBuffer)
 	}
@@ -363,7 +334,7 @@ func (e *Env) programBuffer() *mpisim.ProgramBuffer {
 // sound.
 type Sweep struct {
 	table  *Table
-	points []func(e *Env) ([][]string, error)
+	points []func(e *Env) ([]string, error)
 
 	// faults accumulates the counters of every worker's Env after a run
 	// under a fault model (RunOptions.Impairment); the counter sums are
@@ -386,20 +357,9 @@ func (s *Sweep) Header() []string { return s.table.Header }
 // progress against this total.
 func (s *Sweep) Points() int { return len(s.points) }
 
-// Point appends one measurement point producing zero or more table rows.
-func (s *Sweep) Point(fn func(e *Env) ([][]string, error)) {
-	s.points = append(s.points, fn)
-}
-
-// Row is Point for the common case of exactly one row per point.
+// Row appends one measurement point producing one table row.
 func (s *Sweep) Row(fn func(e *Env) ([]string, error)) {
-	s.Point(func(e *Env) ([][]string, error) {
-		row, err := fn(e)
-		if err != nil {
-			return nil, err
-		}
-		return [][]string{row}, nil
-	})
+	s.points = append(s.points, fn)
 }
 
 // RunOptions selects how Run executes a sweep. The zero value runs
@@ -407,9 +367,9 @@ func (s *Sweep) Row(fn func(e *Env) ([]string, error)) {
 // shape applies, chosen in this order: Fresh (serial, no reuse), Pool
 // (queued tasks on a shared pool), serial.
 type RunOptions struct {
-	// Fresh disables cluster reuse: every point builds its system from
-	// scratch, serially — the from-scratch baseline the determinism
-	// goldens compare against.
+	// Fresh disables reuse: every point runs serially on a fresh Env, which
+	// builds every system it is asked for from scratch — the baseline the
+	// determinism goldens compare against.
 	Fresh bool
 	// Impairment installs a fault model for the whole run (nil or a
 	// disabled impairment = perfect network). Output stays byte-identical
@@ -440,7 +400,7 @@ type RunOptions struct {
 }
 
 // Run executes every point under opts and returns the completed table,
-// or the earliest-indexed point error. A serial run stops at its first
+// whose rows it replaces, or the earliest-indexed point error. A serial run stops at its first
 // error; a Pool run executes every point and then reports the earliest
 // error, so the returned error never depends on scheduling. Successful
 // output is byte-identical across all execution shapes: rows merge in
@@ -451,7 +411,7 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 	if !im.Enabled() {
 		im = nil
 	}
-	rows := make([][][]string, len(s.points))
+	rows := make([][]string, len(s.points))
 	errs := make([]error, len(s.points))
 	s.faults = netsim.FaultStats{}
 	var done atomic.Int64
@@ -486,20 +446,10 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 		}
 		wg.Wait()
 	} else {
-		var e *Env
-		if !opts.Fresh {
-			e = NewEnv()
-		} else if im != nil || opts.LP > 1 {
-			// The from-scratch baseline still needs the fault model (and
-			// the LP partitioning): a no-cache Env applies both without
-			// reusing anything.
-			e = NewEnv()
-			e.noCache = true
-		}
-		if e != nil {
-			e.impair = im
-			e.lp = opts.LP
-		}
+		e := NewEnv()
+		e.fresh = opts.Fresh
+		e.impair = im
+		e.lp = opts.LP
 		for i, fn := range s.points {
 			rows[i], errs[i] = fn(e)
 			progress()
@@ -514,8 +464,6 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 			return nil, err
 		}
 	}
-	for _, rs := range rows {
-		s.table.Rows = append(s.table.Rows, rs...)
-	}
+	s.table.Rows = rows
 	return s.table, nil
 }

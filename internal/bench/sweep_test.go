@@ -38,19 +38,19 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // TestSweepResetAndParallelDeterminism is the golden equality check behind
 // the reuse and parallelism contracts: for each listed experiment the CSV
 // output must be byte-identical across (a) the from-scratch baseline (a
-// fresh cluster/engine/system per measurement point, the pre-reuse
-// behaviour), (b) the serial runner reusing Reset state, and (c) a
-// short-lived worker pool. The list covers every reuse mechanism: fig3b
-// and fig5a exercise the cluster cache, table5c the mpisim engine cache,
-// spc the raidsim system cache, and fig7a the non-zeroed Env.hostMem
-// scratch region plus the vectorized scatter path (both columns, so the
-// sPIN column's bit-identity contract is pinned here too — since PR 5's
-// vectorized scatter it runs at the common subsample in well under a
-// second). scripts/check.sh runs this test as the merge gate — a
+// fresh Env: a new cluster/engine/system for every request), (b) the
+// serial runner reusing Reset state, (c) a short-lived worker pool, and
+// (d) an LP run. The list covers every reuse mechanism: fig3b and fig5a
+// exercise the cluster cache, table5c the mpisim engine cache, spc (trace
+// replays) and fig7c (single updates) the raidsim system cache, and fig7a
+// the non-zeroed Env.hostMem scratch region plus the vectorized scatter
+// path (both columns, so the sPIN column's bit-identity contract is pinned
+// here too — since PR 5's vectorized scatter it runs at the common
+// subsample in well under a second). scripts/check.sh runs this test as the merge gate — a
 // nondeterministic merge or a stale field missed by a Reset shows up here
 // as a byte diff.
 func TestSweepResetAndParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"fig3b", "fig5a", "table5c", "spc", "fig7a"} {
+	for _, id := range []string{"fig3b", "fig5a", "table5c", "spc", "fig7c", "fig7a"} {
 		scale := 4
 		exp := buildExperiment(t, id)
 		freshTab, err := exp.Build(scale).Run(RunOptions{Fresh: true})
@@ -88,10 +88,11 @@ func TestSweepResetAndParallelDeterminism(t *testing.T) {
 // TestEnvReusesClusters pins the cache behaviour Env exists for: same
 // configuration, same cluster (reset); different node count or parameters,
 // different cluster; equal-valued topologies built by separate calls still
-// share.
+// share; a fresh Env builds anew for every request; and raidsim systems
+// key on their fault model.
 func TestEnvReusesClusters(t *testing.T) {
 	e := NewEnv()
-	c1, nis1, err := e.cluster(4, netsim.Integrated())
+	c1, nis1, err := e.cluster(4, netsim.Integrated(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestEnvReusesClusters(t *testing.T) {
 	if c1.Eng.Now() == 0 {
 		t.Fatal("workload did not advance the clock")
 	}
-	c2, nis2, err := e.cluster(4, netsim.Integrated()) // fresh Params value, same config
+	c2, nis2, err := e.cluster(4, netsim.Integrated(), nil) // fresh Params value, same config
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +111,57 @@ func TestEnvReusesClusters(t *testing.T) {
 	if c2.Eng.Now() != 0 || c2.MessagesSent != 0 {
 		t.Fatal("cached cluster was not reset")
 	}
-	if c3, _, _ := e.cluster(5, netsim.Integrated()); c3 == c1 {
+	if c3, _, _ := e.cluster(5, netsim.Integrated(), nil); c3 == c1 {
 		t.Fatal("different node count must not share a cluster")
 	}
-	if c4, _, _ := e.cluster(4, netsim.Discrete()); c4 == c1 {
+	if c4, _, _ := e.cluster(4, netsim.Discrete(), nil); c4 == c1 {
 		t.Fatal("different parameters must not share a cluster")
 	}
-	var nilEnv *Env
-	c5, _, err := nilEnv.cluster(4, netsim.Integrated())
-	if err != nil || c5 == c1 {
-		t.Fatalf("nil Env must build fresh (err=%v)", err)
+	fe := freshEnv(nil)
+	f1, _, err := fe.cluster(4, netsim.Integrated(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, _, err := fe.cluster(4, netsim.Integrated(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f1 == f2 || f1 == c1 {
+		t.Fatal("a fresh Env must build a new cluster for every request")
+	}
+
+	im := &netsim.Impairment{Seed: 7, Jitter: 2 * sim.Microsecond}
+	plain, err := e.raidSystem(netsim.Integrated(), true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impaired, err := e.raidSystem(netsim.Integrated(), true, im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain == impaired {
+		t.Fatal("impaired and unimpaired raidsim requests must not share a system")
+	}
+	if plain.C.Impairment() != nil || impaired.C.Impairment() != im {
+		t.Fatalf("raidsim fault models: unimpaired=%v impaired=%v", plain.C.Impairment(), impaired.C.Impairment())
+	}
+}
+
+// TestSweepRunTwice pins that Run starts every run from an empty row list:
+// running one sweep twice returns the same table both times.
+func TestSweepRunTwice(t *testing.T) {
+	s := buildExperiment(t, "fig4").Build(1)
+	first, err := s.Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tableCSV(first)
+	second, err := s.Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tableCSV(second); got != want {
+		t.Fatalf("second run of one sweep returned %d rows, want %d:\n--- first ---\n%s--- second ---\n%s", len(second.Rows), s.Points(), want, got)
 	}
 }
 
@@ -155,7 +197,7 @@ type pointError struct{}
 func (*pointError) Error() string { return "point failed" }
 
 // TestSingleHelperEquivalence pins that the exported single-point helpers
-// (nil Env) and the sweep path measure the same thing: one of each family.
+// (fresh Env) and the sweep path measure the same thing: one of each family.
 func TestSingleHelperEquivalence(t *testing.T) {
 	p := netsim.Integrated()
 	e := NewEnv()
@@ -182,7 +224,9 @@ func TestSingleHelperEquivalence(t *testing.T) {
 // baseline, the Reset-reuse serial runner, and a short-lived worker pool.
 // fig3b runs under jitter+latency only — ping-pong has no retransmission
 // path, so loss would legitimately stall it — while ftbcast layers user
-// loss+jitter on top of its built-in recovery machinery. This is the -race
+// loss+jitter on top of its built-in recovery machinery, and fig7c runs
+// its raidsim updates under jitter, so the counters must include the
+// raidsim cache's (harvested before every Reset). This is the -race
 // job's impaired variant: a fault schedule that leaked state across Reset or
 // depended on worker interleaving shows up here as a row or counter diff.
 func TestImpairedSweepDeterminism(t *testing.T) {
@@ -192,6 +236,7 @@ func TestImpairedSweepDeterminism(t *testing.T) {
 	}{
 		{"fig3b", &netsim.Impairment{Seed: 11, ExtraLatency: 300 * sim.Nanosecond, Jitter: 200 * sim.Nanosecond}},
 		{"ftbcast", &netsim.Impairment{Seed: 9, Loss: 0.02, Jitter: 300 * sim.Nanosecond}},
+		{"fig7c", &netsim.Impairment{Seed: 7, Jitter: 2 * sim.Microsecond}},
 	}
 	for _, tc := range cases {
 		scale := 4

@@ -20,9 +20,6 @@ type Table struct {
 	Notes  string
 }
 
-// Add appends a row of stringified cells.
-func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
-
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)

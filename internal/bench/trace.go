@@ -6,46 +6,27 @@ import (
 	"repro/internal/timeline"
 )
 
-// traceRec, when non-nil, is attached to the next experiment's cluster so
-// cmd/spintrace can render the Appendix C style activity diagrams.
-var traceRec *timeline.Recorder
-
-// attachTrace hooks the recorder into a freshly built cluster.
-func attachTrace(c *netsim.Cluster) {
-	if traceRec != nil {
-		c.Rec = traceRec
-	}
-}
-
 // TracePingPong records the component timeline of one ping-pong.
 func TracePingPong(p netsim.Params, v Variant, size int, rec *timeline.Recorder) error {
-	traceRec = rec
-	defer func() { traceRec = nil }()
-	_, err := PingPongHalfRTT(p, v, size, noise.None())
+	_, err := pingPongHalfRTT(freshEnv(rec), p, v, size, noise.None())
 	return err
 }
 
 // TraceAccumulate records the component timeline of one sPIN accumulate.
 func TraceAccumulate(p netsim.Params, size int, rec *timeline.Recorder) error {
-	traceRec = rec
-	defer func() { traceRec = nil }()
-	_, err := AccumulateTime(p, true, size)
+	_, err := accumulateTime(freshEnv(rec), p, true, size)
 	return err
 }
 
 // TraceBroadcast records the component timeline of a streaming broadcast.
 func TraceBroadcast(p netsim.Params, ranks, size int, rec *timeline.Recorder) error {
-	traceRec = rec
-	defer func() { traceRec = nil }()
-	_, err := BroadcastTime(p, SpinStream, ranks, size)
+	_, err := broadcastTime(freshEnv(rec), p, SpinStream, ranks, size)
 	return err
 }
 
 // TraceStrided records the component timeline of a strided receive with
 // the given blocksize.
 func TraceStrided(p netsim.Params, blocksize int, rec *timeline.Recorder) error {
-	traceRec = rec
-	defer func() { traceRec = nil }()
-	_, err := StridedReceiveTime(p, true, blocksize)
+	_, err := stridedReceiveTime(freshEnv(rec), p, true, blocksize)
 	return err
 }

@@ -9,17 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// TreeBroadcastTime measures a streaming sPIN broadcast over an arbitrary
+// treeBroadcastTime measures a streaming sPIN broadcast over an arbitrary
 // forwarding tree — the generality the paper claims over fixed-tree
 // offload engines (§4.4.3). rootTargets are the ranks the root's host
 // seeds directly.
-func TreeBroadcastTime(p netsim.Params, tree handlers.Tree, nprocs, size int, rootTargets []int) (sim.Time, error) {
-	return treeBroadcastTime(nil, p, tree, nprocs, size, rootTargets)
-}
-
 func treeBroadcastTime(e *Env, p netsim.Params, tree handlers.Tree, nprocs, size int, rootTargets []int) (sim.Time, error) {
 	p.FlowDeadline = 100 * sim.Millisecond
-	c, nis, err := e.cluster(nprocs, p)
+	c, nis, err := e.cluster(nprocs, p, e.impair)
 	if err != nil {
 		return 0, err
 	}

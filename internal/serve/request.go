@@ -120,7 +120,7 @@ func (s *Server) validate(req Request) (canonical, error) {
 		if im.Enabled() {
 			if !exp.Impairable {
 				return c, &apiError{status: http.StatusBadRequest,
-					Msg:   fmt.Sprintf("experiment %s does not support impairment (raidsim replays have no recovery layer)", exp.ID),
+					Msg:   fmt.Sprintf("experiment %s does not support impairment (its raidsim trace replays have no recovery layer)", exp.ID),
 					Valid: impairableIDs(s.exps)}
 			}
 			c.Impair = im

@@ -61,13 +61,13 @@ go test ./...
 echo "== sweep determinism smoke (fresh vs Reset-reuse vs pool) =="
 # Byte-equality across the from-scratch, serial-reuse, and worker-pool
 # runners for every reuse mechanism: fig3b/fig5a (cluster cache), table5c
-# (mpisim engine cache), spc (raidsim system cache). A nondeterministic
-# merge or a state field missed by a Reset fails here before it can corrupt
-# a figure.
+# (mpisim engine cache), spc and fig7c (raidsim system cache). A
+# nondeterministic merge or a state field missed by a Reset fails here
+# before it can corrupt a figure.
 go test -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench
 # The same equality under a fixed fault model: impaired sweeps (jittered
-# fig3b, lossy ftbcast) must be byte-identical across fresh, Reset-reuse,
-# and pool runs, fault counters included.
+# fig3b and fig7c, lossy ftbcast) must be byte-identical across fresh,
+# Reset-reuse, and pool runs, fault counters included.
 go test -count=1 -run 'TestImpairedSweepDeterminism' ./internal/bench
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
@@ -99,6 +99,13 @@ echo "== nested benchmark module (go vet) =="
 # `go build ./...` never compiles it; vetting it here catches an exported
 # name it uses being renamed or deleted.
 go -C benchmark vet ./...
+
+echo "== nested benchmark module (golden hashes) =="
+# The benchmark's smoke test checks every table it regenerates against
+# benchmark/testdata/golden.sha256 (fig7c through the traced nic-offload
+# run), so a printed digit that drifts fails the merge, not just the next
+# benchmark run.
+go -C benchmark test -count=1 ./...
 
 echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
