@@ -19,7 +19,10 @@ import (
 // Budgets, mirroring BENCH_core.json:
 //
 //   - engineScheduleBudget: the per-event path has been allocation-free
-//     since PR 1 (BenchmarkEngineSchedule 0 allocs/op).
+//     since PR 1 (BenchmarkEngineSchedule 0 allocs/op). It also holds for
+//     the calendar queue's rare paths: a deep hold whose deltas swing
+//     between 1 ns and 1 ms scales retunes and rebuilds the calendar
+//     without allocating.
 //   - clusterSendLargeBudget: BenchmarkClusterSendLarge measures 7
 //     allocs per 256-packet message on a cold cluster; steady state on a
 //     warm cluster is lower still.
@@ -81,6 +84,32 @@ func TestAllocBudgets(t *testing.T) {
 		})
 		if got > engineScheduleBudget {
 			t.Errorf("schedule+dispatch = %.1f allocs/op, budget %d", got, engineScheduleBudget)
+		}
+
+		// A steady-state hold at depth 4096 whose deltas alternate between
+		// 1 ns–1 us and 1 us–1 ms from one measured block to the next. Each
+		// block is 1<<14 dispatches, two retune windows of the calendar's
+		// 2048 buckets, so every block changes the bucket width and rebuilds
+		// the calendar in place; a rebuild that allocated would show.
+		deep := sim.NewEngine()
+		scale, k := sim.Nanosecond, 0
+		var hold func(any)
+		hold = func(any) {
+			k++
+			deep.ScheduleCall(deep.Now()+scale*sim.Time(1+k*7919%1000), hold, nil)
+		}
+		for i := 0; i < 4096; i++ {
+			hold(nil)
+		}
+		got = testing.AllocsPerRun(20, func() {
+			for i := 0; i < 1<<14; i++ {
+				deep.Step()
+			}
+			scale = sim.Microsecond + sim.Nanosecond - scale // 1 ns <-> 1 us
+		})
+		if got > engineScheduleBudget || deep.Pending() != 4096 {
+			t.Errorf("deep hold = %.1f allocs per %d dispatches at depth %d, budget %d",
+				got, 1<<14, deep.Pending(), engineScheduleBudget)
 		}
 	})
 

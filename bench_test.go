@@ -90,9 +90,10 @@ func BenchmarkTable5c(b *testing.B) {
 // partitioned into logical processes (conservative parallel DES,
 // RunOptions.LP). The output is byte-identical at every partition count —
 // TestLPEquivalenceRandomized pins that — so the three rows isolate the
-// wall-clock effect of partitioning alone. On a single-core machine the
-// LP>1 gain comes from splitting one large event heap into K small ones;
-// on multi-core machines the shards additionally run concurrently.
+// wall-clock effect of partitioning alone. Only concurrency can pay for
+// the window barriers and cross-shard migration: the calendar event
+// queue's per-event cost barely depends on depth, so splitting it into K
+// smaller queues saves nothing, and on two cores LP2 runs slower than LP1.
 func BenchmarkTable5cLP1(b *testing.B) { benchTable5cLP(b, 1) }
 func BenchmarkTable5cLP2(b *testing.B) { benchTable5cLP(b, 2) }
 func BenchmarkTable5cLP4(b *testing.B) { benchTable5cLP(b, 4) }

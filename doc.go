@@ -17,13 +17,15 @@
 // simulator throughput bounds sweep resolution. The hot path is built to
 // process one simulated packet with zero steady-state heap allocations:
 //
-//   - Event cost. The engine (internal/sim) dispatches events from a
-//     hand-specialized 4-ary min-heap over a flat []event slice: one
-//     schedule+dispatch cycle is ~150 ns with 0 allocs/op
-//     (BenchmarkEngineSchedule). Every event is scheduled with
-//     Engine.ScheduleCall, which stores a pre-bound (func(any),
-//     pointer-arg) pair in the event instead of a fresh closure; the
-//     engine has no closure-taking form.
+//   - Event cost. The engine (internal/sim) dispatches events from an
+//     adaptive calendar queue (Brown, CACM 1988) over an engine-owned node
+//     slab, which retunes its bucket count and width to the queue's depth
+//     and deadline spacing: one schedule+dispatch cycle is ~40 ns with
+//     0 allocs/op (BenchmarkEngineSchedule), and an event costs about the
+//     same at queue depth 4096 as at depth 4 (BenchmarkEngineHold). Every
+//     event is scheduled with Engine.ScheduleCall, which stores a
+//     pre-bound (func(any), pointer-arg) pair in the event instead of a
+//     fresh closure; the engine has no closure-taking form.
 //   - Allocation budget. The transport (internal/netsim) injects a
 //     message's packets as a single walking event chain and draws Packet,
 //     walk, and per-message state (core.msgState, portals.recvState)
@@ -132,10 +134,11 @@
 //     at the window barrier; a walk-level priority key makes tie-breaking
 //     independent of which engine an event lives on). Output is
 //     byte-identical to serial at every K — pinned by a randomized
-//     equivalence suite — so partitioning buys wall-clock only: on one
-//     core, ~9% on Table 5c from splitting one large event heap into K
-//     small ones (heap pop dominates the serial profile); on multi-core
-//     machines the shards also run concurrently within each window. The
+//     equivalence suite — so partitioning buys wall-clock only, and only
+//     from shards running concurrently within each window on real cores.
+//     Splitting the queue gains nothing by itself, since the calendar
+//     queue's per-event cost barely grows with depth: on 2 cores Table 5c
+//     runs ~1.2x slower at -lp 2 than serially (BENCH_core.json pr14). The
 //     normative contract (partitioning, lookahead, the flush-time
 //     violation panic, the pri key, pooling across the seam) is
 //     ARCHITECTURE.md "Parallel DES".

@@ -37,7 +37,7 @@ func RunApp(e *Env, a apps.App, iterations int) (AppResult, error) {
 		e = freshEnv(nil)
 	}
 	buf := e.programBuffer()
-	baseRun := e.mpiRunner(mpisim.DefaultConfig(mpisim.HostMatching))
+	baseRun := e.mpiRunner(mpisim.HostMatching)
 	compute, err := a.Calibrate(baseRun, 8, buf)
 	if err != nil {
 		return AppResult{}, err
@@ -60,7 +60,7 @@ func RunApp(e *Env, a apps.App, iterations int) (AppResult, error) {
 		}
 	}
 
-	spin, err := e.mpiRunner(mpisim.DefaultConfig(mpisim.SpinMatching))(progs)
+	spin, err := e.mpiRunner(mpisim.SpinMatching)(progs)
 	if err != nil {
 		return AppResult{}, err
 	}

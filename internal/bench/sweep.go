@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/portals"
 	"repro/internal/raidsim"
-	"repro/internal/sim"
 	"repro/internal/timeline"
 )
 
@@ -162,40 +161,24 @@ func (e *Env) FaultStats() netsim.FaultStats {
 	return s
 }
 
-// mpiKey identifies an mpisim engine configuration by value: rank count
-// plus every comparable Config field, with the topology dereferenced like
-// envKey. Configs with a Noise function are never cached (functions are not
-// comparable, and noisy replays are rare enough to build fresh).
+// mpiKey identifies an mpisim engine configuration by value: rank count,
+// matching mode (every replay runs mpisim.DefaultConfig of its mode), and
+// the Env's impairment and logical-process count.
 type mpiKey struct {
-	n        int
-	mode     mpisim.MatchMode
-	eager    int
-	recvPost sim.Time
-	p        netsim.Params // Topo cleared; represented by topo below
-	topo     fattree.Topology
-	impair   string // canonical impairment key (netsim.Impairment.Key)
-	lp       int    // logical-process count (0/1 = serial)
+	n      int
+	mode   mpisim.MatchMode
+	impair string // canonical impairment key (netsim.Impairment.Key)
+	lp     int    // logical-process count (0/1 = serial)
 }
 
-// mpiEngine returns a replay engine for cfg primed with the given rank
-// programs. A noisy config, the first request for a configuration, and
-// every request on a fresh Env build one; otherwise the cached engine for
-// (rank count, configuration) is returned Reset for the new program set —
-// the replay-engine analogue of cluster.
-func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine, error) {
-	if e.impair != nil {
-		cfg.Impair = e.impair // retry defaults are filled in by mpisim.New
-	}
-	cfg.LP = e.lp
-	if cfg.Noise != nil {
-		return mpisim.New(cfg, progs)
-	}
-	k := mpiKey{
-		n: len(progs), mode: cfg.Mode, eager: cfg.EagerThreshold,
-		recvPost: cfg.RecvPostCost, p: cfg.Params, topo: *cfg.Params.Topo,
-		impair: e.impair.Key(), lp: e.lp,
-	}
-	k.p.Topo = nil
+// mpiEngine returns a replay engine for mpisim.DefaultConfig(mode) under the
+// Env's impairment and LP count, primed with the given rank programs. The
+// first request for a configuration, and every request on a fresh Env, build
+// one; otherwise the cached engine for (rank count, configuration) is
+// returned Reset for the new program set — the replay-engine analogue of
+// cluster.
+func (e *Env) mpiEngine(mode mpisim.MatchMode, progs [][]mpisim.Op) (*mpisim.Engine, error) {
+	k := mpiKey{n: len(progs), mode: mode, impair: e.impair.Key(), lp: e.lp}
 	if eng, ok := e.mpis[k]; ok {
 		e.faultAcc.Add(eng.C.Faults)
 		if !e.fresh {
@@ -205,6 +188,9 @@ func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine,
 			return eng, nil
 		}
 	}
+	cfg := mpisim.DefaultConfig(mode)
+	cfg.Impair = e.impair // retry defaults are filled in by mpisim.New
+	cfg.LP = e.lp
 	eng, err := mpisim.New(cfg, progs)
 	if err != nil {
 		return nil, err
@@ -215,9 +201,9 @@ func (e *Env) mpiEngine(cfg mpisim.Config, progs [][]mpisim.Op) (*mpisim.Engine,
 
 // mpiRunner adapts mpiEngine to the program-set runner apps.Calibrate and
 // RunApp consume: every invocation replays on the same cached engine.
-func (e *Env) mpiRunner(cfg mpisim.Config) func(progs [][]mpisim.Op) (mpisim.Result, error) {
+func (e *Env) mpiRunner(mode mpisim.MatchMode) func(progs [][]mpisim.Op) (mpisim.Result, error) {
 	return func(progs [][]mpisim.Op) (mpisim.Result, error) {
-		eng, err := e.mpiEngine(cfg, progs)
+		eng, err := e.mpiEngine(mode, progs)
 		if err != nil {
 			return mpisim.Result{}, err
 		}

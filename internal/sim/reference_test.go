@@ -8,8 +8,8 @@ import (
 
 // refEngine is the test-only reference model of Engine: the simplest
 // possible discrete-event engine — closures on a container/heap priority
-// queue ordered by (at, stamp, pri, seq) — against which the specialized
-// 4-ary heap of pre-bound events is fuzzed. It mirrors Engine's method set
+// queue ordered by (at, stamp, pri, seq) — against which the calendar
+// queue of pre-bound events is fuzzed. It mirrors Engine's method set
 // so one program can drive both.
 type refEngine struct {
 	now Time
@@ -169,6 +169,15 @@ func (d *oracleRunner) byte() byte {
 // deadlines — and so the stamp/pri/seq tie-breaks — common.
 func (d *oracleRunner) delta(n byte) Time { return Time(d.byte() % n) }
 
+// wide draws an offset of up to about 140 s, a byte-sized mantissa times
+// a power of two: deadlines spread over many calendar years (and over many
+// buckets of each) force bucket-width changes and the direct search past a
+// full empty rotation.
+func (d *oracleRunner) wide() Time {
+	m := Time(d.byte())
+	return m << (d.byte() % 40)
+}
+
 func (d *oracleRunner) event() func() {
 	id := d.nextID
 	d.nextID++
@@ -235,9 +244,11 @@ func (d *oracleRunner) run() []traceRec {
 	}
 	for d.pos < len(d.in) {
 		now := d.eng.Now()
-		switch d.byte() % 8 {
+		switch d.byte() % 9 {
 		case 0, 1:
 			d.schedule(now + d.delta(16))
+		case 8:
+			d.schedule(now + d.wide())
 		case 2:
 			d.reserve()
 		case 3:
@@ -261,8 +272,9 @@ func (d *oracleRunner) run() []traceRec {
 	return d.trace
 }
 
-// runOracle runs program on Engine and on refEngine and returns both traces.
-func runOracle(program []byte) (got, want []traceRec) {
+// runEngine runs program on a new Engine and returns the engine and its
+// trace.
+func runEngine(program []byte) (*Engine, []traceRec) {
 	e := NewEngine()
 	fast := &oracleRunner{in: program, eng: e,
 		sched: func(at Time, fn func()) { e.ScheduleCall(at, runFunc, fn) },
@@ -270,30 +282,49 @@ func runOracle(program []byte) (got, want []traceRec) {
 			e.ScheduleCallSeq(at, stamp, pri, seq, runFunc, fn)
 		},
 	}
+	return e, fast.run()
+}
+
+// runReference runs program on a new refEngine and returns its trace.
+func runReference(program []byte) []traceRec {
 	r := &refEngine{}
 	ref := &oracleRunner{in: program, eng: r, sched: r.Schedule, schedSeq: r.ScheduleSeq}
-	return fast.run(), ref.run()
+	return ref.run()
+}
+
+// runOracle runs program on Engine and on refEngine and returns both traces.
+func runOracle(program []byte) (got, want []traceRec) {
+	_, got = runEngine(program)
+	return got, runReference(program)
+}
+
+// checkTraces fails t at the first record where the engine's trace leaves
+// the reference's.
+func checkTraces(t testing.TB, got, want []traceRec) {
+	t.Helper()
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("trace diverges at record %d: engine %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: engine %d records, reference %d", len(got), len(want))
+	}
 }
 
 // FuzzEngineMatchesReference checks the optimized engine against the
 // closure reference model on random programs of ScheduleCall, ReserveSeq
 // plus deferred ScheduleCallSeq (reservation-time stamp, random priority),
 // events that schedule more events from inside their dispatch,
-// RunUntil/RunBefore/Step, and Reset. Every dispatch (event id, Now,
+// RunUntil/RunBefore/Step, and Reset, with deadlines both a few picoseconds
+// and many calendar years apart. Every dispatch (event id, Now,
 // Pending) and every post-operation checkpoint must match exactly — the
 // full (at, stamp, pri, seq) tie-break order, not just sorted times. The
 // seed corpus lives in testdata/fuzz/FuzzEngineMatchesReference.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte) {
 		got, want := runOracle(program)
-		for i := 0; i < len(got) && i < len(want); i++ {
-			if got[i] != want[i] {
-				t.Fatalf("trace diverges at record %d: engine %+v, reference %+v", i, got[i], want[i])
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trace lengths differ: engine %d records, reference %d", len(got), len(want))
-		}
+		checkTraces(t, got, want)
 	})
 }
 
@@ -323,5 +354,25 @@ func TestReferenceOracleExercisesTieBreaks(t *testing.T) {
 	}
 	if dispatched < 50 || ties < 10 {
 		t.Fatalf("program dispatched %d events with %d same-instant successors; want >= 50 and >= 10", dispatched, ties)
+	}
+}
+
+// TestReferenceOracleExercisesCalendar pins that the oracle reaches the
+// calendar queue's rare paths, not only its steady state: a fixed program
+// of 40 events, alternately a few picoseconds and up to ~73 ms ahead and
+// all left queued for the final Run, must make the engine double its
+// bucket count, halve it again, change the bucket width, and fall back to
+// the direct search after a full empty rotation — while dispatching exactly
+// as the reference does.
+func TestReferenceOracleExercisesCalendar(t *testing.T) {
+	var program []byte
+	for i := byte(0); i < 20; i++ {
+		program = append(program, 0, i%16, 8, 3+7*i, 10+i) // narrow, then wide
+	}
+	e, got := runEngine(program)
+	checkTraces(t, got, runReference(program))
+	if e.grows == 0 || e.shrinks == 0 || e.widths == 0 || e.searches == 0 {
+		t.Fatalf("program reached grows=%d shrinks=%d width changes=%d direct searches=%d; want each > 0",
+			e.grows, e.shrinks, e.widths, e.searches)
 	}
 }

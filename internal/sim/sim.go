@@ -6,17 +6,24 @@
 // instant fire in scheduling order (a monotonic sequence number breaks ties),
 // so simulations are bit-reproducible across runs.
 //
-// The event queue is a hand-specialized 4-ary min-heap over a flat []event
-// slice: no interface boxing, no container/heap indirection, and popped
-// slots are recycled in place, so steady-state scheduling allocates nothing.
-// Every event is a pre-bound (func(any), arg) pair scheduled with
+// The event queue is an adaptive calendar queue (Brown, CACM 1988) over an
+// engine-owned node slab: each bucket holds the events of one day-slot of
+// the calendar as a sorted doubly linked list, the minimum is found by a
+// cursor sweeping forward day by day, and the bucket count and width retune
+// themselves to the queue's depth and the spacing of its deadlines. Nodes
+// are recycled through a free list, so steady-state scheduling allocates
+// nothing. Every event is a pre-bound (func(any), arg) pair scheduled with
 // ScheduleCall — a non-capturing callback plus a pointer-shaped argument
 // schedules without allocating a closure — and ReserveSeq/ScheduleCallSeq
 // let a caller claim a block of sequence numbers up front so deferred
 // scheduling preserves the exact tie-break order of eager scheduling.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Time is a simulated instant or duration in picoseconds.
 type Time int64
@@ -54,18 +61,20 @@ func (t Time) String() string {
 	}
 }
 
-// event is one queue entry: the pre-bound callback call(arg). stamp is the
+// node is one queue entry: the pre-bound callback call(arg). stamp is the
 // engine clock at the moment the event's sequence number was allocated
 // (ScheduleCall time, or ReserveSeq time for deferred scheduling); pri is
 // the caller-supplied priority key of ScheduleCallSeq events (0 for
-// everything else).
-type event struct {
-	at    Time
-	stamp Time
-	pri   uint64
-	seq   uint64
-	call  func(any)
-	arg   any
+// everything else). next and prev link the node into its bucket's sorted
+// list (a free node's next links the free list); -1 is the nil link.
+type node struct {
+	at         Time
+	stamp      Time
+	pri        uint64
+	seq        uint64
+	call       func(any)
+	arg        any
+	next, prev int32
 }
 
 // less orders events by deadline, then allocation stamp, then priority key,
@@ -79,7 +88,7 @@ type event struct {
 // identically in serial and parallel runs; between two pri-0 events
 // the seq tie-break is sound because such events are always scheduled by
 // the same logical process in the same relative order in either mode.
-func (a *event) less(b *event) bool {
+func (a *node) less(b *node) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -92,37 +101,77 @@ func (a *event) less(b *event) bool {
 	return a.seq < b.seq
 }
 
-// heapArity is the fan-out of the event heap. A 4-ary heap halves tree depth
-// versus binary, trading a slightly wider sift-down for far fewer swaps on
-// push — the common operation in a simulation that schedules more than it
-// reorders.
-const heapArity = 4
+// bucket is one slot of the calendar: the ends of a list of nodes sorted by
+// less, -1 when empty.
+type bucket struct{ head, tail int32 }
+
+const (
+	// minBuckets is the smallest calendar; the bucket count is always a
+	// power of two.
+	minBuckets = 4
+	// initShift is the bucket width (log2 ps) of a new engine, 1.024 ns,
+	// until its first retune.
+	initShift = 10
+)
 
 // Engine is a discrete-event simulation engine. The zero value is not ready
 // for use; create engines with NewEngine.
+//
+// The queue is a calendar: an event's day is at>>shift, and it lives in
+// bucket day mod len(buckets). The cursor cur never passes a pending event:
+// no queued event has a day below cur, so the head of bucket cur (when its
+// day is cur) is the global minimum. The bucket count doubles when the queue
+// holds more than two events per bucket and halves when it holds fewer than
+// one per two buckets; every 4×len(buckets) dispatches the width is
+// re-derived from the mean gap between the dispatched deadlines (see
+// retune). Both rebuild the calendar in place. None of this can change
+// dispatch order, which less alone fixes.
 type Engine struct {
 	now       Time
 	seq       uint64
-	events    []event // 4-ary min-heap, specialized (no container/heap)
 	processed uint64
+
+	nodes   []node   // slab of queue entries; a queued node never moves
+	free    int32    // head of the free-node list
+	buckets []bucket // the calendar, len a power of two
+	shift   uint     // log2 of the bucket width in picoseconds
+	cur     uint64   // day cursor: no pending event's day is below it
+	pending int
+
+	// Width sampling: dispatches since the window opened, and the deadline
+	// of the dispatch that opened it.
+	pops     int
+	windowAt Time
+
+	// Rare-path counters (host-side only; tests check the oracle reaches
+	// every path): bucket-count doublings and halvings, width changes, and
+	// direct searches after a full rotation found no event.
+	grows, shrinks, widths, searches int
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{free: -1, shift: initShift, cur: math.MaxUint64}
+	e.setBuckets(minBuckets)
+	return e
+}
 
 // Reset returns the engine to its post-construction state: clock at zero,
-// sequence counter at zero, empty queue. The event slice's capacity is
-// retained so a reset engine schedules without growing the heap again; any
-// still-queued events are dropped (their callbacks never run) and their
-// references released. Reset is the engine-level half of the cluster-reuse
-// contract: a reset engine is indistinguishable from a fresh one to the
-// simulation, because scheduling order depends only on (time, seq) pairs,
-// which restart identically.
+// sequence counter at zero, empty queue. The node slab's capacity and the
+// calendar's learned size are retained so a reset engine schedules without
+// growing again; any still-queued events are dropped (their callbacks never
+// run) and their references released. Reset is the engine-level half of the
+// cluster-reuse contract: a reset engine is indistinguishable from a fresh
+// one to the simulation, because dispatch order depends only on the
+// (at, stamp, pri, seq) keys, which restart identically.
 func (e *Engine) Reset() {
-	for i := range e.events {
-		e.events[i] = event{} // release call/arg references for the GC
-	}
-	e.events = e.events[:0]
+	clear(e.nodes) // release call/arg references for the GC
+	e.nodes = e.nodes[:0]
+	e.free = -1
+	e.setBuckets(len(e.buckets))
+	e.cur = math.MaxUint64
+	e.pending = 0
+	e.pops, e.windowAt = 0, 0
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
@@ -135,55 +184,172 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
-// push inserts ev, restoring the heap property by sifting up.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !h[i].less(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// push queues one event in a free node.
+func (e *Engine) push(at, stamp Time, pri, seq uint64, call func(any), arg any) {
+	i := e.free
+	if i < 0 {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{})
+	} else {
+		e.free = e.nodes[i].next
 	}
-	e.events = h
+	n := &e.nodes[i]
+	n.at, n.stamp, n.pri, n.seq, n.call, n.arg = at, stamp, pri, seq, call, arg
+	e.insert(i)
+	e.pending++
+	if e.pending > 2*len(e.buckets) {
+		e.grows++
+		e.rebuild(2*len(e.buckets), e.shift)
+	}
 }
 
-// pop removes and returns the minimum event, sifting down from the root.
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop call/arg references so the GC can reclaim them
-	h = h[:n]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for j := first + 1; j < last; j++ {
-			if h[j].less(&h[min]) {
-				min = j
-			}
-		}
-		if !h[min].less(&h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+// insert links node i into its bucket's sorted list, scanning from the tail
+// (new events mostly sort last), and lowers the cursor to its day if needed.
+func (e *Engine) insert(i int32) {
+	n := &e.nodes[i]
+	day := uint64(n.at) >> e.shift
+	if day < e.cur {
+		e.cur = day
 	}
-	e.events = h
-	return root
+	b := &e.buckets[day&uint64(len(e.buckets)-1)]
+	t := b.tail
+	for t >= 0 && n.less(&e.nodes[t]) {
+		t = e.nodes[t].prev
+	}
+	n.prev = t
+	if t < 0 {
+		n.next = b.head
+		b.head = i
+	} else {
+		n.next = e.nodes[t].next
+		e.nodes[t].next = i
+	}
+	if n.next < 0 {
+		b.tail = i
+	} else {
+		e.nodes[n.next].prev = i
+	}
+}
+
+// peek returns the node of the earliest pending event, or -1, leaving the
+// cursor on its day. It sweeps the cursor forward one day per empty bucket;
+// a full rotation without a hit means the next event is more than a year
+// (len(buckets) days) ahead, and a direct search over the bucket heads finds
+// it instead.
+func (e *Engine) peek() int32 {
+	if e.pending == 0 {
+		return -1
+	}
+	buckets, nodes, shift, cur := e.buckets, e.nodes, e.shift, e.cur
+	mask := uint64(len(buckets) - 1)
+	for range buckets {
+		if h := buckets[cur&mask].head; h >= 0 && uint64(nodes[h].at)>>shift == cur {
+			e.cur = cur
+			return h
+		}
+		cur++
+	}
+	// Heads of different buckets have different deadlines (equal deadlines
+	// share a day), so the earliest head by deadline is the minimum.
+	e.searches++
+	best := int32(-1)
+	for _, b := range e.buckets {
+		if b.head >= 0 && (best < 0 || e.nodes[b.head].at < e.nodes[best].at) {
+			best = b.head
+		}
+	}
+	e.cur = uint64(e.nodes[best].at) >> e.shift
+	return best
+}
+
+// dispatch removes node i — the minimum found by peek, so the head of the
+// cursor's bucket — runs it, and keeps the calendar tuned.
+func (e *Engine) dispatch(i int32) {
+	n := &e.nodes[i]
+	at, call, arg := n.at, n.call, n.arg
+	b := &e.buckets[e.cur&uint64(len(e.buckets)-1)]
+	b.head = n.next
+	if n.next < 0 {
+		b.tail = -1
+	} else {
+		e.nodes[n.next].prev = -1
+	}
+	n.call, n.arg = nil, nil // drop references so the GC can reclaim them
+	n.next = e.free
+	e.free = i
+	e.pending--
+
+	e.now = at
+	e.processed++
+	e.pops++
+	if e.pops >= 4*len(e.buckets) {
+		e.retune()
+	} else if e.pending < len(e.buckets)/2 && len(e.buckets) > minBuckets {
+		e.shrinks++
+		e.rebuild(len(e.buckets)/2, e.shift)
+	}
+	call(arg)
+}
+
+// retune closes a sampling window. The ideal bucket width is the power of
+// two at or above the mean gap between the window's dispatches; the
+// calendar is rebuilt to it only when it is more than a factor of two off
+// the current width, so a gap hovering at a power of two does not flip the
+// width (and rebuild the calendar) window after window.
+func (e *Engine) retune() {
+	gap := (e.now - e.windowAt) / Time(e.pops)
+	e.pops, e.windowAt = 0, e.now
+	var shift uint
+	if gap > 1 {
+		shift = uint(bits.Len64(uint64(gap - 1)))
+	}
+	if shift > e.shift+1 || shift+1 < e.shift {
+		e.widths++
+		e.rebuild(len(e.buckets), shift)
+	}
+}
+
+// rebuild re-files every queued node into a calendar of nb buckets of
+// width 1<<shift. The nodes are chained bucket by bucket from the cursor's
+// (roughly ascending, so most re-inserts land at a tail), then inserted
+// afresh; the cursor restarts at the earliest day.
+func (e *Engine) rebuild(nb int, shift uint) {
+	head, tail := int32(-1), int32(-1)
+	mask := uint64(len(e.buckets) - 1)
+	for k := range uint64(len(e.buckets)) {
+		b := e.buckets[(e.cur+k)&mask]
+		if b.head < 0 {
+			continue
+		}
+		if tail < 0 {
+			head = b.head
+		} else {
+			e.nodes[tail].next = b.head
+		}
+		tail = b.tail
+	}
+	e.setBuckets(nb)
+	e.shift = shift
+	e.cur = math.MaxUint64
+	for i := head; i >= 0; {
+		next := e.nodes[i].next
+		e.insert(i)
+		i = next
+	}
+}
+
+// setBuckets empties the calendar and sizes it to nb buckets, reusing the
+// bucket slice's capacity.
+func (e *Engine) setBuckets(nb int) {
+	if cap(e.buckets) < nb {
+		e.buckets = make([]bucket, nb)
+	}
+	e.buckets = e.buckets[:nb]
+	for i := range e.buckets {
+		e.buckets[i] = bucket{-1, -1}
+	}
 }
 
 // checkAt panics on scheduling in the past: it indicates a model bug
@@ -195,13 +361,13 @@ func (e *Engine) checkAt(at Time) {
 }
 
 // ScheduleCall runs fn(arg) at absolute time at. The callback and its
-// argument are stored directly in the event, so callers that reuse a
+// argument are stored directly in the queue node, so callers that reuse a
 // non-capturing fn (and a pooled or pointer-typed arg) schedule without
 // allocating a closure.
 func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) {
 	e.checkAt(at)
 	e.seq++
-	e.push(event{at: at, stamp: e.now, seq: e.seq, call: fn, arg: arg})
+	e.push(at, e.now, 0, e.seq, fn, arg)
 }
 
 // ReserveSeq claims n consecutive sequence numbers and returns the first.
@@ -229,18 +395,16 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 // engine's determinism contract.
 func (e *Engine) ScheduleCallSeq(at, stamp Time, pri, seq uint64, fn func(any), arg any) {
 	e.checkAt(at)
-	e.push(event{at: at, stamp: stamp, pri: pri, seq: seq, call: fn, arg: arg})
+	e.push(at, stamp, pri, seq, fn, arg)
 }
 
 // Step executes the next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	i := e.peek()
+	if i < 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.processed++
-	ev.call(ev.arg)
+	e.dispatch(i)
 	return true
 }
 
@@ -253,8 +417,8 @@ func (e *Engine) Run() Time {
 
 // RunUntil executes events with deadlines <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
+	for i := e.peek(); i >= 0 && e.nodes[i].at <= t; i = e.peek() {
+		e.dispatch(i)
 	}
 	if t > e.now {
 		e.now = t
@@ -269,16 +433,19 @@ func (e *Engine) RunUntil(t Time) {
 // window: with bound = horizon + lookahead, every event below bound is
 // causally independent of the other processes' pending work.
 func (e *Engine) RunBefore(bound Time) {
-	for len(e.events) > 0 && e.events[0].at < bound {
-		e.Step()
+	for i := e.peek(); i >= 0 && e.nodes[i].at < bound; i = e.peek() {
+		e.dispatch(i)
 	}
 }
 
 // NextEventTime returns the deadline of the earliest pending event, and
-// whether one exists.
+// whether one exists. Like every queue read it may move the calendar's
+// cursor, so it must not run concurrently with the engine (Windows only
+// peeks engines that are not running).
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
+	i := e.peek()
+	if i < 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.nodes[i].at, true
 }
