@@ -8,8 +8,8 @@
 // directory plus cmd/spinbench. See README.md for a tour, ARCHITECTURE.md
 // for the layer stack, the determinism contract, and the pooling ownership
 // rules (normative — every reuse and concurrency feature is written against
-// them), DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-versus-measured results.
+// them), and the experiment registry in internal/bench/registry.go
+// (`spinbench -list`) for the per-experiment index.
 //
 // # Performance model
 //
@@ -38,7 +38,9 @@
 //     testing.AllocsPerRun tests.
 //   - Determinism invariants. All free lists are engine-owned, not
 //     sync.Pool: the engine is single-threaded and reuse order must be
-//     reproducible. Deferred packet events claim their tie-break positions
+//     reproducible. Every per-record pool is a sim.FreeList, a LIFO slice
+//     whose Put zeroes the record, so recycling has one zeroing rule
+//     everywhere. Deferred packet events claim their tie-break positions
 //     via Engine.ReserveSeq at Send time, so the event order — and every
 //     simulated-time output — is bit-identical to eager per-packet
 //     scheduling (verified against the PR-0 engine in BENCH_core.json).
@@ -69,11 +71,12 @@
 //     list (netsim.Cluster.AllocMessage) and are recycled by the transport
 //     itself after the last packet's dispatch; payload staging reuses a
 //     message-owned grow-only buffer (Message.StageData); pendingOps,
-//     handler contexts (with a Ctx.Scratch arena), EQ dispatches, and CT
-//     triggers are pooled; and the remaining hot-path closures were
-//     replaced by pre-bound callback+arg pairs (Message.Delivered,
-//     CT.OnReachCall) in the style of ScheduleCall. The SPC trace study —
-//     pure per-request protocol work — dropped from ~155k to ~2.9k
+//     handler contexts (with a Ctx.Scratch arena), and EQ dispatches are
+//     pooled; CT triggers are stored by value; and the remaining hot-path
+//     closures were replaced by pre-bound func(any)+arg pairs
+//     (Message.Delivered, CT.OnReachCall) that go straight onto the engine
+//     with ScheduleCall, the engine's one callback shape. The SPC trace
+//     study — pure per-request protocol work — dropped from ~155k to ~2.9k
 //     allocations (54x). The retention rules that make transport-owned
 //     recycling safe are normative in ARCHITECTURE.md.
 //   - Vectorized datatype scatter. The Fig 7a payload handler touches
@@ -93,7 +96,7 @@
 //     0 allocs per scatter (BenchmarkVectorScatter), every printed digit
 //     unchanged.
 //   - Closure-free triggered operations. NI.ArmTriggeredPut/ArmTriggeredGet
-//     store each armed operation in a pooled triggeredOp record dispatched
+//     store each armed operation in a pooled triggeredOp record scheduled
 //     through CT.OnReachCall, and validate its arguments at arm time by the
 //     same checks the device path runs, so an operation that could never
 //     fire is an error at the arm call, not a panic inside the event loop.

@@ -5,7 +5,7 @@
 // generator reproduces the property Table 5c depends on: the process
 // count, the Cartesian halo-exchange pattern, the message-size mix, and a
 // compute:communication ratio calibrated to the paper's reported
-// point-to-point fractions (see DESIGN.md §1).
+// point-to-point fractions.
 package apps
 
 import (

@@ -201,9 +201,9 @@ func fig3(p netsim.Params, id, kind string, scale int) *Sweep {
 	return s
 }
 
-// noiseSweep lays out the noise-sensitivity ablation (§5.1's motivation,
-// DESIGN.md A2): ping-pong under 1 kHz / 25 us OS noise. Only the
-// CPU-driven variant degrades.
+// noiseSweep lays out the noise-sensitivity ablation (§5.1's motivation):
+// ping-pong under 1 kHz / 25 us OS noise. Only the CPU-driven variant
+// degrades.
 func noiseSweep(int) *Sweep {
 	s := NewSweep(&Table{
 		ID:     "noise",

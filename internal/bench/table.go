@@ -2,7 +2,8 @@
 // evaluation (§4.4, §5): each experiment builds the corresponding simulated
 // system, runs it, and emits the series the paper plots. bench_test.go at
 // the repository root and cmd/spinbench expose them as testing.B benchmarks
-// and a CLI respectively. The per-experiment index lives in DESIGN.md §4.
+// and a CLI respectively. The per-experiment index is the registry in
+// registry.go (`spinbench -list`).
 package bench
 
 import (

@@ -28,8 +28,7 @@ type DMAHandle struct {
 
 // GetRequest describes a handler-issued get (PtlHandlerGet*): fetch Length
 // bytes from the ME matched by MatchBits at Target and deposit them at
-// LocalOffset of the issuing ME's host memory. OnDone runs at the requester
-// when the response has fully landed in host memory.
+// LocalOffset of the issuing ME's host memory.
 type GetRequest struct {
 	Target       int
 	PTIndex      int
@@ -38,7 +37,6 @@ type GetRequest struct {
 	LocalOffset  int64
 	RemoteOffset int64
 	Length       int
-	OnDone       func(now sim.Time)
 }
 
 // Ctx is the execution context passed to every handler invocation. It
@@ -451,7 +449,7 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 	m.HdrData = hdrData
 	m.Length = length
 	copy(m.StageData(length), buf[offset:])
-	c.rt.C.DeviceSend(c.now, m)
+	c.rt.C.Send(c.now, m)
 	return nil
 }
 

@@ -71,7 +71,7 @@ type msgState struct {
 func runComplete(a any) {
 	ms := a.(*msgState)
 	rt, me, res := ms.rt, ms.me, ms.res
-	rt.freeMsgState(ms)
+	rt.msFree.Put(ms)
 	me.Owner.MEComplete(rt.C.Eng.Now(), res)
 }
 
@@ -95,10 +95,9 @@ type Runtime struct {
 	hpuMemUsed     int
 
 	msgs map[*netsim.Message]*msgState
-	// msFree and ctxFree recycle msgState and handler-context objects;
-	// engine-owned (not sync.Pool) so reuse order is deterministic.
-	msFree  []*msgState
-	ctxFree []*Ctx
+	// msFree and ctxFree recycle msgState and handler-context objects.
+	msFree  sim.FreeList[msgState]
+	ctxFree sim.FreeList[Ctx]
 	// scratch is the grow-only arena behind Ctx.Scratch: handler staging
 	// buffers valid for one invocation, so one region serves every handler
 	// on the NIC without per-invocation allocation.
@@ -139,10 +138,10 @@ func NewRuntime(c *netsim.Cluster, node *netsim.Node) *Runtime {
 
 // Reset returns the runtime to its post-construction state: idle HPU
 // contexts and issue units, an empty in-flight message table, zeroed
-// statistics, and all scratchpad memory released. The msgState free list
-// and the interned lane names are kept — they carry no simulation state
-// (every msgState is zeroed on allocation, and the pool sizes that the lane
-// names depend on never change after construction).
+// statistics, and all scratchpad memory released. The free lists and the
+// interned lane names are kept — they carry no simulation state (every
+// record is zeroed when recycled, and the pool sizes that the lane names
+// depend on never change after construction).
 func (rt *Runtime) Reset() {
 	rt.ResetInFlight()
 	rt.hpuMemUsed = 0
@@ -178,22 +177,6 @@ func (rt *Runtime) hpuLane(i int) string {
 	return rt.hpuLanes[i]
 }
 
-// allocMsgState draws a reset msgState from the free list.
-func (rt *Runtime) allocMsgState() *msgState {
-	if n := len(rt.msFree); n > 0 {
-		ms := rt.msFree[n-1]
-		rt.msFree = rt.msFree[:n-1]
-		*ms = msgState{rt: rt}
-		return ms
-	}
-	return &msgState{rt: rt}
-}
-
-// freeMsgState recycles a completed message's state.
-func (rt *Runtime) freeMsgState(ms *msgState) {
-	rt.msFree = append(rt.msFree, ms)
-}
-
 // AllocHPUMem allocates n bytes of HPU scratchpad (PtlHPUAllocMem).
 func (rt *Runtime) AllocHPUMem(n int) (*HPUMem, error) {
 	if n < 0 {
@@ -227,8 +210,8 @@ func (rt *Runtime) Deliver(now sim.Time, pkt *netsim.Packet, me *MEContext) {
 		if !pkt.Header {
 			panic("core: payload packet before header packet")
 		}
-		ms = rt.allocMsgState()
-		ms.me, ms.msg, ms.total = me, pkt.Msg, rt.C.P.Packets(pkt.Msg.Length)
+		ms = rt.msFree.Get()
+		ms.rt, ms.me, ms.msg, ms.total = rt, me, pkt.Msg, rt.C.P.Packets(pkt.Msg.Length)
 		if !pkt.Last {
 			rt.msgs[pkt.Msg] = ms
 		}
@@ -251,13 +234,7 @@ func (rt *Runtime) Deliver(now sim.Time, pkt *netsim.Packet, me *MEContext) {
 // recycles them — so handlers must not retain *Ctx (or Scratch buffers)
 // past their return.
 func (rt *Runtime) newCtx(start sim.Time, hpu int, ms *msgState) *Ctx {
-	var c *Ctx
-	if n := len(rt.ctxFree); n > 0 {
-		c = rt.ctxFree[n-1]
-		rt.ctxFree = rt.ctxFree[:n-1]
-	} else {
-		c = &Ctx{}
-	}
+	c := rt.ctxFree.Get()
 	*c = Ctx{rt: rt, me: ms.me, msg: ms.msg, now: start, start: start, hpu: hpu}
 	return c
 }
@@ -282,8 +259,7 @@ func (rt *Runtime) finishCtx(c *Ctx, ms *msgState, kind string) sim.Time {
 		ms.lastEnd = c.lastVisible
 	}
 	end := c.now
-	*c = Ctx{}
-	rt.ctxFree = append(rt.ctxFree, c)
+	rt.ctxFree.Put(c)
 	return end
 }
 
@@ -471,5 +447,5 @@ func (rt *Runtime) maybeComplete(ms *msgState) {
 		rt.C.Eng.ScheduleCall(end, runComplete, ms)
 		return
 	}
-	rt.freeMsgState(ms)
+	rt.msFree.Put(ms)
 }

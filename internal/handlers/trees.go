@@ -32,7 +32,11 @@ func PipelineTree(rank, nprocs int) []int {
 }
 
 // BcastTree builds streaming broadcast handlers over an arbitrary
-// forwarding tree; Bcast(cfg) is BcastTree(cfg, BinomialTree).
+// forwarding tree. BcastTree(cfg, BinomialTree) forwards to the same
+// children as Bcast(cfg) but is not cycle-identical to it: Bcast charges 3
+// cycles per halving step of the binomial walk, while BcastTree charges 3
+// per child, so ranks with fewer children than steps (leaves above all)
+// finish their payload handlers sooner here.
 func BcastTree(cfg BcastConfig, tree Tree) core.HandlerSet {
 	return core.HandlerSet{
 		Header: func(c *core.Ctx, h core.Header) core.HeaderRC {

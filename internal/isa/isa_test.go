@@ -206,9 +206,9 @@ const ddtOffsetAsm = `
 `
 
 // TestISACostCrossCheck validates the cost model of internal/core against
-// cycle-accurate execution (DESIGN.md experiment A3): the strided-datatype
-// segment computation charged at 20 cycles by the handler library executes
-// in the same order of magnitude on the ISA interpreter.
+// cycle-accurate execution: the strided-datatype segment computation
+// charged at 20 cycles by the handler library executes in the same order
+// of magnitude on the ISA interpreter.
 func TestISACostCrossCheck(t *testing.T) {
 	mem := make([]byte, 64)
 	// off=7000, vlen=1536, stride=3072

@@ -223,18 +223,16 @@ type rank struct {
 	// is on).
 	rtsSeen map[uint64]struct{}
 
-	// Rank-owned free lists for per-message protocol state (deliberately not
-	// sync.Pool: each rank's events are single-threaded and reuse order must
-	// be deterministic for bit-reproducible replays). Objects are zeroed
-	// when drawn, so recycling changes allocation behaviour only, and every
+	// Rank-owned free lists for per-message protocol state: each rank's
+	// events are single-threaded, so reuse order is deterministic, and every
 	// object's lifecycle stays on the rank that drew it. Wire messages come
 	// from the owning cluster's free list (netsim.Cluster.AllocMessage) and
 	// are recycled by the transport at last-packet dispatch.
-	recvFree []*recvReq
-	sendFree []*sendReq
-	paFree   []*pendingArrival
-	inflFree []*inflight
-	ctlFree  []*ctlRetry
+	recvFree sim.FreeList[recvReq]
+	sendFree sim.FreeList[sendReq]
+	paFree   sim.FreeList[pendingArrival]
+	inflFree sim.FreeList[inflight]
+	ctlFree  sim.FreeList[ctlRetry]
 
 	// Per-rank result counters, folded into Res by Run.
 	messages    uint64
@@ -324,24 +322,24 @@ func (e *Engine) Reset(programs [][]Op) error {
 	for i, r := range e.rank {
 		// The maps' values are owned by the rank-side lists below (or, for
 		// inflight, by the map itself), so free exactly once from the owner.
-		for _, fl := range r.inflight { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed on allocation
-			r.freeInflight(fl)
+		for _, fl := range r.inflight { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed when recycled
+			r.inflFree.Put(fl)
 		}
 		clear(r.inflight)
 		clear(r.rdvPull)
 		clear(r.pullWait)
 		clear(r.rtsSeen)
 		for _, rr := range r.recvs {
-			r.freeRecvReq(rr)
+			r.recvFree.Put(rr)
 		}
 		for _, sr := range r.sends {
-			r.freeSendReq(sr)
+			r.sendFree.Put(sr)
 		}
 		for _, pa := range r.unexpected {
-			r.freePA(pa)
+			r.paFree.Put(pa)
 		}
 		for _, pa := range r.pendingProgress {
-			r.freePA(pa)
+			r.paFree.Put(pa)
 		}
 		r.ops = programs[i]
 		r.pc = 0
@@ -363,45 +361,6 @@ func (e *Engine) Reset(programs [][]Op) error {
 	return nil
 }
 
-// Free-list accessors (rank-owned). Every object is zeroed on allocation so
-// pooled reuse can never leak state between messages or replays.
-
-func (r *rank) allocRecvReq() *recvReq {
-	if n := len(r.recvFree); n > 0 {
-		rr := r.recvFree[n-1]
-		r.recvFree = r.recvFree[:n-1]
-		*rr = recvReq{}
-		return rr
-	}
-	return &recvReq{}
-}
-
-func (r *rank) freeRecvReq(rr *recvReq) { r.recvFree = append(r.recvFree, rr) }
-
-func (r *rank) allocSendReq() *sendReq {
-	if n := len(r.sendFree); n > 0 {
-		sr := r.sendFree[n-1]
-		r.sendFree = r.sendFree[:n-1]
-		*sr = sendReq{}
-		return sr
-	}
-	return &sendReq{}
-}
-
-func (r *rank) freeSendReq(sr *sendReq) { r.sendFree = append(r.sendFree, sr) }
-
-func (r *rank) allocPA() *pendingArrival {
-	if n := len(r.paFree); n > 0 {
-		pa := r.paFree[n-1]
-		r.paFree = r.paFree[:n-1]
-		*pa = pendingArrival{}
-		return pa
-	}
-	return &pendingArrival{}
-}
-
-func (r *rank) freePA(pa *pendingArrival) { r.paFree = append(r.paFree, pa) }
-
 // ctlRetry tracks one rendezvous control message (RTS or pull) awaiting
 // progress under impairment. The retry timer owns the record: it recycles
 // records whose exchange progressed (the id left its map) and resends and
@@ -419,26 +378,14 @@ type ctlRetry struct {
 	tries int
 }
 
-func (r *rank) allocCtlRetry() *ctlRetry {
-	if n := len(r.ctlFree); n > 0 {
-		cr := r.ctlFree[n-1]
-		r.ctlFree = r.ctlFree[:n-1]
-		*cr = ctlRetry{e: r.eng}
-		return cr
-	}
-	return &ctlRetry{e: r.eng}
-}
-
-func (r *rank) freeCtlRetry(cr *ctlRetry) { r.ctlFree = append(r.ctlFree, cr) }
-
 // retryOn reports whether rendezvous-control retry is active.
 func (e *Engine) retryOn() bool { return e.Cfg.RetryTimeout > 0 && e.C.Impaired() }
 
 // armCtlRetry schedules the retry timer for a control exchange on the
 // arming rank's own engine.
 func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) {
-	cr := r.allocCtlRetry()
-	cr.isRTS, cr.id, cr.rnk, cr.peer, cr.tag, cr.size = isRTS, id, r, peer, tag, size
+	cr := r.ctlFree.Get()
+	cr.e, cr.isRTS, cr.id, cr.rnk, cr.peer, cr.tag, cr.size = r.eng, isRTS, id, r, peer, tag, size
 	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
 }
 
@@ -459,7 +406,7 @@ func runCtlRetry(a any) {
 		_, live = r.pullWait[cr.id]
 	}
 	if !live {
-		r.freeCtlRetry(cr)
+		r.ctlFree.Put(cr)
 		return
 	}
 	if cr.tries >= e.Cfg.MaxRetries {
@@ -467,14 +414,14 @@ func runCtlRetry(a any) {
 		// a deadlock from Run, which is the honest outcome of a partitioned
 		// network.
 		r.nc.Faults.RetransFails++
-		r.freeCtlRetry(cr)
+		r.ctlFree.Put(cr)
 		return
 	}
 	cr.tries++
 	r.retransmits++
 	r.nc.Faults.Retransmits++
 	now := r.nc.Eng.Now()
-	m := r.allocMsg()
+	m := r.nc.AllocMessage()
 	m.Type = netsim.OpPut // RTS rides a put header
 	if !cr.isRTS {
 		m.Type = netsim.OpGet
@@ -484,28 +431,8 @@ func runCtlRetry(a any) {
 	m.MatchBits = cr.tag
 	m.HdrData = cr.id
 	m.GetLength = cr.size
-	e.C.DeviceSend(now, m)
+	e.C.Send(now, m)
 	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
-}
-
-func (r *rank) allocInflight() *inflight {
-	if n := len(r.inflFree); n > 0 {
-		fl := r.inflFree[n-1]
-		r.inflFree = r.inflFree[:n-1]
-		*fl = inflight{}
-		return fl
-	}
-	return &inflight{}
-}
-
-func (r *rank) freeInflight(fl *inflight) { r.inflFree = append(r.inflFree, fl) }
-
-// allocMsg draws a zeroed wire message from the rank's owning cluster's free
-// list. The transport recycles it as soon as the last packet has been
-// dispatched, which is safe because pendingArrival copies every field the
-// protocol may need later.
-func (r *rank) allocMsg() *netsim.Message {
-	return r.nc.AllocMessage()
 }
 
 // Run replays the programs to completion and returns the result.
@@ -586,10 +513,10 @@ func (r *rank) step(now sim.Time) {
 // were removed from posted (and pullWait) when they matched.
 func (r *rank) releaseRequests() {
 	for _, sr := range r.sends {
-		r.freeSendReq(sr)
+		r.sendFree.Put(sr)
 	}
 	for _, rr := range r.recvs {
-		r.freeRecvReq(rr)
+		r.recvFree.Put(rr)
 	}
 	r.sends = r.sends[:0]
 	r.recvs = r.recvs[:0]

@@ -15,14 +15,14 @@ const nicHandlerDelay = 20 * sim.Nanosecond
 func (r *rank) isend(now sim.Time, op Op) sim.Time {
 	e := r.eng
 	r.messages++
-	sr := r.allocSendReq()
+	sr := r.sendFree.Get()
 	r.sends = append(r.sends, sr)
 	// Under impairment every send goes rendezvous: an eager message that
 	// loses a packet is gone (fire-and-forget has no recovery), while the
 	// rendezvous control loop retries RTS and pull until the data lands.
 	if op.Size <= e.Cfg.EagerThreshold && !e.retryOn() {
 		sr.done = true
-		m := r.allocMsg()
+		m := r.nc.AllocMessage()
 		m.Type = netsim.OpPut
 		m.Src = r.id
 		m.Dst = op.Peer
@@ -32,7 +32,7 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 	}
 	id := r.nc.NextID()
 	r.rdvPull[id] = sr
-	rts := r.allocMsg()
+	rts := r.nc.AllocMessage()
 	rts.Type = netsim.OpPut
 	rts.Src = r.id
 	rts.Dst = op.Peer
@@ -50,7 +50,7 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 // rendezvous handlers) on the NIC; in host mode it only updates the
 // library's queues. Either way it checks the unexpected queue.
 func (r *rank) irecv(now sim.Time, op Op) sim.Time {
-	rr := r.allocRecvReq()
+	rr := r.recvFree.Get()
 	rr.peer = op.Peer
 	rr.tag = op.Tag
 	rr.size = op.Size
@@ -73,7 +73,7 @@ func (r *rank) irecv(now sim.Time, op Op) sim.Time {
 			r.copies++
 			r.completeRecv(t, rr)
 		}
-		r.freePA(pa)
+		r.paFree.Put(pa)
 		return now
 	}
 	r.posted = append(r.posted, rr)
@@ -108,7 +108,7 @@ func (r *rank) matchPosted(src int, tag uint64) *recvReq {
 // issuePull sends the rendezvous get to the data's source. In sPIN mode
 // the NIC's header handler issues it; in host mode the CPU does.
 func (e *Engine) issuePull(now sim.Time, r *rank, rr *recvReq, src int, tag, pullID uint64) {
-	pull := r.allocMsg()
+	pull := r.nc.AllocMessage()
 	pull.Type = netsim.OpGet
 	pull.Src = r.id
 	pull.Dst = src
@@ -116,7 +116,7 @@ func (e *Engine) issuePull(now sim.Time, r *rank, rr *recvReq, src int, tag, pul
 	pull.HdrData = pullID
 	pull.GetLength = rr.size
 	r.pullWait[pullID] = pullDest{r: r, rr: rr}
-	e.C.DeviceSend(now, pull)
+	e.C.Send(now, pull)
 	// The pull timer also covers a lost (or partially lost) data response:
 	// the id stays in pullWait until the response completes, so the timer
 	// re-issues the pull and the sender streams the data again.
@@ -141,7 +141,7 @@ func (r *rank) progressArrival(now sim.Time, pa *pendingArrival) {
 			r.copies++
 			r.completeRecv(t, rr)
 		}
-		r.freePA(pa)
+		r.paFree.Put(pa)
 		return
 	}
 	r.unexpected = append(r.unexpected, pa)
@@ -161,7 +161,7 @@ func (nr *nodeRecv) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	e, r := nr.e, nr.r
 	fl := r.inflight[pkt.Msg]
 	if fl == nil {
-		fl = r.allocInflight()
+		fl = r.inflFree.Get()
 		fl.msg = pkt.Msg
 		fl.total = e.C.P.Packets(pkt.Msg.Length)
 		r.inflight[pkt.Msg] = fl
@@ -181,7 +181,7 @@ func (nr *nodeRecv) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	m := pkt.Msg
 	delete(r.inflight, m)
 	visible := fl.visible
-	r.freeInflight(fl)
+	r.inflFree.Put(fl)
 	nr.dispatch(visible, m)
 	// The dispatch copied everything it needs (pendingArrival fields,
 	// request pointers); the transport recycles the wire message when this
@@ -201,13 +201,13 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		sr := r.rdvPull[m.HdrData]
 		delete(r.rdvPull, m.HdrData)
 		ready := e.C.Nodes[r.id].Bus.Read(at, m.GetLength)
-		data := r.allocMsg()
+		data := r.nc.AllocMessage()
 		data.Type = netsim.OpGetResponse
 		data.Src = r.id
 		data.Dst = m.Src
 		data.Length = m.GetLength
 		data.HdrData = m.HdrData
-		e.C.DeviceSend(ready, data)
+		e.C.Send(ready, data)
 		if sr != nil {
 			sr.done = true
 			r.nc.Eng.ScheduleCall(ready, rankResume, r)
@@ -238,7 +238,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 				return
 			}
 		}
-		pa := r.allocPA()
+		pa := r.paFree.Get()
 		pa.src = m.Src
 		pa.tag = m.MatchBits
 		pa.size = m.GetLength
@@ -261,7 +261,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 				return
 			}
 		}
-		pa := r.allocPA()
+		pa := r.paFree.Get()
 		pa.src = m.Src
 		pa.tag = m.MatchBits
 		pa.size = m.Length

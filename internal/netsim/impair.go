@@ -495,12 +495,13 @@ func (c *Cluster) impairPacket(w *msgWalk, pkt *Packet, now sim.Time) (at sim.Ti
 // packetAccounted marks one of an impaired message's packets as terminally
 // handled (delivered, dropped, or CRC-discarded). When the last packet is
 // accounted for, a pooled message is either recycled or — if any fault
-// removed a packet after a receiver saw part of the message, or a send-side
-// Delivered event may still reference it — quarantined until the next
-// ResetCore. Quarantine is what keeps loss safe for pooled messages: layers
-// above key per-message state (recvStates, channels, mpisim inflight) by
-// *Message and normally empty it during the final dispatch; when loss
-// prevents that dispatch, reusing the pointer would alias the stale entry.
+// removed a packet after a receiver saw part of the message — quarantined
+// until the next ResetCore. A pending Delivered event does not hold the
+// message (it carries DeliveredArg), so it never forces quarantine.
+// Quarantine is what keeps loss safe for pooled messages: layers above key
+// per-message state (recvStates, channels, mpisim inflight) by *Message
+// and normally empty it during the final dispatch; when loss prevents that
+// dispatch, reusing the pointer would alias the stale entry.
 func (c *Cluster) packetAccounted(m *Message) {
 	if m.track <= 0 {
 		return
@@ -509,7 +510,7 @@ func (c *Cluster) packetAccounted(m *Message) {
 	if m.track > 0 || !m.pooled {
 		return
 	}
-	if m.faulted && (m.touched || m.Delivered != nil) {
+	if m.faulted && m.touched {
 		c.quarantine = append(c.quarantine, m)
 		return
 	}

@@ -293,3 +293,27 @@ func TestUntouchedLostPooledMessageRecyclesImmediately(t *testing.T) {
 		t.Fatalf("lost message not recycled: %d free", len(c.msgFree))
 	}
 }
+
+// TestLostPooledMessageWithDeliveredRecyclesImmediately: a send-side
+// Delivered callback is scheduled with its own argument, so its pending
+// event holds no reference to the message. A pooled message whose every
+// packet is lost before any receiver saw it is therefore recyclable at
+// once, callback or not, and the callback still fires.
+func TestLostPooledMessageWithDeliveredRecyclesImmediately(t *testing.T) {
+	c := mkCluster(t, 2, Integrated())
+	c.SetImpairment(&Impairment{LossEveryN: 1})
+	c.Nodes[1].Recv = &collector{}
+	fired := 0
+	m := c.AllocMessage()
+	m.Type, m.Src, m.Dst, m.Length = OpPut, 0, 1, 2*4096
+	m.Delivered = func(arg any) { *arg.(*int)++ }
+	m.DeliveredArg = &fired
+	c.Send(0, m)
+	c.Eng.Run()
+	if fired != 1 {
+		t.Fatalf("Delivered fired %d times, want 1", fired)
+	}
+	if len(c.quarantine) != 0 || len(c.msgFree) != 1 {
+		t.Fatalf("lost message with a Delivered callback: quarantined %d, free %d; want 0 and 1", len(c.quarantine), len(c.msgFree))
+	}
+}

@@ -14,11 +14,12 @@ import (
 // is byte-identical to the serial cluster; see ARCHITECTURE.md "Parallel
 // DES" for the normative contract.
 
-// crossSend is one cross-shard message parked in the source shard's outbox:
-// the walk parameters send computes, minus the destination-engine sequence
-// numbers, which are assigned at the barrier so migrated and locally
-// scheduled events interleave by (time, stamp, pri) exactly as they would
-// on one engine.
+// crossSend holds the walk parameters send computes for one message, minus
+// the destination-engine sequence numbers, which startWalk assigns on the
+// destination cluster. A cross-shard message is parked in the source
+// shard's outbox as a crossSend and started at the barrier, so migrated and
+// locally scheduled events interleave by (time, stamp, pri) exactly as they
+// would on one engine.
 type crossSend struct {
 	dst     *Cluster // destination shard
 	dstNode *Node
@@ -75,7 +76,6 @@ func NewClusterLP(n int, p Params, lp int) (*Cluster, error) {
 			root:   root,
 			idBase: uint64(s+1) << 48,
 		}
-		sh.deliveredCall = sh.runDelivered
 		root.shards[s] = sh
 		engines[s] = sh.Eng
 	}
@@ -226,12 +226,7 @@ func (c *Cluster) flush(prevBound sim.Time) {
 			// legal schedule.
 			panic(fmt.Sprintf("netsim: lookahead violation: cross-LP arrival %v below committed horizon %v", cs.arr, prevBound))
 		}
-		d := cs.dst
-		w := d.allocWalk()
-		*w = msgWalk{c: d, dst: cs.dstNode, msg: cs.msg, length: cs.length, n: cs.n,
-			seq0: d.Eng.ReserveSeq(cs.n), stamp: cs.stamp, pri: cs.pri, arr: cs.arr,
-			occFull: cs.occFull, occLast: cs.occLast, impSeq: cs.impSeq}
-		d.Eng.ScheduleCallSeq(cs.arr, cs.stamp, cs.pri, w.seq0, walkDeliver, w)
+		cs.dst.startWalk(cs)
 		buf[i] = crossSend{} // release the message reference
 	}
 	c.crossBuf = buf[:0]

@@ -63,12 +63,12 @@ type Message struct {
 	ReplyTo uint64
 
 	// Delivered, if set, runs at the source when the last packet has been
-	// injected (send-side completion, e.g. MD events). In the style of
-	// sim.Engine.ScheduleCall, the transport invokes Delivered(DeliveredArg,
-	// now) through a dispatcher pre-bound at cluster construction, so
-	// completion schedules without a per-message closure. The callback must
-	// not retain the message.
-	Delivered    func(arg any, now sim.Time)
+	// injected (send-side completion, e.g. MD events): the transport
+	// schedules the pre-bound pair Delivered(DeliveredArg) straight onto the
+	// source engine with sim.Engine.ScheduleCall, so completion costs no
+	// per-message closure. The callback reads the time from its own engine.
+	// The pending event holds DeliveredArg, not the message.
+	Delivered    func(any)
 	DeliveredArg any
 
 	// buf is the message-owned payload staging buffer (see StageData).
@@ -193,17 +193,12 @@ type Cluster struct {
 	outbox    []crossSend
 	crossBuf  []crossSend // root-owned scratch for barrier flushes
 
-	// pktFree, walkFree, and msgFree are engine-owned free lists
-	// (deliberately not sync.Pool: the engine is single-threaded and reuse
-	// order must be deterministic for bit-reproducible runs).
-	pktFree  []*Packet
-	walkFree []*msgWalk
+	// pktFree, walkFree, and msgFree are engine-owned free lists. msgFree
+	// is hand-rolled because a recycled message keeps its staging buffer
+	// (see recycleMessage).
+	pktFree  sim.FreeList[Packet]
+	walkFree sim.FreeList[msgWalk]
 	msgFree  []*Message
-
-	// deliveredCall is the pre-bound dispatcher for Message.Delivered, built
-	// once at construction so send-side completion schedules via
-	// ScheduleCall without a per-message closure.
-	deliveredCall func(any)
 
 	// imp is the installed fault model (nil = perfect network); linkSeq
 	// counts packets per directed link, keying the impairment PRNG; and
@@ -228,7 +223,6 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{Eng: sim.NewEngine(), P: p}
-	c.deliveredCall = c.runDelivered
 	c.Nodes = make([]*Node, n)
 	for i := range c.Nodes {
 		c.Nodes[i] = &Node{
@@ -252,7 +246,7 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 // cleared; and message IDs and statistics restart. The engine-owned free
 // lists (packets, walks, messages) are deliberately retained — that is the
 // point of reuse — and cannot leak stale state because every pooled object
-// is fully reinitialized on allocation or recycling.
+// is zeroed when it is recycled.
 //
 // Determinism contract: a reset cluster produces bit-identical simulated
 // times to a freshly constructed one, because every input to the event
@@ -353,20 +347,6 @@ type msgWalk struct {
 	lastAt sim.Time
 }
 
-func (c *Cluster) allocWalk() *msgWalk {
-	if n := len(c.walkFree); n > 0 {
-		w := c.walkFree[n-1]
-		c.walkFree = c.walkFree[:n-1]
-		return w
-	}
-	return &msgWalk{}
-}
-
-func (c *Cluster) freeWalk(w *msgWalk) {
-	*w = msgWalk{}
-	c.walkFree = append(c.walkFree, w)
-}
-
 // AllocMessage draws a zeroed wire message from the cluster's engine-owned
 // free list. Pooled messages are recycled by the transport itself as soon as
 // their last packet has been dispatched to the destination's Receiver — so a
@@ -398,26 +378,6 @@ func (c *Cluster) recycleMessage(m *Message) {
 	m.buf = buf[:0]
 	m.pooled = true
 	c.msgFree = append(c.msgFree, m)
-}
-
-// runDelivered is the ScheduleCall dispatcher behind Message.Delivered.
-func (c *Cluster) runDelivered(a any) {
-	m := a.(*Message)
-	m.Delivered(m.DeliveredArg, c.Eng.Now())
-}
-
-func (c *Cluster) allocPacket() *Packet {
-	if n := len(c.pktFree); n > 0 {
-		p := c.pktFree[n-1]
-		c.pktFree = c.pktFree[:n-1]
-		return p
-	}
-	return &Packet{}
-}
-
-func (c *Cluster) freePacket(p *Packet) {
-	*p = Packet{}
-	c.pktFree = append(c.pktFree, p)
 }
 
 // Send injects msg at the source NIC no earlier than ready (data available
@@ -501,8 +461,10 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 	// where engine sequence numbers are incomparable. Rank fits 16 bits by
 	// topology validation (a fat tree's host count is far below 64k).
 	src.sendSeq++
-	pri := src.sendSeq<<16 | uint64(msg.Src)
-	if dc := dst.cluster; dc != c {
+	cs := crossSend{dst: dst.cluster, dstNode: dst, msg: msg, length: msg.Length, n: n,
+		arr: firstArrival, stamp: stamp, pri: src.sendSeq<<16 | uint64(msg.Src),
+		occFull: occFull, occLast: occLast, impSeq: impSeq}
+	if cs.dst != c {
 		// Cross-LP send: the packets must be delivered by the destination
 		// shard's engine. Park the fully computed walk parameters in this
 		// shard's outbox; the window barrier injects them into the
@@ -511,21 +473,25 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 		if msg.Delivered != nil {
 			panic("netsim: cross-LP send with a Delivered callback (the source engine cannot observe destination-side completion)")
 		}
-		c.outbox = append(c.outbox, crossSend{
-			dst: dc, dstNode: dst, msg: msg, length: msg.Length, n: n,
-			arr: firstArrival, stamp: stamp, pri: pri,
-			occFull: occFull, occLast: occLast, impSeq: impSeq,
-		})
+		c.outbox = append(c.outbox, cs)
 		return
 	}
-	w := c.allocWalk()
-	*w = msgWalk{c: c, dst: dst, msg: msg, length: msg.Length, n: n,
-		seq0: c.Eng.ReserveSeq(n), stamp: stamp, pri: pri, arr: firstArrival,
-		occFull: occFull, occLast: occLast, impSeq: impSeq}
-	c.Eng.ScheduleCallSeq(firstArrival, stamp, pri, w.seq0, walkDeliver, w)
+	c.startWalk(&cs)
 	if msg.Delivered != nil {
-		c.Eng.ScheduleCall(lastInjected, c.deliveredCall, msg)
+		c.Eng.ScheduleCall(lastInjected, msg.Delivered, msg.DeliveredArg)
 	}
+}
+
+// startWalk starts a message's packet walk on c, the destination node's
+// cluster: send calls it for local traffic and the LP barrier (flush) for
+// migrated traffic, so the walk is always drawn from the pool of the engine
+// that will run it.
+func (c *Cluster) startWalk(cs *crossSend) {
+	w := c.walkFree.Get()
+	*w = msgWalk{c: c, dst: cs.dstNode, msg: cs.msg, length: cs.length, n: cs.n,
+		seq0: c.Eng.ReserveSeq(cs.n), stamp: cs.stamp, pri: cs.pri, arr: cs.arr,
+		occFull: cs.occFull, occLast: cs.occLast, impSeq: cs.impSeq}
+	c.Eng.ScheduleCallSeq(cs.arr, cs.stamp, cs.pri, w.seq0, walkDeliver, w)
 }
 
 // walkDeliver fires at one packet's arrival instant: it materializes the
@@ -543,7 +509,7 @@ func walkDeliver(a any) {
 	if size < 0 {
 		size = 0
 	}
-	pkt := c.allocPacket()
+	pkt := c.pktFree.Get()
 	pkt.Msg = w.msg
 	pkt.Index = i
 	pkt.Offset = off
@@ -567,7 +533,7 @@ func walkDeliver(a any) {
 		}
 		c.Eng.ScheduleCallSeq(w.arr, w.stamp, w.pri, w.seq0+uint64(w.idx), walkDeliver, w)
 	} else {
-		c.freeWalk(w)
+		c.walkFree.Put(w)
 	}
 	if c.imp == nil {
 		dst.receive(pkt)
@@ -576,7 +542,7 @@ func walkDeliver(a any) {
 	if drop {
 		msg := pkt.Msg
 		msg.faulted = true
-		c.freePacket(pkt)
+		c.pktFree.Put(pkt)
 		c.packetAccounted(msg)
 		return
 	}
@@ -608,7 +574,7 @@ func (n *Node) receive(pkt *Packet) {
 		// No consumer installed; the packet vanishes (tests only). A pooled
 		// message is still done once its last packet would have dispatched.
 		last, msg := pkt.Last, pkt.Msg
-		c.freePacket(pkt)
+		c.pktFree.Put(pkt)
 		if msg.track > 0 {
 			c.packetAccounted(msg)
 		} else if last && msg.pooled {
@@ -637,19 +603,19 @@ func deliverMatched(a any) {
 		// bandwidth but never reaches the Receiver; recovery layers see it
 		// as a loss.
 		msg.faulted = true
-		c.freePacket(pkt)
+		c.pktFree.Put(pkt)
 		c.packetAccounted(msg)
 		return
 	}
 	if msg.track > 0 {
 		msg.touched = true
 		n.Recv.ReceivePacket(c.Eng.Now(), pkt)
-		c.freePacket(pkt)
+		c.pktFree.Put(pkt)
 		c.packetAccounted(msg)
 		return
 	}
 	n.Recv.ReceivePacket(c.Eng.Now(), pkt)
-	c.freePacket(pkt)
+	c.pktFree.Put(pkt)
 	if last && msg.pooled {
 		c.recycleMessage(msg)
 	}
@@ -667,10 +633,4 @@ func (c *Cluster) HostSend(now sim.Time, msg *Message) (coreFree sim.Time) {
 	}
 	c.Send(coreFree, msg)
 	return coreFree
-}
-
-// DeviceSend injects a message generated on the NIC itself (triggered ops,
-// handler PutFromHost): no host-core overhead; data leaves at ready.
-func (c *Cluster) DeviceSend(ready sim.Time, msg *Message) {
-	c.Send(ready, msg)
 }

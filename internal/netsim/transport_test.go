@@ -247,7 +247,7 @@ func TestDeliveredFiresAtLastInjection(t *testing.T) {
 	var got any
 	token := new(int)
 	msg := &Message{Type: OpPut, Src: 0, Dst: 1, Length: 8192,
-		Delivered:    func(arg any, now sim.Time) { got, at = arg, now },
+		Delivered:    func(arg any) { got, at = arg, c.Eng.Now() },
 		DeliveredArg: token}
 	c.Send(0, msg)
 	c.Eng.Run()

@@ -79,9 +79,8 @@ type EQ struct {
 	handler func(Event)
 
 	// noteFree recycles the pre-bound dispatch records Append schedules in
-	// place of per-event closures; engine-owned (not sync.Pool) so reuse
-	// order is deterministic.
-	noteFree []*eqNote
+	// place of per-event closures.
+	noteFree sim.FreeList[eqNote]
 }
 
 // eqNote carries one OnEvent dispatch through the engine: the handler and
@@ -97,8 +96,7 @@ type eqNote struct {
 func runEQNote(a any) {
 	n := a.(*eqNote)
 	q, h, ev := n.q, n.h, n.ev
-	*n = eqNote{}
-	q.noteFree = append(q.noteFree, n)
+	q.noteFree.Put(n)
 	h(ev)
 }
 
@@ -109,7 +107,7 @@ func NewEQ(eng *sim.Engine) *EQ { return &EQ{eng: eng} }
 func (q *EQ) Append(ev Event) {
 	q.events = append(q.events, ev)
 	if q.handler != nil {
-		n := q.allocNote()
+		n := q.noteFree.Get()
 		n.q, n.h, n.ev = q, q.handler, ev
 		at := ev.At
 		if now := q.eng.Now(); at < now {
@@ -117,16 +115,6 @@ func (q *EQ) Append(ev Event) {
 		}
 		q.eng.ScheduleCall(at, runEQNote, n)
 	}
-}
-
-// allocNote draws a dispatch record from the free list.
-func (q *EQ) allocNote() *eqNote {
-	if n := len(q.noteFree); n > 0 {
-		note := q.noteFree[n-1]
-		q.noteFree = q.noteFree[:n-1]
-		return note
-	}
-	return &eqNote{}
 }
 
 // OnEvent installs the callback invoked for each appended event.
@@ -168,25 +156,8 @@ func (q *EQ) PollUpTo(now sim.Time) []Event {
 // by value so arming on the hot path allocates nothing.
 type trigger struct {
 	threshold uint64
-	call      func(arg any, now sim.Time)
+	call      func(any)
 	arg       any
-}
-
-// ctNote carries one fired trigger through the engine without a closure;
-// recycled when it runs.
-type ctNote struct {
-	ct   *CT
-	call func(arg any, now sim.Time)
-	arg  any
-}
-
-// runCTNote is the ScheduleCall entry point for fired triggers.
-func runCTNote(a any) {
-	n := a.(*ctNote)
-	ct, call, arg := n.ct, n.call, n.arg
-	*n = ctNote{}
-	ct.noteFree = append(ct.noteFree, n)
-	call(arg, ct.eng.Now())
 }
 
 // CT is a counting event (§3.1): a success counter with threshold triggers,
@@ -196,9 +167,6 @@ type CT struct {
 	count    uint64
 	failures uint64
 	triggers []trigger
-
-	// noteFree recycles fired-trigger dispatch records; engine-owned.
-	noteFree []*ctNote
 }
 
 // NewCT allocates a counter on the engine.
@@ -237,32 +205,19 @@ func (ct *CT) Inc(now sim.Time, n uint64) {
 // IncFailure records a failure.
 func (ct *CT) IncFailure(now sim.Time) { ct.failures++ }
 
-// OnReachCall arms fn(arg, now) to run once through the engine when the
-// counter reaches threshold, in the style of sim.Engine.ScheduleCall. If
-// the threshold has already been reached the action fires as the next event
-// at the current instant. Arming draws no heap allocation (triggers are
-// stored by value) and firing dispatches through a pooled record.
-func (ct *CT) OnReachCall(threshold uint64, fn func(arg any, now sim.Time), arg any) {
-	tr := trigger{threshold: threshold, call: fn, arg: arg}
+// OnReachCall arms fn(arg) to run once through the engine when the counter
+// reaches threshold: the pre-bound pair is scheduled with
+// sim.Engine.ScheduleCall at the instant the threshold trips, so the action
+// always runs as its own event, never inline, and reads the time from the
+// engine. If the threshold has already been reached the action fires as the
+// next event at the current instant. Arming and firing draw no heap
+// allocation (triggers are stored by value).
+func (ct *CT) OnReachCall(threshold uint64, fn func(any), arg any) {
 	if ct.count >= threshold {
-		ct.schedule(ct.eng.Now(), tr)
+		ct.eng.ScheduleCall(ct.eng.Now(), fn, arg)
 		return
 	}
-	ct.triggers = append(ct.triggers, tr)
-}
-
-// schedule dispatches a reached trigger through the engine via a pooled
-// note, so the action always runs as its own event, never inline.
-func (ct *CT) schedule(now sim.Time, tr trigger) {
-	var n *ctNote
-	if ln := len(ct.noteFree); ln > 0 {
-		n = ct.noteFree[ln-1]
-		ct.noteFree = ct.noteFree[:ln-1]
-	} else {
-		n = &ctNote{}
-	}
-	n.ct, n.call, n.arg = ct, tr.call, tr.arg
-	ct.eng.ScheduleCall(now, runCTNote, n)
+	ct.triggers = append(ct.triggers, trigger{threshold: threshold, call: fn, arg: arg})
 }
 
 // fire schedules every newly reached trigger in arm order and compacts the
@@ -274,7 +229,7 @@ func (ct *CT) fire(now sim.Time) {
 	kept := ct.triggers[:0]
 	for _, tr := range ct.triggers {
 		if ct.count >= tr.threshold {
-			ct.schedule(now, tr)
+			ct.eng.ScheduleCall(now, tr.call, tr.arg)
 		} else {
 			kept = append(kept, tr)
 		}

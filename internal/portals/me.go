@@ -189,13 +189,12 @@ func (ni *NI) handlerGet(now sim.Time, me *ME, req core.GetRequest) {
 	m.HdrData = req.HdrData
 	m.GetLength = req.Length
 	m.ID = ni.C.NextID()
-	op := ni.allocOp()
+	op := ni.opFree.Get()
 	op.dest = me.Start
 	op.destOff = req.LocalOffset
-	op.onDone = req.OnDone
 	op.total = ni.C.P.Packets(req.Length)
 	ni.outstanding[m.ID] = op
-	ni.C.DeviceSend(now, m)
+	ni.C.Send(now, m)
 }
 
 // match searches the priority list and then the overflow list.

@@ -16,10 +16,10 @@ type poolSizes struct {
 func snapshot(c *netsim.Cluster, ni *NI) poolSizes {
 	return poolSizes{
 		msgs:        c.PooledMessages(),
-		ops:         len(ni.opFree),
-		notes:       len(ni.snFree),
-		recvs:       len(ni.rsFree),
-		trigs:       len(ni.toFree),
+		ops:         ni.opFree.Len(),
+		notes:       ni.snFree.Len(),
+		recvs:       ni.rsFree.Len(),
+		trigs:       ni.toFree.Len(),
 		outstanding: len(ni.outstanding),
 	}
 }
@@ -101,7 +101,7 @@ func TestAckForRecycledMessageDoesNotLeak(t *testing.T) {
 		stale.Src = 1
 		stale.Dst = 0
 		stale.ReplyTo = 1
-		c.DeviceSend(c.Eng.Now(), stale)
+		c.Send(c.Eng.Now(), stale)
 		c.Eng.Run()
 	}
 
@@ -159,8 +159,8 @@ func TestTriggeredOpPoolingSteadyState(t *testing.T) {
 		}
 	})
 	// Arming draws pooled records and value-stored triggers; firing
-	// dispatches through pooled CT notes — a warm arm/fire round allocates
-	// nothing.
+	// schedules the pre-bound trigger pair directly — a warm arm/fire round
+	// allocates nothing.
 	if allocs > 0 {
 		t.Fatalf("steady-state triggered round = %.1f allocs, want 0", allocs)
 	}

@@ -77,29 +77,16 @@ const (
 // drawn from NI.opFree and recycled when the operation completes (or when
 // the NI resets with operations still outstanding).
 type pendingOp struct {
-	ni      *NI
 	dest    []byte
 	destOff int64
 	md      *MD
-	onDone  func(now sim.Time)
 	total   int
 	arrived int
 	visible sim.Time
 }
 
-// runOpDone is the ScheduleCall entry point for a completed operation's
-// OnDone callback; it recycles the op before invoking the callback (which
-// may issue new operations).
-func runOpDone(a any) {
-	op := a.(*pendingOp)
-	ni, fn := op.ni, op.onDone
-	ni.freeOp(op)
-	fn(ni.C.Eng.Now())
-}
-
 // sendNote carries one put's send-side completion (MD counter increment and
-// SEND event) through the transport's pre-bound Delivered dispatch; pooled
-// on the NI.
+// SEND event) through Message.Delivered; pooled on the NI.
 type sendNote struct {
 	ni     *NI
 	md     *MD
@@ -108,11 +95,11 @@ type sendNote struct {
 
 // runSendDelivered is the Message.Delivered target for puts with an MD
 // counter or event queue.
-func runSendDelivered(a any, now sim.Time) {
+func runSendDelivered(a any) {
 	sn := a.(*sendNote)
 	ni, md, length := sn.ni, sn.md, sn.length
-	*sn = sendNote{}
-	ni.snFree = append(ni.snFree, sn)
+	ni.snFree.Put(sn)
+	now := ni.C.Eng.Now()
 	if md.CT != nil {
 		md.CT.Inc(now, 1)
 	}
@@ -135,15 +122,15 @@ type NI struct {
 	channels    map[*netsim.Message]*ME
 
 	// rsFree, opFree, snFree, and toFree recycle recvState, pendingOp,
-	// sendNote, and triggeredOp objects; engine-owned (not sync.Pool) so
-	// reuse order is deterministic.
-	rsFree []*recvState
-	opFree []*pendingOp
-	snFree []*sendNote
-	toFree []*triggeredOp
+	// sendNote, and triggeredOp objects.
+	rsFree sim.FreeList[recvState]
+	opFree sim.FreeList[pendingOp]
+	snFree sim.FreeList[sendNote]
+	toFree sim.FreeList[triggeredOp]
 	// pteFree recycles portal table entries (their ME lists keep capacity);
 	// eqLive/ctLive track queues and counters handed out by NewEQ/NewCT so
-	// Reset can reclaim them onto eqFree/ctFree.
+	// Reset can reclaim them onto eqFree/ctFree. These pools stay
+	// hand-rolled: their records keep storage across reuse.
 	pteFree []*PTEntry
 	eqLive  []*EQ
 	eqFree  []*EQ
@@ -155,7 +142,7 @@ type NI struct {
 	// recycles records.
 	Retrans RetransConfig
 	rtx     map[uint64]*rtxRecord
-	rtxFree []*rtxRecord
+	rtxFree sim.FreeList[rtxRecord]
 
 	// Drops counts packets discarded because no ME matched or the portal
 	// was disabled.
@@ -189,8 +176,8 @@ func NewNI(c *netsim.Cluster, rank int) *NI {
 // table entries, no outstanding operations, no in-flight receives, zero
 // drops — and resets the attached sPIN runtime. It implements
 // netsim.Resetter, so netsim.Cluster.Reset cascades into the Portals layer
-// automatically. The recvState free list is kept (entries are zeroed on
-// allocation), and map storage is cleared in place so a reused NI allocates
+// automatically. The free lists are kept (records are zeroed when
+// recycled), and map storage is cleared in place so a reused NI allocates
 // nothing to reach its pristine state.
 func (ni *NI) Reset() {
 	// Recycle the portal table entries and the EQ/CT objects handed out by
@@ -255,11 +242,11 @@ func (ni *NI) NewCT() *CT {
 
 // releaseInFlight returns outstanding operations to the op pool and clears
 // the in-flight maps in place. Map iteration order is irrelevant here: pool
-// entries are zeroed on allocation, so recycle order changes allocation
+// entries are zeroed when recycled, so recycle order changes allocation
 // behaviour only, never simulated time.
 func (ni *NI) releaseInFlight() {
-	for _, op := range ni.outstanding { //simlint:unordered-ok recycle order changes allocation behaviour only; ops are zeroed on allocation
-		ni.freeOp(op)
+	for _, op := range ni.outstanding { //simlint:unordered-ok recycle order changes allocation behaviour only; ops are zeroed when recycled
+		ni.opFree.Put(op)
 	}
 	clear(ni.outstanding)
 	clear(ni.recvStates)
@@ -268,38 +255,12 @@ func (ni *NI) releaseInFlight() {
 	// engine reset that precedes an NI reset dropped those events, so the
 	// records can be recycled here. (Acked records awaiting their timer are
 	// abandoned to the GC, like any state captured only by dropped events.)
-	for _, rec := range ni.rtx { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed on allocation
-		ni.freeRtx(rec)
+	for _, rec := range ni.rtx { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed when recycled
+		ni.rtxFree.Put(rec)
 	}
 	clear(ni.rtx)
 	ni.Retransmits = 0
 	ni.RetransFailures = 0
-}
-
-// allocOp draws a zeroed pendingOp bound to this NI from the free list.
-func (ni *NI) allocOp() *pendingOp {
-	if n := len(ni.opFree); n > 0 {
-		op := ni.opFree[n-1]
-		ni.opFree = ni.opFree[:n-1]
-		*op = pendingOp{ni: ni}
-		return op
-	}
-	return &pendingOp{ni: ni}
-}
-
-// freeOp recycles a completed (or abandoned) operation.
-func (ni *NI) freeOp(op *pendingOp) {
-	ni.opFree = append(ni.opFree, op)
-}
-
-// allocSendNote draws a send-completion note from the free list.
-func (ni *NI) allocSendNote() *sendNote {
-	if n := len(ni.snFree); n > 0 {
-		sn := ni.snFree[n-1]
-		ni.snFree = ni.snFree[:n-1]
-		return sn
-	}
-	return &sendNote{}
 }
 
 // ResetInFlight returns the interface to an idle state while keeping its
@@ -460,13 +421,13 @@ func (ni *NI) buildPut(a PutArgs) (*netsim.Message, error) {
 	}
 	m.ID = ni.C.NextID()
 	if a.AckReq {
-		op := ni.allocOp()
+		op := ni.opFree.Get()
 		op.md = a.MD
 		op.total = 1
 		ni.outstanding[m.ID] = op
 	}
 	if a.MD != nil && (a.MD.CT != nil || a.MD.EQ != nil) {
-		sn := ni.allocSendNote()
+		sn := ni.snFree.Get()
 		sn.ni, sn.md, sn.length = ni, a.MD, a.Length
 		m.Delivered = runSendDelivered
 		m.DeliveredArg = sn
@@ -492,7 +453,7 @@ func (ni *NI) DevicePut(now sim.Time, a PutArgs) error {
 	if err != nil {
 		return err
 	}
-	ni.C.DeviceSend(now, m)
+	ni.C.Send(now, m)
 	return nil
 }
 
@@ -506,7 +467,6 @@ type GetArgs struct {
 	MatchBits    uint64
 	RemoteOffset int64
 	HdrData      uint64
-	OnDone       func(now sim.Time)
 }
 
 func (ni *NI) buildGet(a GetArgs) (*netsim.Message, error) {
@@ -523,10 +483,9 @@ func (ni *NI) buildGet(a GetArgs) (*netsim.Message, error) {
 	m.HdrData = a.HdrData
 	m.GetLength = a.Length
 	m.ID = ni.C.NextID()
-	op := ni.allocOp()
+	op := ni.opFree.Get()
 	op.md = a.MD
 	op.destOff = a.LocalOffset
-	op.onDone = a.OnDone
 	if a.MD != nil {
 		op.dest = a.MD.Buf
 	}
@@ -552,7 +511,7 @@ func (ni *NI) DeviceGet(now sim.Time, a GetArgs) error {
 	if err != nil {
 		return err
 	}
-	ni.C.DeviceSend(now, m)
+	ni.C.Send(now, m)
 	return nil
 }
 
@@ -570,7 +529,7 @@ func (ni *NI) Atomic(now sim.Time, a PutArgs, op AtomicOp) (sim.Time, error) {
 
 // triggeredOp is one armed triggered operation: the arguments captured at
 // arm time plus the NI that will fire them. Records are drawn from
-// NI.toFree and dispatched through CT.OnReachCall, so arming a triggered
+// NI.toFree and scheduled through CT.OnReachCall, so arming a triggered
 // operation on a warm NI allocates nothing — the hot half of the paper's
 // triggered-op collectives (Fig. 5a's P4 broadcast arms one per child per
 // message). Exactly one of put/get is meaningful, selected by isGet.
@@ -586,11 +545,11 @@ type triggeredOp struct {
 // device put/get may arm new triggered operations); arguments were
 // validated at arm time, so a failure here indicates NI state corrupted
 // since arming — an invariant violation, not an input error.
-func runTriggeredOp(a any, now sim.Time) {
+func runTriggeredOp(a any) {
 	op := a.(*triggeredOp)
 	ni, put, get, isGet := op.ni, op.put, op.get, op.isGet
-	*op = triggeredOp{}
-	ni.toFree = append(ni.toFree, op)
+	ni.toFree.Put(op)
+	now := ni.C.Eng.Now()
 	var err error
 	if isGet {
 		err = ni.DeviceGet(now, get)
@@ -600,16 +559,6 @@ func runTriggeredOp(a any, now sim.Time) {
 	if err != nil {
 		panic(fmt.Sprintf("portals: armed triggered operation failed to fire: %v", err))
 	}
-}
-
-// allocTriggeredOp draws a zeroed triggered-op record from the free list.
-func (ni *NI) allocTriggeredOp() *triggeredOp {
-	if n := len(ni.toFree); n > 0 {
-		op := ni.toFree[n-1]
-		ni.toFree = ni.toFree[:n-1]
-		return op
-	}
-	return &triggeredOp{}
 }
 
 // ArmTriggeredPut arms a put that fires from the NIC when ct reaches
@@ -622,7 +571,7 @@ func (ni *NI) ArmTriggeredPut(a PutArgs, ct *CT, threshold uint64) error {
 	if err := ni.validatePut(a); err != nil {
 		return err
 	}
-	op := ni.allocTriggeredOp()
+	op := ni.toFree.Get()
 	op.ni, op.put = ni, a
 	ct.OnReachCall(threshold, runTriggeredOp, op)
 	return nil
@@ -634,7 +583,7 @@ func (ni *NI) ArmTriggeredGet(a GetArgs, ct *CT, threshold uint64) error {
 	if err := ni.validateGet(a); err != nil {
 		return err
 	}
-	op := ni.allocTriggeredOp()
+	op := ni.toFree.Get()
 	op.ni, op.get, op.isGet = ni, a, true
 	ct.OnReachCall(threshold, runTriggeredOp, op)
 	return nil

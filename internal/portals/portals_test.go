@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // pair builds a 2-node cluster with NIs installed.
@@ -204,10 +203,9 @@ func TestGetFetchesFromME(t *testing.T) {
 	}
 	dst := make([]byte, 512)
 	ct := NewCT(c.Eng)
-	md := nis[0].MDBind(dst, ct, nil)
-	var doneAt sim.Time
-	nis[0].Get(0, GetArgs{MD: md, Length: 512, Target: 1, PTIndex: 0, MatchBits: 7, RemoteOffset: 100,
-		OnDone: func(now sim.Time) { doneAt = now }})
+	eq := NewEQ(c.Eng)
+	md := nis[0].MDBind(dst, ct, eq)
+	nis[0].Get(0, GetArgs{MD: md, Length: 512, Target: 1, PTIndex: 0, MatchBits: 7, RemoteOffset: 100})
 	c.Eng.Run()
 	if !bytes.Equal(dst, me.Start[100:612]) {
 		t.Fatal("get reply content wrong")
@@ -215,9 +213,11 @@ func TestGetFetchesFromME(t *testing.T) {
 	if ct.Get() != 1 {
 		t.Fatalf("MD counter = %d, want 1", ct.Get())
 	}
-	if doneAt == 0 {
-		t.Fatal("OnDone not fired")
+	evs := eq.Events()
+	if len(evs) != 1 || evs[0].Type != EventReply {
+		t.Fatalf("MD events = %+v, want one REPLY", evs)
 	}
+	doneAt := evs[0].At
 	// A get round trip costs at least 2 network latencies plus the DMA
 	// fetch at the target.
 	min := 2*c.P.Topo.Latency(0, 1) + 2*c.P.DMA.L
@@ -322,7 +322,7 @@ func TestTriggeredAlreadyReachedFiresImmediately(t *testing.T) {
 
 // countFire is an OnReachCall target that counts firings into the *int it
 // is armed with.
-func countFire(a any, _ sim.Time) { *a.(*int)++ }
+func countFire(a any) { *a.(*int)++ }
 
 func TestHandlerMECompletionEvent(t *testing.T) {
 	c, nis := pair(t)
@@ -381,7 +381,6 @@ func TestHandlerGetPlumbing(t *testing.T) {
 	if _, err := nis[1].PTAlloc(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	var doneAt sim.Time
 	rdvME := &ME{
 		Start:     make([]byte, 2048),
 		MatchBits: 1,
@@ -392,7 +391,6 @@ func TestHandlerGetPlumbing(t *testing.T) {
 					PTIndex:   1,
 					MatchBits: h.HdrData, // sender advertised its tag
 					Length:    1024,
-					OnDone:    func(now sim.Time) { doneAt = now },
 				})
 				if err != nil {
 					t.Errorf("handler get: %v", err)
@@ -407,8 +405,10 @@ func TestHandlerGetPlumbing(t *testing.T) {
 	// RTS: a zero-payload put advertising the source descriptor tag.
 	nis[0].Put(0, PutArgs{Length: 0, Target: 1, PTIndex: 0, MatchBits: 1, HdrData: 0xbeef})
 	c.Eng.Run()
-	if doneAt == 0 {
-		t.Fatal("handler get never completed")
+	// The reply resolved the get: its pending operation left the
+	// outstanding table and returned to the pool.
+	if len(nis[1].outstanding) != 0 || nis[1].opFree.Len() != 1 {
+		t.Fatalf("handler get never completed: %d outstanding, %d pooled ops", len(nis[1].outstanding), nis[1].opFree.Len())
 	}
 	if !bytes.Equal(rdvME.Start[:1024], srcData) {
 		t.Fatal("handler get data wrong")

@@ -75,7 +75,7 @@ func (ni *NI) recvPut(now sim.Time, pkt *netsim.Packet) {
 			ni.RT.Deliver(now, pkt, &me.mectx)
 			return
 		}
-		st := ni.allocRecvState()
+		st := ni.rsFree.Get()
 		st.me, st.msg, st.overflow = me, msg, overflow
 		st.offset, st.total = offset, ni.C.P.Packets(msg.Length)
 		if !pkt.Last {
@@ -153,24 +153,8 @@ func (ni *NI) depositPacket(now sim.Time, pkt *netsim.Packet, st *recvState) {
 		// returns (see netsim.deliverMatched).
 		delete(ni.recvStates, st.msg)
 		ni.completeDeposit(st)
-		ni.freeRecvState(st)
+		ni.rsFree.Put(st)
 	}
-}
-
-// allocRecvState draws a reset recvState from the free list.
-func (ni *NI) allocRecvState() *recvState {
-	if n := len(ni.rsFree); n > 0 {
-		st := ni.rsFree[n-1]
-		ni.rsFree = ni.rsFree[:n-1]
-		*st = recvState{}
-		return st
-	}
-	return &recvState{}
-}
-
-// freeRecvState recycles a completed message's deposit state.
-func (ni *NI) freeRecvState(st *recvState) {
-	ni.rsFree = append(ni.rsFree, st)
 }
 
 // completeDeposit fires counters, events, and acks once the whole message
@@ -229,7 +213,7 @@ func (ni *NI) sendAck(at sim.Time, origID uint64, origSrc int) {
 	ack.Src = ni.Node.Rank
 	ack.Dst = origSrc
 	ack.ReplyTo = origID
-	ni.C.DeviceSend(at, ack)
+	ni.C.Send(at, ack)
 }
 
 // finishMessage is the completion path for handler (sPIN) MEs: unless a
@@ -308,7 +292,7 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	if me.Start != nil {
 		copy(reply.StageData(length), me.Start[offset:])
 	}
-	ni.C.DeviceSend(ready, reply)
+	ni.C.Send(ready, reply)
 	if me.CT != nil {
 		me.CT.Inc(ready, 1)
 	}
@@ -356,11 +340,7 @@ func (ni *NI) recvReply(now sim.Time, pkt *netsim.Packet) {
 				op.md.EQ.Append(Event{Type: EventReply, At: at, Length: pkt.Msg.Length})
 			}
 		}
-		if op.onDone != nil {
-			ni.C.Eng.ScheduleCall(at, runOpDone, op)
-		} else {
-			ni.freeOp(op)
-		}
+		ni.opFree.Put(op)
 	}
 }
 
@@ -395,11 +375,7 @@ func (ni *NI) recvAck(now sim.Time, pkt *netsim.Packet) {
 			op.md.EQ.Append(Event{Type: EventAck, At: now})
 		}
 	}
-	if op.onDone != nil {
-		ni.C.Eng.ScheduleCall(now, runOpDone, op)
-	} else {
-		ni.freeOp(op)
-	}
+	ni.opFree.Put(op)
 }
 
 // applyAtomic applies a Portals atomic operation elementwise.

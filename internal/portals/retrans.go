@@ -52,22 +52,6 @@ type rtxRecord struct {
 // ConfigureRetrans installs the NI's reliable-put configuration.
 func (ni *NI) ConfigureRetrans(cfg RetransConfig) { ni.Retrans = cfg }
 
-// allocRtx draws a zeroed retransmit record bound to this NI.
-func (ni *NI) allocRtx() *rtxRecord {
-	if n := len(ni.rtxFree); n > 0 {
-		rec := ni.rtxFree[n-1]
-		ni.rtxFree = ni.rtxFree[:n-1]
-		*rec = rtxRecord{ni: ni}
-		return rec
-	}
-	return &rtxRecord{ni: ni}
-}
-
-// freeRtx recycles a finished record.
-func (ni *NI) freeRtx(rec *rtxRecord) {
-	ni.rtxFree = append(ni.rtxFree, rec)
-}
-
 // buildReliable assembles one attempt's message: a fresh ID per attempt
 // (stale acks from superseded attempts must not resolve the current one),
 // payload re-staged from the MD, ack always requested, and no send-side
@@ -107,7 +91,8 @@ func (ni *NI) ReliablePut(now sim.Time, a PutArgs) (sim.Time, error) {
 	if err := ni.validatePut(a); err != nil {
 		return now, err
 	}
-	rec := ni.allocRtx()
+	rec := ni.rtxFree.Get()
+	rec.ni = ni
 	rec.a = a
 	rec.a.AckReq = true
 	rec.tries = 1
@@ -124,7 +109,7 @@ func runRtxTimer(arg any) {
 	rec := arg.(*rtxRecord)
 	ni := rec.ni
 	if rec.acked {
-		ni.freeRtx(rec)
+		ni.rtxFree.Put(rec)
 		return
 	}
 	now := ni.C.Eng.Now()
@@ -144,7 +129,7 @@ func runRtxTimer(arg any) {
 			ni.C.Rec.Recordf(ni.Node.Rank, "FAULT", now, now,
 				"put to %d abandoned after %d tries", rec.a.Target, rec.tries)
 		}
-		ni.freeRtx(rec)
+		ni.rtxFree.Put(rec)
 		return
 	}
 	delete(ni.rtx, rec.id)
@@ -156,6 +141,6 @@ func runRtxTimer(arg any) {
 			"retransmit to %d (try %d)", rec.a.Target, rec.tries)
 	}
 	m := ni.buildReliable(rec)
-	ni.C.DeviceSend(now, m)
+	ni.C.Send(now, m)
 	ni.C.Eng.ScheduleCall(now+ni.Retrans.Timeout, runRtxTimer, rec)
 }

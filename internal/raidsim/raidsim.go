@@ -281,7 +281,10 @@ func (s *System) chunks(size int) []int {
 // writeDone is the pre-bound OnReachCall target that stamps a write's
 // completion time — the per-request replacement for the former per-write
 // closure on the ack counter.
-func writeDone(a any, now sim.Time) { a.(*System).opDone = now }
+func writeDone(a any) {
+	s := a.(*System)
+	s.opDone = s.C.Eng.Now()
+}
 
 // Write performs one striped write of size bytes starting at time start
 // and returns its completion time (all acks received, parity updated).

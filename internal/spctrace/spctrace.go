@@ -2,7 +2,7 @@
 // traces — the format of the five traces in §5.3 (two OLTP traces from a
 // large financial institution, three web-search traces) — and provides
 // synthetic generators with the same workload shapes for when the original
-// traces are not redistributable (see DESIGN.md §1).
+// traces are not redistributable.
 //
 // SPC trace file format (rev 1.0.1): ASCII records
 //

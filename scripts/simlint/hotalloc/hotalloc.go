@@ -1,10 +1,11 @@
 // Package hotalloc names the line behind an allocation-budget
 // regression before TestAllocBudgets trips the gate. It walks every
 // function reachable from an event-dispatch root — function values
-// handed to sim.Engine.ScheduleCall/ScheduleCallSeq, and
-// the pre-bound dispatcher-shaped callbacks (func(any) /
-// func(any, sim.Time)) the transport invokes per packet — and reports
-// allocation sites on that hot path:
+// handed to sim.Engine.ScheduleCall/ScheduleCallSeq, and named functions
+// referenced as values with the engine's one pre-bound dispatcher shape,
+// func(any), which Message.Delivered and CT.OnReachCall callbacks share —
+// through calls, including calls into generic methods such as
+// sim.FreeList's, and reports allocation sites on that hot path:
 //
 //   - capturing function literals (a closure allocates per event)
 //   - fmt.Sprintf / Sprint / Sprintln (Errorf is error-path, exempt)

@@ -77,9 +77,9 @@ type FuncNode struct {
 	Out  []Edge
 
 	// DispatchRoot marks event-dispatch entry points: function values
-	// handed to sim.Engine.ScheduleCall/ScheduleCallSeq,
-	// and named functions or methods referenced as values with the
-	// pre-bound dispatcher signatures func(any) / func(any, sim.Time).
+	// handed to sim.Engine.ScheduleCall/ScheduleCallSeq, and named
+	// functions or methods referenced as values with the engine's pre-bound
+	// dispatcher signature func(any).
 	DispatchRoot bool
 
 	label string
@@ -101,8 +101,10 @@ type CallGraph struct {
 }
 
 // NodeFor returns the node of a declared function, creating an external
-// leaf if its body was not loaded.
+// leaf if its body was not loaded. A method of an instantiated generic type
+// maps to its generic origin, whose body is the one declared and scanned.
 func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode {
+	fn = fn.Origin()
 	if n, ok := g.byFn[fn]; ok {
 		return n
 	}
@@ -413,7 +415,7 @@ func (b *graphBuilder) funcValue(e ast.Expr) *types.Func {
 
 // visitRef handles a named function or method referenced as a value: a
 // Ref edge, plus dispatch-root marking for the pre-bound dispatcher
-// signatures func(any) and func(any, sim.Time).
+// signature func(any).
 func (b *graphBuilder) visitRef(cur *FuncNode, e ast.Expr, id *ast.Ident) {
 	fn, ok := b.pkg.Info.Uses[id].(*types.Func)
 	if !ok {
@@ -435,33 +437,16 @@ func (b *graphBuilder) visitRef(cur *FuncNode, e ast.Expr, id *ast.Ident) {
 	b.markDispatcherSig(fn)
 }
 
-// markDispatcherSig marks fn as a dispatch root when its signature is one
-// of the pre-bound dispatcher shapes the engine invokes: func(any) or
-// func(any, sim.Time).
+// markDispatcherSig marks fn as a dispatch root when its signature is the
+// pre-bound dispatcher shape the engine invokes, func(any).
 func (b *graphBuilder) markDispatcherSig(fn *types.Func) {
 	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Results().Len() != 0 {
+	if sig == nil || sig.Results().Len() != 0 || sig.Params().Len() != 1 {
 		return
 	}
-	params := sig.Params()
-	if params.Len() < 1 || params.Len() > 2 || !isEmptyIface(params.At(0).Type()) {
-		return
+	if iface, ok := sig.Params().At(0).Type().Underlying().(*types.Interface); ok && iface.Empty() {
+		b.g.NodeFor(fn).DispatchRoot = true
 	}
-	if params.Len() == 2 && !isSimTime(params.At(1).Type()) {
-		return
-	}
-	b.g.NodeFor(fn).DispatchRoot = true
-}
-
-func isEmptyIface(t types.Type) bool {
-	iface, ok := t.Underlying().(*types.Interface)
-	return ok && iface.Empty()
-}
-
-func isSimTime(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Time" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == ModulePath+"/internal/sim"
 }
 
 // resolveIface returns the concrete methods satisfying an interface

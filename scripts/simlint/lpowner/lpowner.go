@@ -172,7 +172,7 @@ func report(pass *lintkit.Pass, pos token.Pos, field string) {
 		return
 	}
 	pass.Reportf(pos,
-		"Message.%s set in a package that builds LP clusters: send-completion callbacks cross the shard boundary at the window barrier — pre-bind them through the netsim constructors (ARCHITECTURE.md, Parallel DES; runtime analogue: the cross-LP delivery panic)",
+		"Message.%s set in a package that builds LP clusters: a send-completion callback cannot cross the shard boundary at the window barrier (ARCHITECTURE.md, Parallel DES; runtime analogue: the cross-LP delivery panic)",
 		field)
 }
 

@@ -4,26 +4,23 @@
 // cluster recorder field — while an annotated site passes.
 package fixture
 
-import (
-	"repro/internal/netsim"
-	"repro/internal/sim"
-)
+import "repro/internal/netsim"
 
 func buildLP() (*netsim.Cluster, error) {
 	return netsim.NewClusterLP(8, netsim.Params{}, 2)
 }
 
 func register(c *netsim.Cluster, msg *netsim.Message) {
-	msg.Delivered = onDone // want `Message\.Delivered set in a package that builds LP clusters`
-	c.Rec = nil            // want `Cluster\.Rec assigned in a package that builds LP clusters`
+	msg.Delivered = delivered // want `Message\.Delivered set in a package that builds LP clusters`
+	c.Rec = nil               // want `Cluster\.Rec assigned in a package that builds LP clusters`
 }
 
 func build() *netsim.Message {
-	return &netsim.Message{Delivered: onDone} // want `Message\.Delivered set in a package that builds LP clusters`
+	return &netsim.Message{Delivered: delivered} // want `Message\.Delivered set in a package that builds LP clusters`
 }
 
 func reviewed(msg *netsim.Message) {
-	msg.Delivered = onDone //simlint:lpowner-ok fixture: serial-only code path, never reached under LP partitioning
+	msg.Delivered = delivered //simlint:lpowner-ok fixture: serial-only code path, never reached under LP partitioning
 }
 
-func onDone(arg any, now sim.Time) {}
+func delivered(arg any) {}

@@ -3,16 +3,13 @@
 // serial-only package registers freely.
 package fixture
 
-import (
-	"repro/internal/netsim"
-	"repro/internal/sim"
-)
+import "repro/internal/netsim"
 
 func build() (*netsim.Cluster, error) {
 	return netsim.NewCluster(8, netsim.Params{})
 }
 
 func register(c *netsim.Cluster, msg *netsim.Message) {
-	msg.Delivered = func(arg any, now sim.Time) {}
+	msg.Delivered = func(arg any) {}
 	c.Rec = nil
 }

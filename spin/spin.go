@@ -151,10 +151,6 @@ func (c *Cluster) NewEQ() *EQ { return portals.NewEQ(c.Eng) }
 // NewCT allocates a counting event.
 func (c *Cluster) NewCT() *CT { return portals.NewCT(c.Eng) }
 
-// Run executes the simulation until no events remain and returns the final
-// simulated time.
-func (c *Cluster) Run() Time { return c.Eng.Run() }
-
 // Now returns the current simulated time.
 func (c *Cluster) Now() Time { return c.Eng.Now() }
 
