@@ -41,11 +41,12 @@ type MEContext struct {
 	Owner MEOwner
 }
 
-// msgState tracks one in-flight message on the NIC. After the last packet
-// it doubles as the deferred-completion carrier: the message's header
-// fields are copied into res and the msg pointer dropped, so the transport
-// can recycle the wire message at dispatch while the completion event is
-// still in flight.
+// msgState tracks one in-flight message on the NIC, in the message's
+// RecvState slot from the header packet on. After the last packet it
+// doubles as the deferred-completion carrier: the message's header fields
+// are copied into res and the msg pointer dropped, so the transport can
+// recycle the wire message at dispatch while the completion event is still
+// in flight.
 type msgState struct {
 	rt    *Runtime
 	me    *MEContext
@@ -94,7 +95,6 @@ type Runtime struct {
 	HPUMemCapacity int
 	hpuMemUsed     int
 
-	msgs map[*netsim.Message]*msgState
 	// msFree and ctxFree recycle msgState and handler-context objects.
 	msFree  sim.FreeList[msgState]
 	ctxFree sim.FreeList[Ctx]
@@ -132,31 +132,30 @@ func NewRuntime(c *netsim.Cluster, node *netsim.Node) *Runtime {
 		HPUs:           sim.NewPool(fmt.Sprintf("hpuctx-%d", node.Rank), c.P.NumHPUs*threads),
 		issue:          sim.NewIntervalPool(fmt.Sprintf("hpu-%d", node.Rank), c.P.NumHPUs),
 		HPUMemCapacity: DefaultHPUMemCapacity,
-		msgs:           make(map[*netsim.Message]*msgState),
 	}
 }
 
 // Reset returns the runtime to its post-construction state: idle HPU
-// contexts and issue units, an empty in-flight message table, zeroed
-// statistics, and all scratchpad memory released. The free lists and the
-// interned lane names are kept — they carry no simulation state (every
-// record is zeroed when recycled, and the pool sizes that the lane names
-// depend on never change after construction).
+// contexts and issue units, zeroed statistics, and all scratchpad memory
+// released. The free lists and the interned lane names are kept — they
+// carry no simulation state (every record is zeroed when recycled, and the
+// pool sizes that the lane names depend on never change after
+// construction).
 func (rt *Runtime) Reset() {
 	rt.ResetInFlight()
 	rt.hpuMemUsed = 0
 }
 
 // ResetInFlight resets the runtime's transient state — idle HPU contexts
-// and issue units, an empty in-flight message table, zeroed statistics —
-// while keeping scratchpad allocations alive. It is the runtime half of
+// and issue units, zeroed statistics — while keeping scratchpad
+// allocations alive (the state of messages still in flight rides in their
+// RecvState slots and is abandoned with them). It is the runtime half of
 // portals.NI.ResetInFlight: reusable systems hold their PtlHPUAllocMem
 // handles across replays, so the accounting must survive (the handler
 // state inside each allocation is re-initialized by the ME reset).
 func (rt *Runtime) ResetInFlight() {
 	rt.HPUs.Reset()
 	rt.issue.Reset()
-	clear(rt.msgs)
 	rt.HandlerInvocations = 0
 	rt.HandlerCycles = 0
 	rt.PacketsDropped = 0
@@ -201,20 +200,20 @@ func (rt *Runtime) FreeHPUMem(m *HPUMem) {
 // HPUMemUsed reports the currently allocated scratchpad bytes.
 func (rt *Runtime) HPUMemUsed() int { return rt.hpuMemUsed }
 
-// Deliver processes one matched packet for a sPIN-enabled ME. The transport
-// delivers packets of a message in order (header first); Deliver panics on
-// a violation of that invariant because it would indicate a transport bug.
+// Deliver processes one matched packet for a sPIN-enabled ME. The header
+// packet opens the message's state for me and stores it in the message's
+// RecvState slot; every later packet finds it there, so me is read only at
+// the header. The transport delivers packets of a message in order (header
+// first); Deliver panics on a violation of that invariant because it would
+// indicate a transport bug.
 func (rt *Runtime) Deliver(now sim.Time, pkt *netsim.Packet, me *MEContext) {
-	ms := rt.msgs[pkt.Msg]
-	if ms == nil {
-		if !pkt.Header {
-			panic("core: payload packet before header packet")
-		}
+	var ms *msgState
+	if pkt.Header {
 		ms = rt.msFree.Get()
 		ms.rt, ms.me, ms.msg, ms.total = rt, me, pkt.Msg, rt.C.P.Packets(pkt.Msg.Length)
-		if !pkt.Last {
-			rt.msgs[pkt.Msg] = ms
-		}
+		pkt.Msg.RecvState = ms
+	} else if ms, _ = pkt.Msg.RecvState.(*msgState); ms == nil {
+		panic("core: payload packet before header packet")
 	}
 	ms.arrived++
 	if pkt.Header {
@@ -392,7 +391,6 @@ func (rt *Runtime) maybeComplete(ms *msgState) {
 	}
 	ms.completed = true
 	rt.MessagesProcessed++
-	delete(rt.msgs, ms.msg)
 
 	end := ms.lastEnd
 	if ms.headerDoneAt > end {

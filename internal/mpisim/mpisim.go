@@ -157,9 +157,10 @@ type sendReq struct {
 	done bool
 }
 
-// inflight tracks an arriving wire message at the receiver.
+// inflight assembles a multi-packet wire message at the receiver; it rides
+// in the message's RecvState slot from the first arriving packet to the
+// last.
 type inflight struct {
-	msg     *netsim.Message
 	arrived int
 	total   int
 	visible sim.Time
@@ -210,8 +211,6 @@ type rank struct {
 	sends []*sendReq
 	recvs []*recvReq
 
-	// inflight assembles wire messages arriving at this rank.
-	inflight map[*netsim.Message]*inflight
 	// rdvPull maps rendezvous ids this rank announced (as sender) to their
 	// completion state; the pull arrives back at this rank and deletes them.
 	rdvPull map[uint64]*sendReq
@@ -286,7 +285,6 @@ func New(cfg Config, programs [][]Op) (*Engine, error) {
 		e.rank[i] = &rank{
 			id: i, eng: e, nc: c.NodeCluster(i),
 			cpu: hostsim.New(c, i, nz), nz: nz, ops: prog,
-			inflight: make(map[*netsim.Message]*inflight),
 			rdvPull:  make(map[uint64]*sendReq),
 			pullWait: make(map[uint64]pullDest),
 			rtsSeen:  make(map[uint64]struct{}),
@@ -320,12 +318,10 @@ func (e *Engine) Reset(programs [][]Op) error {
 	e.C.ResetCore()
 	e.Res = Result{}
 	for i, r := range e.rank {
-		// The maps' values are owned by the rank-side lists below (or, for
-		// inflight, by the map itself), so free exactly once from the owner.
-		for _, fl := range r.inflight { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed when recycled
-			r.inflFree.Put(fl)
-		}
-		clear(r.inflight)
+		// The maps' values are owned by the rank-side lists below, so free
+		// exactly once from the owner. Assembly records of messages still
+		// in flight ride in those messages' receive slots and are abandoned
+		// to the GC with them.
 		clear(r.rdvPull)
 		clear(r.pullWait)
 		clear(r.rtsSeen)

@@ -156,36 +156,40 @@ type nodeRecv struct {
 }
 
 // ReceivePacket implements netsim.Receiver. It runs on the receiving rank's
-// engine and touches only that rank's assembly state.
+// engine and touches only that rank's assembly state: a single-packet
+// message dispatches at once, and a longer one assembles in an inflight
+// record kept in the message's RecvState slot (the first packet to arrive,
+// normally the header, finds the slot nil and fills it).
 func (nr *nodeRecv) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	e, r := nr.e, nr.r
-	fl := r.inflight[pkt.Msg]
+	m := pkt.Msg
+	visible := now
+	if pkt.Size > 0 {
+		_, visible = e.C.Nodes[r.id].Bus.Write(now, pkt.Size)
+	}
+	if pkt.Header && pkt.Last {
+		nr.dispatch(visible, m)
+		return
+	}
+	fl, _ := m.RecvState.(*inflight)
 	if fl == nil {
 		fl = r.inflFree.Get()
-		fl.msg = pkt.Msg
-		fl.total = e.C.P.Packets(pkt.Msg.Length)
-		r.inflight[pkt.Msg] = fl
+		fl.total = e.C.P.Packets(m.Length)
+		m.RecvState = fl
 	}
 	fl.arrived++
-	if pkt.Size > 0 {
-		_, visible := e.C.Nodes[r.id].Bus.Write(now, pkt.Size)
-		if visible > fl.visible {
-			fl.visible = visible
-		}
-	} else if now > fl.visible {
-		fl.visible = now
+	if visible > fl.visible {
+		fl.visible = visible
 	}
 	if fl.arrived < fl.total {
 		return
 	}
-	m := pkt.Msg
-	delete(r.inflight, m)
-	visible := fl.visible
+	visible = fl.visible
 	r.inflFree.Put(fl)
 	nr.dispatch(visible, m)
 	// The dispatch copied everything it needs (pendingArrival fields,
-	// request pointers); the transport recycles the wire message when this
-	// final dispatch returns.
+	// request pointers); the transport recycles the wire message, and with
+	// it the slot, when this final dispatch returns.
 }
 
 // dispatch handles one fully arrived message. The message must not be

@@ -498,10 +498,11 @@ func (c *Cluster) impairPacket(w *msgWalk, pkt *Packet, now sim.Time) (at sim.Ti
 // removed a packet after a receiver saw part of the message — quarantined
 // until the next ResetCore. A pending Delivered event does not hold the
 // message (it carries DeliveredArg), so it never forces quarantine.
-// Quarantine is what keeps loss safe for pooled messages: layers above key
-// per-message state (recvStates, channels, mpisim inflight) by *Message
-// and normally empty it during the final dispatch; when loss prevents that
-// dispatch, reusing the pointer would alias the stale entry.
+// Quarantine is what keeps loss safe for pooled messages: a receiver that
+// saw part of the message left partial state in its RecvState slot, and
+// that state may point back at the message (portals and core keep the
+// *Message in their receive records); when loss prevents the final
+// dispatch, nothing retires that state until the receivers reset.
 func (c *Cluster) packetAccounted(m *Message) {
 	if m.track <= 0 {
 		return

@@ -251,15 +251,28 @@ func TestCorruptPacketsAreDiscardedByCRC(t *testing.T) {
 	}
 }
 
+// slotCollector is a collector that, like the receive stacks above the
+// transport, opens per-message state in the message's RecvState slot at
+// the header packet and leaves it there.
+type slotCollector struct{ collector }
+
+func (c *slotCollector) ReceivePacket(now sim.Time, pkt *Packet) {
+	if pkt.Header {
+		pkt.Msg.RecvState = &c.collector
+	}
+	c.collector.ReceivePacket(now, pkt)
+}
+
 func TestLostPooledMessagesQuarantinedUntilReset(t *testing.T) {
 	c := mkCluster(t, 2, Integrated())
 	c.SetImpairment(&Impairment{LossEveryN: 1}) // every packet dies
-	col := &collector{}
+	col := &slotCollector{}
 	c.Nodes[1].Recv = col
 	// A pooled multi-packet message that a receiver partially saw can never
-	// be recycled mid-run: layers above key state by *Message. With every
-	// packet lost and the receiver untouched, the message is recyclable
-	// immediately; make it "touched" by losing only the second packet.
+	// be recycled mid-run: the receiver's partial state still rides in its
+	// RecvState slot. With every packet lost and the receiver untouched,
+	// the message is recyclable immediately; make it "touched" by losing
+	// only the second packet.
 	c.SetImpairment(&Impairment{LossEveryN: 2})
 	m := c.AllocMessage()
 	m.Type, m.Src, m.Dst, m.Length = OpPut, 0, 1, 2*4096
@@ -271,10 +284,17 @@ func TestLostPooledMessagesQuarantinedUntilReset(t *testing.T) {
 	if len(c.quarantine) != 1 || c.quarantine[0] != m {
 		t.Fatalf("touched faulted message not quarantined (%d quarantined)", len(c.quarantine))
 	}
+	if m.RecvState == nil {
+		t.Fatal("receiver's state missing from the quarantined message's slot")
+	}
 	free := len(c.msgFree)
 	c.Reset()
 	if len(c.quarantine) != 0 || len(c.msgFree) != free+1 {
 		t.Fatalf("reset did not reclaim quarantine: %d left, %d free (was %d)", len(c.quarantine), len(c.msgFree), free)
+	}
+	// The next allocation reuses the message with the receiver's state gone.
+	if got := c.AllocMessage(); got != m || got.RecvState != nil {
+		t.Fatalf("AllocMessage after reset = %p with RecvState %v; want %p with nil", got, got.RecvState, m)
 	}
 }
 

@@ -71,6 +71,17 @@ type Message struct {
 	Delivered    func(any)
 	DeliveredArg any
 
+	// RecvState is the destination receive stack's per-message state: the
+	// receiver sets it at the header packet and reads it back on every
+	// later packet of the message, instead of keying a map by *Message.
+	// The transport clears it when a send's packet walk starts and zeroes
+	// it when it recycles a pooled message, so a header packet always
+	// finds it nil, and a later packet finds nil only when the receiver
+	// left it so (e.g. the header was dropped). It is written only on the
+	// destination's engine, and only pointer-shaped values belong in it:
+	// storing anything else boxes per message.
+	RecvState any
+
 	// buf is the message-owned payload staging buffer (see StageData).
 	// Pooled messages keep its capacity across recycling, so steady-state
 	// payload staging allocates nothing.
@@ -301,9 +312,10 @@ func (c *Cluster) resetEngineState() {
 	c.BytesSent = 0
 	clear(c.linkSeq)
 	c.Faults = FaultStats{}
-	// Quarantined messages are safe to reuse once receiver-side maps have
-	// been cleared; recycling them here (deterministic LIFO order) keeps the
-	// pool steady across reset-reuse sweeps.
+	// Quarantined messages are safe to reuse once the receivers have reset:
+	// recycling zeroes the receive slot that held their partial state, and
+	// recycling them here (deterministic LIFO order) keeps the pool steady
+	// across reset-reuse sweeps.
 	for _, m := range c.quarantine {
 		c.recycleMessage(m)
 	}
@@ -485,8 +497,10 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 // startWalk starts a message's packet walk on c, the destination node's
 // cluster: send calls it for local traffic and the LP barrier (flush) for
 // migrated traffic, so the walk is always drawn from the pool of the engine
-// that will run it.
+// that will run it, and the message's receive slot is cleared on the
+// destination's side of the send.
 func (c *Cluster) startWalk(cs *crossSend) {
+	cs.msg.RecvState = nil
 	w := c.walkFree.Get()
 	*w = msgWalk{c: c, dst: cs.dstNode, msg: cs.msg, length: cs.length, n: cs.n,
 		seq0: c.Eng.ReserveSeq(cs.n), stamp: cs.stamp, pri: cs.pri, arr: cs.arr,
@@ -589,10 +603,9 @@ func (n *Node) receive(pkt *Packet) {
 // deliverMatched hands a matched packet to the node's Receiver and recycles
 // it. Receivers must not retain the pointer past the call. After the LAST
 // packet's dispatch returns, a pooled message is recycled too: the transport
-// owns pooled-message lifetime, and the retention audit (recvStates,
-// channels, core msgs, mpisim inflight — all keyed by *Message and emptied
-// during the final dispatch) guarantees no layer holds the pointer past this
-// instant.
+// owns pooled-message lifetime, receivers keep their per-message state in
+// the message's own RecvState slot (which recycling zeroes), and no layer
+// holds the pointer past this instant.
 func deliverMatched(a any) {
 	pkt := a.(*Packet)
 	n := pkt.node

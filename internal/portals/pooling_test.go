@@ -1,8 +1,11 @@
 package portals
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -194,5 +197,87 @@ func TestSteadyStatePoolsStable(t *testing.T) {
 		if got := snapshot(c, ni); got != idle {
 			t.Fatalf("iteration %d: pools drifted: idle %+v, got %+v", i, idle, got)
 		}
+	}
+}
+
+// TestLiteralMessageResentAfterMidFlightReset covers a receive abandoned
+// mid-flight: a literal (never recycled) multi-packet put is cut off by a
+// Cluster.Reset after its header packet was received, and the same
+// message is then sent again. The receive state of the first send is left
+// behind on the message, so the second send must start over from its
+// header: on a plain ME and on a handler ME alike, it must deposit, run
+// handlers and complete exactly as the same send does on a fresh cluster.
+func TestLiteralMessageResentAfterMidFlightReset(t *testing.T) {
+	const length = 6 * 4096
+	data := make([]byte, length)
+	for i := range data {
+		data[i] = byte(i%251 + 1)
+	}
+	type outcome struct {
+		events  []Event
+		deposit []byte
+		calls   []int // payload handler offsets
+		drops   uint64
+	}
+	run := func(t *testing.T, handler, resetMidFlight bool) outcome {
+		c, nis := pair(t)
+		var o outcome
+		post := func() (*ME, *EQ) {
+			if _, err := nis[1].PTAlloc(0, nil); err != nil {
+				t.Fatal(err)
+			}
+			me := &ME{Start: make([]byte, length), EQ: NewEQ(c.Eng)}
+			if handler {
+				me.Handlers.Payload = func(ctx *core.Ctx, p core.Payload) core.PayloadRC {
+					o.calls = append(o.calls, p.Offset)
+					return core.PayloadSuccess
+				}
+			}
+			if err := nis[1].MEAppend(0, me, PriorityList); err != nil {
+				t.Fatal(err)
+			}
+			return me, me.EQ
+		}
+		me, eq := post()
+		msg := &netsim.Message{Type: netsim.OpPut, Src: 0, Dst: 1, Length: length, Data: data}
+		if resetMidFlight {
+			c.Send(0, msg)
+			for len(o.calls) == 0 && me.Start[0] == 0 {
+				if !c.Eng.Step() {
+					t.Fatal("engine drained before the header packet was received")
+				}
+			}
+			if len(eq.Events()) != 0 {
+				t.Fatal("message completed before the reset")
+			}
+			c.Reset()
+			o.calls = o.calls[:0]
+			me, eq = post()
+		}
+		c.Send(0, msg)
+		c.Eng.Run()
+		return outcome{events: eq.Events(), deposit: me.Start, calls: o.calls, drops: nis[1].Drops}
+	}
+	for _, tc := range []struct {
+		name    string
+		handler bool
+	}{{"plain", false}, {"handler", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := run(t, tc.handler, false)
+			got := run(t, tc.handler, true)
+			if len(want.events) != 1 || len(got.events) != 1 {
+				t.Fatalf("completion events: fresh %d, after reset %d; want 1 each", len(want.events), len(got.events))
+			}
+			w, g := want.events[0], got.events[0]
+			if g.Type != w.Type || g.At != w.At || g.Length != w.Length || g.Offset != w.Offset || g.Source != w.Source {
+				t.Fatalf("completion after reset %+v, fresh %+v", g, w)
+			}
+			if !bytes.Equal(got.deposit, want.deposit) {
+				t.Fatal("deposited bytes differ from the fresh cluster's")
+			}
+			if !slices.Equal(got.calls, want.calls) || got.drops != want.drops {
+				t.Fatalf("after reset: handler offsets %v, drops %d; fresh: %v, %d", got.calls, got.drops, want.calls, want.drops)
+			}
+		})
 	}
 }

@@ -118,8 +118,6 @@ type NI struct {
 
 	pt          map[int]*PTEntry
 	outstanding map[uint64]*pendingOp
-	recvStates  map[*netsim.Message]*recvState
-	channels    map[*netsim.Message]*ME
 
 	// rsFree, opFree, snFree, and toFree recycle recvState, pendingOp,
 	// sendNote, and triggeredOp objects.
@@ -164,8 +162,6 @@ func NewNI(c *netsim.Cluster, rank int) *NI {
 		Limits:      DefaultLimits(c.P.MTU),
 		pt:          make(map[int]*PTEntry),
 		outstanding: make(map[uint64]*pendingOp),
-		recvStates:  make(map[*netsim.Message]*recvState),
-		channels:    make(map[*netsim.Message]*ME),
 		rtx:         make(map[uint64]*rtxRecord),
 	}
 	node.Recv = ni
@@ -249,8 +245,6 @@ func (ni *NI) releaseInFlight() {
 		ni.opFree.Put(op)
 	}
 	clear(ni.outstanding)
-	clear(ni.recvStates)
-	clear(ni.channels)
 	// Records still in rtx each have exactly one pending timer, and the
 	// engine reset that precedes an NI reset dropped those events, so the
 	// records can be recycled here. (Acked records awaiting their timer are
@@ -268,8 +262,9 @@ func (ni *NI) releaseInFlight() {
 // MEs stay appended (restored to just-appended state — relinked, locally
 // managed offsets rewound, HPU memory re-initialized, attached EQ/CT
 // cleared), and handler scratchpad allocations survive. Outstanding
-// operations, in-flight receives, streaming channels, and drop counts are
-// cleared, and the sPIN runtime's transient state is reset. Long-lived
+// operations and drop counts are cleared (the state of receives still in
+// flight rides in their messages' RecvState slots and is abandoned with
+// them), and the sPIN runtime's transient state is reset. Long-lived
 // services (raidsim) use it to replay on one system repeatedly; the
 // determinism contract of netsim.Cluster.Reset applies: an interface reset
 // this way behaves bit-identically in simulated time to one freshly set up.

@@ -10,7 +10,8 @@ import (
 
 // recvState tracks an in-flight message steered by a plain (handler-less)
 // ME: the default deposit path shared by the RDMA and Portals 4 baselines.
-// Instances are recycled through NI.rsFree once the message completes.
+// It rides in the message's RecvState slot from the header packet on, and
+// is recycled through NI.rsFree once the message completes.
 type recvState struct {
 	me       *ME
 	msg      *netsim.Message
@@ -41,62 +42,54 @@ func (ni *NI) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	}
 }
 
+// recvPut steers a put or atomic. The header packet matches and fills the
+// message's RecvState slot — a *recvState for a plain ME, the runtime's
+// message state for a handler ME, nothing when the message is dropped —
+// and every later packet follows the slot.
 func (ni *NI) recvPut(now sim.Time, pkt *netsim.Packet) {
 	msg := pkt.Msg
-	if pkt.Header {
-		pte := ni.pt[msg.PTIndex]
-		if pte == nil || !pte.Enabled {
-			ni.dropMessage(now, pkt, pte)
-			return
+	if !pkt.Header {
+		switch st := msg.RecvState.(type) {
+		case *recvState:
+			ni.depositPacket(now, pkt, st)
+		case nil:
+			// Message was dropped at the header; discard silently.
+			ni.Drops++
+		default:
+			ni.RT.Deliver(now, pkt, nil)
 		}
-		me, overflow := pte.match(msg)
-		if me == nil {
-			ni.dropMessage(now, pkt, pte)
-			return
-		}
-		if me.UseOnce {
-			me.unlinked = true
-		}
-		// Resolve the deposit offset: locally-managed MEs pack messages
-		// back-to-back (§3.1).
-		offset := msg.Offset
-		if me.ManageLocal {
-			offset = me.localOffset
-			me.localOffset += int64(msg.Length)
-			msg.Offset = offset
-		}
-		if !me.Handlers.Empty() {
-			// Only multi-packet messages need the channel installed: a
-			// single-packet message is done after this Deliver, and the
-			// non-header branch that would delete the entry never runs.
-			if !pkt.Last {
-				ni.channels[msg] = me
-			}
-			ni.RT.Deliver(now, pkt, &me.mectx)
-			return
-		}
-		st := ni.rsFree.Get()
-		st.me, st.msg, st.overflow = me, msg, overflow
-		st.offset, st.total = offset, ni.C.P.Packets(msg.Length)
-		if !pkt.Last {
-			ni.recvStates[msg] = st
-		}
-		ni.depositPacket(now, pkt, st)
 		return
 	}
-	if me, ok := ni.channels[msg]; ok {
+	pte := ni.pt[msg.PTIndex]
+	if pte == nil || !pte.Enabled {
+		ni.dropMessage(now, pkt, pte)
+		return
+	}
+	me, overflow := pte.match(msg)
+	if me == nil {
+		ni.dropMessage(now, pkt, pte)
+		return
+	}
+	if me.UseOnce {
+		me.unlinked = true
+	}
+	// Resolve the deposit offset: locally-managed MEs pack messages
+	// back-to-back (§3.1).
+	offset := msg.Offset
+	if me.ManageLocal {
+		offset = me.localOffset
+		me.localOffset += int64(msg.Length)
+		msg.Offset = offset
+	}
+	if !me.Handlers.Empty() {
 		ni.RT.Deliver(now, pkt, &me.mectx)
-		if pkt.Last {
-			delete(ni.channels, msg)
-		}
 		return
 	}
-	if st, ok := ni.recvStates[msg]; ok {
-		ni.depositPacket(now, pkt, st)
-		return
-	}
-	// Message was dropped at the header; discard silently.
-	ni.Drops++
+	st := ni.rsFree.Get()
+	st.me, st.msg, st.overflow = me, msg, overflow
+	st.offset, st.total = offset, ni.C.P.Packets(msg.Length)
+	msg.RecvState = st
+	ni.depositPacket(now, pkt, st)
 }
 
 // dropMessage handles a header packet with no matching resources: the
@@ -148,10 +141,9 @@ func (ni *NI) depositPacket(now sim.Time, pkt *netsim.Packet, st *recvState) {
 		st.visible = now
 	}
 	if st.arrived == st.total {
-		// Last packet: drop every reference to the message now — the
-		// transport recycles pooled messages the moment this dispatch
-		// returns (see netsim.deliverMatched).
-		delete(ni.recvStates, st.msg)
+		// Last packet: the transport recycles pooled messages the moment
+		// this dispatch returns (see netsim.deliverMatched), so complete
+		// from the message now and release the record.
 		ni.completeDeposit(st)
 		ni.rsFree.Put(st)
 	}

@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // Intervals is a unit-capacity resource that accepts reservations in any
 // time order: Acquire finds the earliest gap of the requested width at or
 // after the requested time. The DMA bus needs this: a handler computes for
@@ -15,7 +13,8 @@ import "sort"
 // to the unoptimized resource (the determinism contract depends on it):
 //
 //   - the scan starts at the first span that can interact with the request
-//     (binary search on span end) instead of at the list head;
+//     (a galloping search on span end, back from the tail, where requests
+//     in simulated-time order find it) instead of at the list head;
 //   - maxGapUB is a monotone upper bound on the widest free gap between
 //     reserved spans, so a request wider than every gap skips the scan
 //     entirely and lands at the tail — the steady state of a saturated
@@ -78,7 +77,7 @@ func (iv *Intervals) place(earliest, occupancy Time) (start Time, idx int) {
 	// request nor terminate the scan (their start precedes earliest too),
 	// so the scan may begin at the first span with end > earliest.
 	start = earliest
-	i := sort.Search(n, func(j int) bool { return iv.busy[j].end > earliest }) //simlint:alloc-ok predicate does not escape sort.Search and stays on the stack; the 0 allocs/op gate proves it
+	i := iv.firstEndAfter(earliest)
 	scannedAll := i == 0
 	var widest Time
 	for i < n {
@@ -110,6 +109,32 @@ func (iv *Intervals) place(earliest, occupancy Time) (start Time, idx int) {
 		iv.maxGapUB = widest
 	}
 	return start, i
+}
+
+// firstEndAfter returns the index of the first span ending after t, or
+// len(busy) if none does — what sort.Search returns for that predicate.
+// Ends ascend, and requests mostly arrive in simulated-time order, so the
+// answer sits at or near the tail: the search probes n-1, n-2, n-4, ...
+// until a span ends at or before t, then binary-searches that bracket.
+func (iv *Intervals) firstEndAfter(t Time) int {
+	n := len(iv.busy)
+	lo, hi := 0, n // the answer lies in [lo, hi]
+	for d := 1; d <= n; d <<= 1 {
+		if iv.busy[n-d].end <= t {
+			lo = n - d + 1
+			break
+		}
+		hi = n - d
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if iv.busy[m].end > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return hi
 }
 
 // Peek returns where a reservation would start, without reserving.

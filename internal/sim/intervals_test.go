@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +207,21 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 		if iv.FreeAt() != frontier && len(iv.busy) > 0 && iv.busy[len(iv.busy)-1].end != frontier {
 			t.Fatalf("trial %d: FreeAt %d disagrees with frontier %d", trial, iv.FreeAt(), frontier)
 		}
+	}
+}
+
+// TestFirstEndAfterMatchesSortSearch pins the galloping scan-start search
+// to the binary search it replaced: for every list length up to 40 and
+// every probe time around each span end, it returns sort.Search's index.
+func TestFirstEndAfterMatchesSortSearch(t *testing.T) {
+	iv := NewIntervals("t")
+	for n := 0; n <= 40; n++ {
+		for q := Time(0); q <= Time(10*n+11); q++ {
+			want := sort.Search(n, func(j int) bool { return iv.busy[j].end > q })
+			if got := iv.firstEndAfter(q); got != want {
+				t.Fatalf("%d spans, t=%d: firstEndAfter = %d, sort.Search = %d", n, q, got, want)
+			}
+		}
+		iv.busy = append(iv.busy, ivSpan{Time(10*n + 2), Time(10*n + 7)})
 	}
 }

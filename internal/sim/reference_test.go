@@ -359,13 +359,16 @@ func TestReferenceOracleExercisesTieBreaks(t *testing.T) {
 
 // TestReferenceOracleExercisesCalendar pins that the oracle reaches the
 // calendar queue's rare paths, not only its steady state: a fixed program
-// of 40 events, alternately a few picoseconds and up to ~73 ms ahead and
-// all left queued for the final Run, must make the engine double its
-// bucket count, halve it again, change the bucket width, and fall back to
-// the direct search after a full empty rotation — while dispatching exactly
-// as the reference does.
+// of four same-day events scheduled out of order (10, 5, 7, then 6 ps
+// ahead: 5 becomes the bucket's finger, 7 walks forward from it and
+// becomes the finger, 6 walks back from it) followed by 40 events,
+// alternately a few picoseconds and up to ~73 ms ahead, all left queued
+// for the final Run, must make the engine double its bucket count, halve
+// it again, change the bucket width, fall back to the direct search after
+// a full empty rotation, walk forward and back from a finger, and dispatch
+// a finger's node — while dispatching exactly as the reference does.
 func TestReferenceOracleExercisesCalendar(t *testing.T) {
-	var program []byte
+	program := []byte{0, 10, 0, 5, 0, 7, 0, 6}
 	for i := byte(0); i < 20; i++ {
 		program = append(program, 0, i%16, 8, 3+7*i, 10+i) // narrow, then wide
 	}
@@ -374,5 +377,9 @@ func TestReferenceOracleExercisesCalendar(t *testing.T) {
 	if e.grows == 0 || e.shrinks == 0 || e.widths == 0 || e.searches == 0 {
 		t.Fatalf("program reached grows=%d shrinks=%d width changes=%d direct searches=%d; want each > 0",
 			e.grows, e.shrinks, e.widths, e.searches)
+	}
+	if e.fingerFwd == 0 || e.fingerBack == 0 || e.fingerClears == 0 {
+		t.Fatalf("program reached finger forward walks=%d back walks=%d dispatch clears=%d; want each > 0",
+			e.fingerFwd, e.fingerBack, e.fingerClears)
 	}
 }

@@ -8,15 +8,17 @@
 //
 // The event queue is an adaptive calendar queue (Brown, CACM 1988) over an
 // engine-owned node slab: each bucket holds the events of one day-slot of
-// the calendar as a sorted doubly linked list, the minimum is found by a
-// cursor sweeping forward day by day, and the bucket count and width retune
-// themselves to the queue's depth and the spacing of its deadlines. Nodes
-// are recycled through a free list, so steady-state scheduling allocates
-// nothing. Every event is a pre-bound (func(any), arg) pair scheduled with
-// ScheduleCall — a non-capturing callback plus a pointer-shaped argument
-// schedules without allocating a closure — and ReserveSeq/ScheduleCallSeq
-// let a caller claim a block of sequence numbers up front so deferred
-// scheduling preserves the exact tie-break order of eager scheduling.
+// the calendar as a sorted doubly linked list, an insert is linked in from
+// the bucket's tail or from its insertion finger (the node last linked in
+// before the tail), the minimum is found by a cursor sweeping forward day
+// by day, and the bucket count and width retune themselves to the queue's
+// depth and the spacing of its deadlines. Nodes are recycled through a free
+// list, so steady-state scheduling allocates nothing. Every event is a
+// pre-bound (func(any), arg) pair scheduled with ScheduleCall — a
+// non-capturing callback plus a pointer-shaped argument schedules without
+// allocating a closure — and ReserveSeq/ScheduleCallSeq let a caller claim
+// a block of sequence numbers up front so deferred scheduling preserves the
+// exact tie-break order of eager scheduling.
 package sim
 
 import (
@@ -102,8 +104,11 @@ func (a *node) less(b *node) bool {
 }
 
 // bucket is one slot of the calendar: the ends of a list of nodes sorted by
-// less, -1 when empty.
-type bucket struct{ head, tail int32 }
+// less, -1 when empty, and last, the insertion finger: the node most
+// recently linked in before the tail, or -1. Events of one burst tend to
+// land next to each other, so an insert that sorts before the tail starts
+// its walk at the finger rather than at the tail.
+type bucket struct{ head, tail, last int32 }
 
 const (
 	// minBuckets is the smallest calendar; the bucket count is always a
@@ -143,10 +148,13 @@ type Engine struct {
 	pops     int
 	windowAt Time
 
-	// Rare-path counters (host-side only; tests check the oracle reaches
-	// every path): bucket-count doublings and halvings, width changes, and
-	// direct searches after a full rotation found no event.
-	grows, shrinks, widths, searches int
+	// Path counters (host-side only; tests check the oracle reaches every
+	// path): bucket-count doublings and halvings, width changes,
+	// direct searches after a full rotation found no event, inserts that
+	// walked forward or back from a bucket's finger, and fingers cleared
+	// because dispatch removed their node.
+	grows, shrinks, widths, searches    int
+	fingerFwd, fingerBack, fingerClears int
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -205,8 +213,13 @@ func (e *Engine) push(at, stamp Time, pri, seq uint64, call func(any), arg any) 
 	}
 }
 
-// insert links node i into its bucket's sorted list, scanning from the tail
-// (new events mostly sort last), and lowers the cursor to its day if needed.
+// insert links node i into its bucket's sorted list and lowers the cursor
+// to its day if needed. New events mostly sort last, so the tail is tried
+// first; an event that sorts before the tail is placed by walking from the
+// bucket's finger — forward when it does not sort before the finger, back
+// from the finger's predecessor otherwise (from the tail's when the bucket
+// has no finger). The list is totally ordered by less, so every walk
+// reaches the same position.
 func (e *Engine) insert(i int32) {
 	n := &e.nodes[i]
 	day := uint64(n.at) >> e.shift
@@ -215,8 +228,24 @@ func (e *Engine) insert(i int32) {
 	}
 	b := &e.buckets[day&uint64(len(e.buckets)-1)]
 	t := b.tail
-	for t >= 0 && n.less(&e.nodes[t]) {
-		t = e.nodes[t].prev
+	if t >= 0 && n.less(&e.nodes[t]) {
+		if f := b.last; f >= 0 && !n.less(&e.nodes[f]) {
+			// The tail sorts after n, so the forward walk stops before it.
+			e.fingerFwd++
+			for nx := e.nodes[f].next; !n.less(&e.nodes[nx]); nx = e.nodes[f].next {
+				f = nx
+			}
+			t = f
+		} else {
+			if f >= 0 {
+				e.fingerBack++
+				t = f
+			}
+			t = e.nodes[t].prev
+			for t >= 0 && n.less(&e.nodes[t]) {
+				t = e.nodes[t].prev
+			}
+		}
 	}
 	n.prev = t
 	if t < 0 {
@@ -230,6 +259,7 @@ func (e *Engine) insert(i int32) {
 		b.tail = i
 	} else {
 		e.nodes[n.next].prev = i
+		b.last = i
 	}
 }
 
@@ -275,6 +305,10 @@ func (e *Engine) dispatch(i int32) {
 		b.tail = -1
 	} else {
 		e.nodes[n.next].prev = -1
+	}
+	if b.last == i {
+		e.fingerClears++
+		b.last = -1
 	}
 	n.call, n.arg = nil, nil // drop references so the GC can reclaim them
 	n.next = e.free
@@ -340,15 +374,15 @@ func (e *Engine) rebuild(nb int, shift uint) {
 	}
 }
 
-// setBuckets empties the calendar and sizes it to nb buckets, reusing the
-// bucket slice's capacity.
+// setBuckets empties the calendar, fingers included, and sizes it to nb
+// buckets, reusing the bucket slice's capacity.
 func (e *Engine) setBuckets(nb int) {
 	if cap(e.buckets) < nb {
 		e.buckets = make([]bucket, nb)
 	}
 	e.buckets = e.buckets[:nb]
 	for i := range e.buckets {
-		e.buckets[i] = bucket{-1, -1}
+		e.buckets[i] = bucket{-1, -1, -1}
 	}
 }
 

@@ -12,7 +12,9 @@
 //   - map literals and make(map) (slice make is the grow-only arena
 //     idiom, exempt)
 //   - append to a local slice declared without capacity
-//   - interface boxing of non-pointer-shaped ScheduleCall arguments
+//   - interface boxing of non-pointer-shaped ScheduleCall arguments and
+//     of non-pointer-shaped values stored into interface-typed struct
+//     fields (Message.RecvState, Message.DeliveredArg)
 //
 // Sites inside panic arguments are exempt — a panicking run has no
 // budget. Reviewed exceptions (rare-path trace recording, resize-time
@@ -172,6 +174,14 @@ func (s *scanner) walk(root ast.Node, body ast.Node) {
 			return false
 		case *ast.CallExpr:
 			s.visitCall(n)
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if f := s.ifaceField(lhs); f != nil {
+						s.checkBoxing(n.Rhs[i], "store into interface field "+f.Name())
+					}
+				}
+			}
 		case *ast.CompositeLit:
 			if t := s.pkg.Info.Types[n].Type; t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap && !s.exempt(n.Pos()) {
@@ -222,18 +232,35 @@ func (s *scanner) visitCall(call *ast.CallExpr) {
 		}
 		simPath := lintkit.ModulePath + "/internal/sim"
 		if lintkit.IsMethod(fn, simPath, "Engine", "ScheduleCall") && len(call.Args) == 3 {
-			s.checkBoxing(call.Args[2])
+			s.checkBoxing(call.Args[2], "ScheduleCall argument")
 		}
 		if lintkit.IsMethod(fn, simPath, "Engine", "ScheduleCallSeq") && len(call.Args) == 6 {
-			s.checkBoxing(call.Args[5])
+			s.checkBoxing(call.Args[5], "ScheduleCall argument")
 		}
 	}
 }
 
-// checkBoxing flags a ScheduleCall argument whose conversion to `any`
-// allocates: anything but a pointer-shaped value or an existing
-// interface.
-func (s *scanner) checkBoxing(arg ast.Expr) {
+// ifaceField returns the struct field lhs selects when that field has an
+// interface type, or nil.
+func (s *scanner) ifaceField(lhs ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if fs := s.pkg.Info.Selections[sel]; fs == nil || fs.Kind() != types.FieldVal {
+		return nil
+	}
+	f, _ := s.pkg.Info.Uses[sel.Sel].(*types.Var)
+	if f == nil || !types.IsInterface(f.Type()) {
+		return nil
+	}
+	return f
+}
+
+// checkBoxing flags a value (what: a ScheduleCall argument, or a store
+// into an interface-typed field) whose conversion to an interface
+// allocates: anything but a pointer-shaped value or an existing interface.
+func (s *scanner) checkBoxing(arg ast.Expr, what string) {
 	tv, ok := s.pkg.Info.Types[arg]
 	if !ok || tv.Type == nil || tv.IsNil() {
 		return
@@ -249,7 +276,7 @@ func (s *scanner) checkBoxing(arg ast.Expr) {
 	if s.exempt(arg.Pos()) {
 		return
 	}
-	s.reportf(arg.Pos(), "ScheduleCall argument of type %s boxes into an interface per event: pass pooled pointer state instead", types.TypeString(tv.Type, nil))
+	s.reportf(arg.Pos(), "%s of type %s boxes into an interface per event: pass pooled pointer state instead", what, types.TypeString(tv.Type, nil))
 }
 
 func (s *scanner) exempt(pos token.Pos) bool {

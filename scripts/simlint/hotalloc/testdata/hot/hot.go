@@ -1,7 +1,8 @@
 // Package fixture exercises the hotalloc analyzer: step becomes an
 // event-dispatch root by being handed to ScheduleCall, so its
 // allocation sites — closures, Sprintf, maps, capacity-less appends,
-// interface boxing — are reported, while preallocated appends, panic
+// interface boxing into ScheduleCall arguments and interface fields — are
+// reported, while preallocated appends, panic
 // arguments, annotated sites, and functions the dispatcher never
 // reaches stay silent.
 package fixture
@@ -17,6 +18,7 @@ type work struct {
 	eng   *sim.Engine
 	trace bool
 	label string
+	state any
 }
 
 // arm hands step to the engine; arm itself is not dispatched, so its own
@@ -58,6 +60,11 @@ func step(arg any) {
 	if w.trace {
 		w.label = fmt.Sprintf("ev %d", w.n) //simlint:alloc-ok fixture: recording-gated label, benchmarks run untraced
 	}
+
+	// Pointer-shaped values and nil store into an interface field for free.
+	w.state = w
+	w.state = nil
+	w.state = w.n // want `store into interface field state of type int boxes into an interface per event`
 
 	w.eng.ScheduleCall(1, step, w.n) // want `ScheduleCall argument of type int boxes into an interface per event`
 }
