@@ -98,9 +98,16 @@
 //     bus reservation per transaction — so simulated time is
 //     bit-identical by construction; only the simulator-side work went
 //     away. The complementary sim.Intervals fast paths (a galloping
-//     scan-start search back from the tail, where nearly every request's
-//     answer lies, and a max-gap upper bound for tail placement) return
-//     exactly what the naive first-fit scan returns. Together: fig7a ~60x
+//     scan-start search from a finger at the previous answer, and a
+//     max-gap upper bound for tail placement) and IntervalPool.AcquireAny's
+//     early exit at the first server free at the requested time return
+//     exactly what the naive first-fit scan over every server returns. On
+//     fig7a's 16-byte point every AcquireAny finds a server free at the
+//     requested time (server 0 in three calls of four), so the exit cuts
+//     placements from 5 per call to 1.25; the answer sits at the tail in
+//     only 56.7% of the remaining searches but within 2 spans of the
+//     previous answer in 99.3%, so the finger probes 1.6 spans per search
+//     where a gallop back from the tail probed 6.7. Together: fig7a ~60x
 //     wall-clock, 0 allocs per scatter (BenchmarkVectorScatter), every
 //     printed digit unchanged.
 //   - Closure-free triggered operations. NI.ArmTriggeredPut/ArmTriggeredGet

@@ -69,3 +69,70 @@ func BenchmarkPoolAcquire(b *testing.B) {
 		p.AcquireAny(Time(i), 10)
 	}
 }
+
+// backfillStream replays Fig 7a's 16-byte scatter on one NIC: a packet
+// arrives every packet gap (4 KiB at 50 GiB/s) and takes the earliest-free
+// of 16 thread contexts (4 HPUs × 4 threads), and its handler issues 256
+// blocks, each an 8 ns offset computation and a 1.6 ns DMA issue on the
+// 4-server issue pool followed by an 8 ns posted write on the host bus.
+// Handlers run one at a time, as payload handlers do, so each chain
+// backfills the pool's gaps around the chains before it. The bus paces
+// the chains, which keeps the two busiest servers' lists at 2,000–4,096
+// spans, as in fig7a.
+type backfillStream struct {
+	pool    *IntervalPool
+	bus     *Intervals
+	ctxFree [16]Time
+	ctx     int
+	packets int
+	block   int
+	issued  bool // the block's offset computation is placed
+	now     Time
+}
+
+// step issues the next AcquireAny of the stream.
+func (s *backfillStream) step() {
+	const (
+		packetGap = 4096 * 20 * Picosecond
+		arith     = 20 * 400 * Picosecond
+		issue     = 4 * 400 * Picosecond
+		write     = 8 * Nanosecond
+	)
+	if !s.issued {
+		if s.block == 0 {
+			s.ctx = 0
+			for c, free := range s.ctxFree {
+				if free < s.ctxFree[s.ctx] {
+					s.ctx = c
+				}
+			}
+			s.now = max(Time(s.packets)*packetGap, s.ctxFree[s.ctx])
+		}
+		_, start := s.pool.AcquireAny(s.now, arith)
+		s.now, s.issued = start+arith, true
+		return
+	}
+	_, start := s.pool.AcquireAny(s.now, issue)
+	s.now = s.bus.Acquire(start+issue, write) + write
+	s.issued = false
+	if s.block++; s.block == 256 {
+		s.ctxFree[s.ctx] = s.now
+		s.packets++
+		s.block = 0
+	}
+}
+
+// BenchmarkIntervalPoolBackfill measures one AcquireAny of the HPU issue
+// pool in Fig 7a's regime (see backfillStream); every second op also
+// places one bus write.
+func BenchmarkIntervalPoolBackfill(b *testing.B) {
+	s := &backfillStream{pool: NewIntervalPool("hpu", 4), bus: NewIntervals("bus")}
+	for i := 0; i < 1<<18; i++ { // fill the lists past their first prune
+		s.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.step()
+	}
+}

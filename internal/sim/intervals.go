@@ -7,18 +7,25 @@ package sim
 // initiators' transactions must be able to slot into that window (a plain
 // busy-until timeline would head-of-line block them).
 //
-// Placement is first-fit and exact; the two accelerations below are pure
-// data-structure shortcuts that return the same (start, index) the naive
-// front-to-back scan would, which is what keeps simulated time bit-identical
-// to the unoptimized resource (the determinism contract depends on it):
+// Placement is first-fit and exact; the accelerations below are pure
+// data-structure shortcuts that return the same (server, start, index) the
+// naive front-to-back scan would, which is what keeps simulated time
+// bit-identical to the unoptimized resource (the determinism contract
+// depends on it):
 //
-//   - the scan starts at the first span that can interact with the request
-//     (a galloping search on span end, back from the tail, where requests
-//     in simulated-time order find it) instead of at the list head;
+//   - the scan starts at the first span that can interact with the request,
+//     found by a galloping search on span end from a finger (the previous
+//     answer) instead of from the list head: consecutive requests on one
+//     list land close together, so the search rarely probes more than one
+//     or two spans;
 //   - maxGapUB is a monotone upper bound on the widest free gap between
 //     reserved spans, so a request wider than every gap skips the scan
 //     entirely and lands at the tail — the steady state of a saturated
-//     resource fed with fixed-size transactions (the Fig. 7a scatter bus).
+//     resource fed with fixed-size transactions (the Fig. 7a scatter bus);
+//   - IntervalPool.AcquireAny stops at the first server that can start at
+//     the requested time (none starts sooner, and ties go to the lower
+//     index) and commits that server's placement as found, instead of
+//     placing on every server and then placing the winner again.
 type Intervals struct {
 	Name string
 	// busy holds disjoint reserved intervals sorted by start.
@@ -34,6 +41,10 @@ type Intervals struct {
 	// it; splits and merges only shrink true gaps, so the bound stays
 	// valid; a full scan that reaches the tail recomputes it exactly.
 	maxGapUB Time
+	// hint is the search finger: firstEndAfter's previous answer, where
+	// its next search starts. Any value is correct (it is clamped to
+	// len(busy)); a close one is fast.
+	hint int
 }
 
 type ivSpan struct{ start, end Time }
@@ -52,6 +63,7 @@ func (iv *Intervals) Reset() {
 	iv.floor = 0
 	iv.Busy = 0
 	iv.maxGapUB = 0
+	iv.hint = 0
 }
 
 // place finds the earliest feasible start >= earliest for a reservation of
@@ -113,18 +125,33 @@ func (iv *Intervals) place(earliest, occupancy Time) (start Time, idx int) {
 
 // firstEndAfter returns the index of the first span ending after t, or
 // len(busy) if none does — what sort.Search returns for that predicate.
-// Ends ascend, and requests mostly arrive in simulated-time order, so the
-// answer sits at or near the tail: the search probes n-1, n-2, n-4, ...
-// until a span ends at or before t, then binary-searches that bracket.
+// Ends ascend, so the search gallops from the finger in the direction the
+// predicate points (probing hint±1, ±2, ±4, ...) until it passes the
+// answer, then binary-searches the last step. With the finger at the tail
+// this is a gallop back from the tail: one probe for a request in
+// simulated-time order.
 func (iv *Intervals) firstEndAfter(t Time) int {
 	n := len(iv.busy)
+	h := min(iv.hint, n)
 	lo, hi := 0, n // the answer lies in [lo, hi]
-	for d := 1; d <= n; d <<= 1 {
-		if iv.busy[n-d].end <= t {
-			lo = n - d + 1
-			break
+	if h < n && iv.busy[h].end <= t {
+		lo = h + 1
+		for d := 1; h+d < n; d <<= 1 {
+			if iv.busy[h+d].end > t {
+				hi = h + d
+				break
+			}
+			lo = h + d + 1
 		}
-		hi = n - d
+	} else {
+		hi = h
+		for d := 1; d <= h; d <<= 1 {
+			if iv.busy[h-d].end <= t {
+				lo = h - d + 1
+				break
+			}
+			hi = h - d
+		}
 	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -134,30 +161,25 @@ func (iv *Intervals) firstEndAfter(t Time) int {
 			lo = m + 1
 		}
 	}
+	iv.hint = hi
 	return hi
-}
-
-// Peek returns where a reservation would start, without reserving.
-func (iv *Intervals) Peek(earliest, occupancy Time) (start Time) {
-	start, _ = iv.place(earliest, occupancy)
-	return start
 }
 
 // Acquire reserves occupancy at the earliest instant >= earliest with a
 // free gap of that width, and returns the reservation start.
 func (iv *Intervals) Acquire(earliest, occupancy Time) (start Time) {
 	start, i := iv.place(earliest, occupancy)
-	iv.Busy += occupancy
-	iv.insert(i, ivSpan{start, start + occupancy})
+	iv.commit(i, ivSpan{start, start + occupancy})
 	return start
 }
 
-// insert places sp at index i, merging with touching neighbors and
-// maintaining the gap upper bound: only a reservation placed past the
-// current tail (or past the floor of an empty list) creates a new gap —
-// every other insertion splits or closes existing gaps, which can only
-// shrink them.
-func (iv *Intervals) insert(i int, sp ivSpan) {
+// commit reserves sp, which place put at index i, merging it with touching
+// neighbors and maintaining the gap upper bound: only a reservation placed
+// past the current tail (or past the floor of an empty list) creates a new
+// gap — every other insertion splits or closes existing gaps, which can
+// only shrink them.
+func (iv *Intervals) commit(i int, sp ivSpan) {
+	iv.Busy += sp.end - sp.start
 	if sp.start == sp.end {
 		return // zero-width reservations occupy nothing
 	}
@@ -200,6 +222,7 @@ func (iv *Intervals) prune() {
 	half := len(iv.busy) / 2
 	iv.floor = iv.busy[half-1].end
 	iv.busy = append(iv.busy[:0], iv.busy[half:]...)
+	iv.hint = max(iv.hint-half, 0)
 }
 
 // FreeAt returns the end of the last reservation (the time after which the
@@ -252,15 +275,22 @@ func (p *IntervalPool) Reset() {
 
 // AcquireAny reserves occupancy on the server able to start it earliest
 // (ties toward lower indices) and returns the server index and start time.
+// No server can start before earliest, so the scan stops at the first
+// server that starts there, and the winner's placement is committed as
+// found rather than searched again.
 func (p *IntervalPool) AcquireAny(earliest, occupancy Time) (idx int, start Time) {
-	best := 0
-	bestStart := p.servers[0].Peek(earliest, occupancy)
-	for i := 1; i < len(p.servers); i++ {
-		if s := p.servers[i].Peek(earliest, occupancy); s < bestStart {
-			best, bestStart = i, s
+	at := 0
+	for i, s := range p.servers {
+		st, j := s.place(earliest, occupancy)
+		if i == 0 || st < start {
+			idx, start, at = i, st, j
+			if st == earliest {
+				break
+			}
 		}
 	}
-	return best, p.servers[best].Acquire(earliest, occupancy)
+	p.servers[idx].commit(at, ivSpan{start, start + occupancy})
+	return idx, start
 }
 
 // Server returns server idx, for utilization queries.

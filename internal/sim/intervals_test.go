@@ -110,16 +110,18 @@ func TestIntervalsNoOverlapProperty(t *testing.T) {
 // reservation for reservation (the determinism contract makes placement
 // exactness load-bearing — see ARCHITECTURE.md).
 type naiveIntervals struct {
-	busy  []ivSpan
-	floor Time
+	busy     []ivSpan
+	floor    Time
+	reserved Time
 }
 
-func (iv *naiveIntervals) acquire(earliest, occupancy Time) Time {
+// place returns the start and insertion index of a reservation, without
+// committing it.
+func (iv *naiveIntervals) place(earliest, occupancy Time) (start Time, i int) {
 	if earliest < iv.floor {
 		earliest = iv.floor
 	}
-	start := earliest
-	i := 0
+	start = earliest
 	for i < len(iv.busy) {
 		sp := iv.busy[i]
 		if sp.end <= start {
@@ -132,42 +134,81 @@ func (iv *naiveIntervals) acquire(earliest, occupancy Time) Time {
 		start = sp.end
 		i++
 	}
-	if start != start+occupancy {
-		sp := ivSpan{start, start + occupancy}
-		if i > 0 && iv.busy[i-1].end == sp.start {
-			iv.busy[i-1].end = sp.end
-			if i < len(iv.busy) && iv.busy[i].start == sp.end {
-				iv.busy[i-1].end = iv.busy[i].end
-				iv.busy = append(iv.busy[:i], iv.busy[i+1:]...)
-			}
-		} else if i < len(iv.busy) && iv.busy[i].start == sp.end {
-			iv.busy[i].start = sp.start
-		} else {
-			iv.busy = append(iv.busy, ivSpan{})
-			copy(iv.busy[i+1:], iv.busy[i:])
-			iv.busy[i] = sp
+	return start, i
+}
+
+// commit reserves sp at index i, merging touching neighbors and halving
+// the list into the floor past maxSpans.
+func (iv *naiveIntervals) commit(i int, sp ivSpan) {
+	iv.reserved += sp.end - sp.start
+	if sp.start == sp.end {
+		return
+	}
+	if i > 0 && iv.busy[i-1].end == sp.start {
+		iv.busy[i-1].end = sp.end
+		if i < len(iv.busy) && iv.busy[i].start == sp.end {
+			iv.busy[i-1].end = iv.busy[i].end
+			iv.busy = append(iv.busy[:i], iv.busy[i+1:]...)
 		}
-		if len(iv.busy) > maxSpans {
-			half := len(iv.busy) / 2
-			iv.floor = iv.busy[half-1].end
-			iv.busy = append(iv.busy[:0], iv.busy[half:]...)
+	} else if i < len(iv.busy) && iv.busy[i].start == sp.end {
+		iv.busy[i].start = sp.start
+	} else {
+		iv.busy = append(iv.busy, ivSpan{})
+		copy(iv.busy[i+1:], iv.busy[i:])
+		iv.busy[i] = sp
+	}
+	if len(iv.busy) > maxSpans {
+		half := len(iv.busy) / 2
+		iv.floor = iv.busy[half-1].end
+		iv.busy = append(iv.busy[:0], iv.busy[half:]...)
+	}
+}
+
+func (iv *naiveIntervals) acquire(earliest, occupancy Time) Time {
+	start, i := iv.place(earliest, occupancy)
+	iv.commit(i, ivSpan{start, start + occupancy})
+	return start
+}
+
+func (iv *naiveIntervals) freeAt() Time {
+	if len(iv.busy) == 0 {
+		return iv.floor
+	}
+	return iv.busy[len(iv.busy)-1].end
+}
+
+// naivePool is IntervalPool's reference: it places the request on every
+// server, takes the first minimum, and acquires on that server afresh.
+type naivePool []naiveIntervals
+
+func (p naivePool) acquireAny(earliest, occupancy Time) (idx int, start Time) {
+	for i := range p {
+		if s, _ := p[i].place(earliest, occupancy); i == 0 || s < start {
+			idx, start = i, s
 		}
 	}
-	return start
+	return idx, p[idx].acquire(earliest, occupancy)
 }
 
 // TestIntervalsFastPathsMatchNaiveScan drives the optimized Intervals and
 // the naive reference through identical randomized workloads shaped like
 // the simulator's (mixed occupancy classes, lagging and leading earliest
 // times, saturated and idle phases) and requires every returned start to
-// be identical.
+// be identical. The last trial sends three requests in four just past the
+// tail, so the list outgrows maxSpans and placement runs on after prune
+// has moved the floor and the finger.
 func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial <= 20; trial++ {
+		dense := trial == 20
+		ops := 5000
+		if dense {
+			ops = 20000
+		}
 		iv := NewIntervals("t")
 		ref := &naiveIntervals{}
 		var frontier Time
-		for op := 0; op < 5000; op++ {
+		for op := 0; op < ops; op++ {
 			var occ Time
 			switch rng.Intn(4) {
 			case 0:
@@ -182,10 +223,12 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 			// earliest wanders: mostly lagging the frontier (the Fig 7a
 			// regime), sometimes far ahead (idle bus).
 			var earliest Time
-			switch rng.Intn(5) {
-			case 0:
+			switch mode := rng.Intn(5); {
+			case dense && rng.Intn(4) != 0:
+				earliest = frontier + Time(1+rng.Intn(3)) // a new disjoint span
+			case mode == 0:
 				earliest = frontier + Time(rng.Intn(500)) // beyond the tail
-			case 1:
+			case mode == 1:
 				earliest = 0 // maximally stale
 			default:
 				lag := Time(rng.Intn(2000))
@@ -207,21 +250,155 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 		if iv.FreeAt() != frontier && len(iv.busy) > 0 && iv.busy[len(iv.busy)-1].end != frontier {
 			t.Fatalf("trial %d: FreeAt %d disagrees with frontier %d", trial, iv.FreeAt(), frontier)
 		}
+		if dense && iv.floor == 0 {
+			t.Fatalf("trial %d ended with %d spans and never pruned", trial, len(iv.busy))
+		}
 	}
 }
 
-// TestFirstEndAfterMatchesSortSearch pins the galloping scan-start search
-// to the binary search it replaced: for every list length up to 40 and
-// every probe time around each span end, it returns sort.Search's index.
+// TestFirstEndAfterMatchesSortSearch pins the finger search to the binary
+// search it replaced: for every list length up to 40, every probe time
+// around each span end, and every finger from the head to one past the
+// tail (a stale finger after a merge shrank the list), it returns
+// sort.Search's index and leaves the finger there.
 func TestFirstEndAfterMatchesSortSearch(t *testing.T) {
 	iv := NewIntervals("t")
 	for n := 0; n <= 40; n++ {
 		for q := Time(0); q <= Time(10*n+11); q++ {
 			want := sort.Search(n, func(j int) bool { return iv.busy[j].end > q })
-			if got := iv.firstEndAfter(q); got != want {
-				t.Fatalf("%d spans, t=%d: firstEndAfter = %d, sort.Search = %d", n, q, got, want)
+			for h := 0; h <= n+1; h++ {
+				iv.hint = h
+				if got := iv.firstEndAfter(q); got != want || iv.hint != want {
+					t.Fatalf("%d spans, t=%d, finger %d: firstEndAfter = %d (finger now %d), sort.Search = %d",
+						n, q, h, got, iv.hint, want)
+				}
 			}
 		}
 		iv.busy = append(iv.busy, ivSpan{Time(10*n + 2), Time(10*n + 7)})
+	}
+}
+
+// poolOracleMaxWork bounds one pool program's cost: the sum, over its
+// requests, of the spans held on all servers, each of which a naive
+// acquire may scan. A program stops when it is spent, so bursts of
+// disjoint spans cannot stall the fuzzer.
+const poolOracleMaxWork = 1 << 26
+
+// runPoolOracle interprets program as a stream of IntervalPool requests,
+// issues each to the optimized pool and to naivePool, fails t at the first
+// server or start that differs, and returns the optimized pool. It stops
+// after the last op or once poolOracleMaxWork is spent. Byte 0
+// sets the server count (1–8); each op is then a kind byte and two
+// argument bytes a, b (missing bytes read as zero). A kind whose low four
+// bits are all set lays down 1–512 disjoint spans past the frontier, one
+// round of equal requests at a time so each server takes one; any other
+// kind is one AcquireAny whose occupancy class is kind bits 3–4 (0, 1–3,
+// 8–15, or 50–250, sized by a) and whose earliest is picked by bits 5–7:
+// a chain continuation of one of 16 handlers (the end of its previous
+// reservation, handler b), a lag of up to 2,000 behind the frontier, b
+// beyond the tail, or 0.
+func runPoolOracle(t testing.TB, program []byte) *IntervalPool {
+	t.Helper()
+	next := func() byte {
+		if len(program) == 0 {
+			return 0
+		}
+		b := program[0]
+		program = program[1:]
+		return b
+	}
+	k := 1 + int(next()%8)
+	pool := NewIntervalPool("fuzz", k)
+	ref := make(naivePool, k)
+	var frontier Time
+	var chain [16]Time
+	work := 0
+	acquire := func(op int, earliest, occ Time) Time {
+		for i := range ref {
+			work += len(ref[i].busy)
+		}
+		gi, gs := pool.AcquireAny(earliest, occ)
+		wi, ws := ref.acquireAny(earliest, occ)
+		if gi != wi || gs != ws {
+			t.Fatalf("op %d: AcquireAny(%d, %d) = server %d at %d, reference = server %d at %d",
+				op, earliest, occ, gi, gs, wi, ws)
+		}
+		if end := gs + occ; occ > 0 && end > frontier {
+			frontier = end
+		}
+		return gs
+	}
+	for op := 0; len(program) > 0 && work < poolOracleMaxWork; op++ {
+		kind, a, b := next(), next(), next()
+		if kind&15 == 15 {
+			n := 1 + (int(a)<<8|int(b))%512
+			width, gap := Time(1+kind>>4&7), Time(1+kind>>7)
+			at := frontier + gap
+			for j := 0; j < n && work < poolOracleMaxWork; j++ {
+				if j > 0 && j%k == 0 {
+					at += width + gap
+				}
+				acquire(op, at, width)
+			}
+			continue
+		}
+		var occ Time
+		switch kind >> 3 & 3 {
+		case 1:
+			occ = Time(1 + a%3)
+		case 2:
+			occ = Time(8 + a%8)
+		case 3:
+			occ = Time(50 + int(a)%201)
+		}
+		switch mode := kind >> 5; {
+		case mode < 4:
+			h := b % 16
+			chain[h] = acquire(op, chain[h], occ) + occ
+		case mode < 6:
+			lag := min(Time(b)*2000/255, frontier)
+			acquire(op, frontier-lag, occ)
+		case mode == 6:
+			acquire(op, frontier+Time(b), occ)
+		default:
+			acquire(op, 0, occ)
+		}
+	}
+	for i := range ref {
+		s := pool.Server(i)
+		if s.FreeAt() != ref[i].freeAt() || s.Busy != ref[i].reserved {
+			t.Fatalf("server %d: FreeAt %d, Busy %d; reference FreeAt %d, Busy %d",
+				i, s.FreeAt(), s.Busy, ref[i].freeAt(), ref[i].reserved)
+		}
+	}
+	return pool
+}
+
+// FuzzIntervalPoolMatchesNaive checks IntervalPool — early exit at the
+// first server free at earliest, one placement per server, finger search,
+// max-gap fast path — against naivePool on random request streams shaped
+// like the HPU issue pool's: per-handler chains, lagging, leading and stale
+// requests, and bursts of disjoint spans that push lists past maxSpans.
+// The seed corpus lives in testdata/fuzz/FuzzIntervalPoolMatchesNaive.
+func FuzzIntervalPoolMatchesNaive(f *testing.F) {
+	f.Fuzz(func(t *testing.T, program []byte) {
+		runPoolOracle(t, program)
+	})
+}
+
+// TestIntervalPoolOracleReachesPrune pins that the pool oracle's decoder
+// reaches prune from a short program, as the prune-1 corpus entry does:
+// nine bursts of 512 disjoint spans on one server, then lagging requests
+// that search the list after prune has moved its floor and finger.
+func TestIntervalPoolOracleReachesPrune(t *testing.T) {
+	program := []byte{0}
+	for i := 0; i < 9; i++ {
+		program = append(program, 0x1f, 1, 255) // 512 spans of width 2, gap 1
+	}
+	for i := 0; i < 40; i++ {
+		program = append(program, 1<<3|4<<5, 1, byte(17*i)) // width 2, lagging
+	}
+	if s := runPoolOracle(t, program).Server(0); s.floor == 0 {
+		t.Fatalf("program left %d spans and never pruned", len(s.busy))
 	}
 }

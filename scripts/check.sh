@@ -94,6 +94,15 @@ echo "== engine reference-oracle fuzz (FuzzEngineMatchesReference, 5s) =="
 # would stall a 5 s smoke, so minimization is capped at one attempt.
 go test -run '^$' -fuzz 'FuzzEngineMatchesReference' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
 
+echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) =="
+# Random request streams on 1-8 servers — per-handler chains, lagging,
+# leading and stale requests, and bursts of disjoint spans that push lists
+# past maxSpans — must get exactly the server and start of the naive pool
+# (every server scanned front to back, first minimum taken), and end with
+# the same FreeAt and Busy on every server. Minimization is capped as
+# above: a naive acquire scans every server.
+go test -run '^$' -fuzz 'FuzzIntervalPoolMatchesNaive' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
+
 echo "== nested benchmark module (go vet) =="
 # benchmark/ is its own module (replace repro => ../), so the root
 # `go build ./...` never compiles it; vetting it here catches an exported
