@@ -52,6 +52,15 @@ import (
 //     per-attempt message, timer event, ack, and the lost messages
 //     themselves — runs entirely on NI/cluster/engine free lists, so after
 //     warmup a put that is lost and retransmitted costs zero allocations.
+//   - the *Bytes ceilings: bytes allocated per regeneration at benchScale.
+//     Timing-only ME regions alias one zero-filled array per bench.Env and
+//     one per raidsim.System, so no regeneration zero-fills host memory per
+//     rank or per system. Before that, Fig 5a allocated 150.8 MB (a 64 KiB
+//     region per rank), SPC 50.3 MB and Fig 7c 42.6 MB (ten 1 MiB regions
+//     per raidsim system), and the trees ablation 38.8 MB (a region per
+//     rank); after it, about 16.8, 12.4, 4.8 and 6.4 MB. Each ceiling is
+//     about twice the new value, so a return to per-rank or per-system
+//     zeroing fails the gate.
 const (
 	engineScheduleBudget     = 0
 	clusterSendLargeBudget   = 7
@@ -60,6 +69,11 @@ const (
 	spcBudget                = 15_000
 	fig5aBudget              = 120_000
 	retransSteadyStateBudget = 0
+
+	fig5aBytesBudget = 34_000_000
+	spcBytesBudget   = 25_000_000
+	fig7cBytesBudget = 10_000_000
+	treesBytesBudget = 13_000_000
 )
 
 func TestAllocBudgets(t *testing.T) {
@@ -164,16 +178,19 @@ func TestAllocBudgets(t *testing.T) {
 	})
 
 	// Each regeneration goes through the registry (regen), the path
-	// spinbench takes.
+	// spinbench takes. A zero budget is not gated.
 	for _, c := range []struct {
 		name, id string
 		opts     bench.RunOptions
-		budget   int64
+		budget   int64 // allocations per regeneration
+		bytes    int64 // bytes allocated per regeneration
 	}{
-		{"Table5c", "table5c", bench.RunOptions{}, table5cBudget},
-		{"Table5cLP4", "table5c", bench.RunOptions{LP: 4}, table5cLPBudget},
-		{"Fig5a", "fig5a", bench.RunOptions{}, fig5aBudget},
-		{"SPC", "spc", bench.RunOptions{}, spcBudget},
+		{"Table5c", "table5c", bench.RunOptions{}, table5cBudget, 0},
+		{"Table5cLP4", "table5c", bench.RunOptions{LP: 4}, table5cLPBudget, 0},
+		{"Fig5a", "fig5a", bench.RunOptions{}, fig5aBudget, fig5aBytesBudget},
+		{"SPC", "spc", bench.RunOptions{}, spcBudget, spcBytesBudget},
+		{"Fig7c", "fig7c", bench.RunOptions{}, 0, fig7cBytesBudget},
+		{"Trees", "trees", bench.RunOptions{}, 0, treesBytesBudget},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := testing.Benchmark(func(b *testing.B) {
@@ -182,8 +199,11 @@ func TestAllocBudgets(t *testing.T) {
 					regen(b, c.id, benchScale, c.opts)
 				}
 			})
-			if got := res.AllocsPerOp(); got > c.budget {
+			if got := res.AllocsPerOp(); c.budget > 0 && got > c.budget {
 				t.Errorf("%s regeneration = %d allocs/op, budget %d", c.name, got, c.budget)
+			}
+			if got := res.AllocedBytesPerOp(); c.bytes > 0 && got > c.bytes {
+				t.Errorf("%s regeneration = %d bytes/op, budget %d", c.name, got, c.bytes)
 			}
 		})
 	}

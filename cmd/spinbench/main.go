@@ -12,7 +12,7 @@
 //	spinbench -csv             # machine-readable output
 //	spinbench -list            # list experiment ids
 //	spinbench -list -json      # machine-readable registry metadata
-//	spinbench -wall            # report wall time + allocations per experiment
+//	spinbench -wall            # report wall time, allocations and bytes per experiment
 //	spinbench -impair 'loss=0.01,jitter=2us,seed=7'
 //	                           # inject a deterministic network fault model
 //	spinbench -lp 4            # partition mpisim replays into 4 logical
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := fs.Bool("list", false, "list experiments and exit")
 	asJSON := fs.Bool("json", false, "with -list, emit the registry metadata as JSON")
-	wall := fs.Bool("wall", false, "report wall-clock time and heap allocations per experiment on stderr")
+	wall := fs.Bool("wall", false, "report wall-clock time, heap allocations and bytes allocated per experiment on stderr")
 	parallel := fs.Int("parallel", 1, "concurrent experiments and sweep workers per experiment (1 = serial, 0 = GOMAXPROCS)")
 	impair := fs.String("impair", "", "deterministic network fault model, e.g. 'loss=0.01,jitter=2us,fail=0:1:0,seed=7'")
 	lp := fs.Int("lp", 1, "logical processes per mpisim replay (conservative parallel DES; output is byte-identical to -lp 1)")
@@ -158,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// experiment goroutines only orchestrate — build sweeps, render tables —
 	// into per-experiment buffers, and the flush below reproduces the
 	// serial byte stream regardless of completion order. Note -wall alloc
-	// counts include concurrently running
+	// counts and bytes include concurrently running
 	// experiments in this mode (runtime.MemStats is process-global).
 	// LP parallelism multiplies the engine count per executing point, so the
 	// pool's worker budget is divided by K to keep machine-wide concurrency
@@ -243,8 +243,8 @@ func runExperiment(e bench.Experiment, scale int, pool *bench.Pool, im *netsim.I
 		var m1 runtime.MemStats
 		runtime.ReadMemStats(&m1)
 		elapsed := time.Since(t0) //simlint:wallclock-ok -wall measures real elapsed time per experiment, reported on stderr only
-		fmt.Fprintf(&o.diag, "spinbench: %s: %v wall, %d allocs\n",
-			e.ID, elapsed.Round(time.Millisecond), m1.Mallocs-m0.Mallocs)
+		fmt.Fprintf(&o.diag, "spinbench: %s: %v wall, %d allocs, %.1f MB\n",
+			e.ID, elapsed.Round(time.Millisecond), m1.Mallocs-m0.Mallocs, float64(m1.TotalAlloc-m0.TotalAlloc)/1e6)
 	}
 	// Fault counters are summed from every worker's environment, so the
 	// line is identical no matter how the sweep was sharded.

@@ -121,9 +121,8 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 			}
 			me.HPUMem = mem
 			// Handlers deposit each rank's copy via DMA, so the ME needs
-			// a real host region for the write timing to be charged; the
-			// regions come from the Env arena (timing-only contents).
-			me.Start = e.hostMem(size)
+			// a real host region for the write timing to be charged.
+			me.Start = e.zeroMem(size)
 			me.Handlers = handlers.Bcast(handlers.BcastConfig{
 				MyRank: r, NProcs: nprocs, PT: 0, Bits: 7,
 				Streaming: true, MaxSize: maxSize,

@@ -31,7 +31,6 @@ func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.
 	// Saturating sweeps would otherwise trip flow control; these
 	// experiments measure completion time, not drop behaviour.
 	p.FlowDeadline = 100 * sim.Millisecond
-	e.resetScratch()
 	c, nis, err := e.cluster(farPeer+1, p, e.impair)
 	if err != nil {
 		return 0, err
@@ -48,9 +47,9 @@ func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.
 			return 0, err
 		}
 		handlers.InitDDTState(mem.Buf, handlers.DDTConfig{Blocksize: blocksize, Gap: blocksize})
-		// Timing-only deposit target; drawn from the Env's scratch region
-		// so the 8 MiB landing area is not re-allocated per point.
-		me.Start = e.hostMem(2*DDTTotalBytes + blocksize)
+		// Timing-only deposit target: the 8 MiB landing area is the
+		// Env's zero array, not re-allocated per point.
+		me.Start = e.zeroMem(2*DDTTotalBytes + blocksize)
 		me.HPUMem = mem
 		me.Handlers = handlers.DDTVector()
 		eq.OnEvent(func(ev portals.Event) {

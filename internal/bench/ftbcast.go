@@ -94,6 +94,13 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	}
 	red := log2floor(nprocs)
 	delivered := make([]uint64, nprocs)
+	// The only real host bytes in the harness: the root's puts carry
+	// 8-byte sequence numbers that the handlers deposit into each rank's
+	// ME, so the MEs and the root's MD buffers get 8-byte windows of this
+	// point's own slice, never the Env's zero array. Window r is rank r's
+	// ME region and window nprocs+s-1 sequence s's MD buffer.
+	host := make([]byte, 8*(nprocs+msgs))
+	window := func(i int) []byte { return host[8*i : 8*i+8 : 8*i+8] }
 	var nicDups, hostDups int
 	var last sim.Time
 	for r := 0; r < nprocs; r++ {
@@ -117,7 +124,7 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 		me.MatchBits = 7
 		me.EQ = eq
 		me.HPUMem = mem
-		me.Start = e.hostMem(8)
+		me.Start = window(r)
 		me.Handlers = handlers.FTBcast(cfg)
 		eq.OnEvent(func(ev portals.Event) {
 			if ev.DroppedBytes > 0 {
@@ -146,7 +153,7 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	rootPeers := e.ftKids(handlers.FTBcastConfig{MyRank: 0, NProcs: nprocs, Redundancy: red})
 	var t sim.Time
 	for s := 1; s <= msgs; s++ {
-		buf := e.hostMem(8)
+		buf := window(nprocs + s - 1)
 		binary.LittleEndian.PutUint64(buf, uint64(s))
 		md := nis[0].MDBind(buf, nil, nil)
 		for _, nb := range rootPeers {

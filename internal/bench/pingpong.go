@@ -109,7 +109,7 @@ func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Mod
 		// Store mode replies large messages from host memory, so the ME
 		// needs a real deposit region.
 		if size > 0 {
-			respME.Start = make([]byte, size)
+			respME.Start = e.zeroMem(size)
 		}
 		respME.Handlers = handlers.PingPong(handlers.PingPongConfig{
 			ReplyPT: 0, ReplyBits: pongBits, Streaming: true, MaxSize: maxSize,

@@ -14,7 +14,10 @@ import (
 // pool whose Envs are warm from previous, differently-impaired runs — must
 // produce the bytes of a serial run, and per-sweep fault counters must
 // charge each sweep exactly its own faults even when two impaired sweeps
-// share the pool concurrently.
+// share the pool concurrently. trees and fig7c run on the same pool too:
+// their handlers write into the zero array of the worker's Env and of each
+// raidsim system on every packet, so under -race they fail if two workers
+// ever share an array.
 func TestPoolRunByteIdentical(t *testing.T) {
 	scale := 4
 	exp := buildExperiment(t, "fig3b")
@@ -33,6 +36,20 @@ func TestPoolRunByteIdentical(t *testing.T) {
 	}
 	if got := tableCSV(poolTab); got != want {
 		t.Fatalf("pool output differs from serial:\n--- serial ---\n%s--- pool ---\n%s", want, got)
+	}
+	for _, id := range []string{"trees", "fig7c"} {
+		e := buildExperiment(t, id)
+		serial, err := e.Build(scale).Run(RunOptions{})
+		if err != nil {
+			t.Fatalf("%s serial: %v", id, err)
+		}
+		pooled, err := e.Build(scale).Run(RunOptions{Pool: pool})
+		if err != nil {
+			t.Fatalf("%s pool: %v", id, err)
+		}
+		if got, want := tableCSV(pooled), tableCSV(serial); got != want {
+			t.Fatalf("%s pool output differs from serial:\n--- serial ---\n%s--- pool ---\n%s", id, want, got)
+		}
 	}
 
 	// Impaired reference runs, serial.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -39,13 +40,12 @@ type Env struct {
 	// raidsim.System.Reset) under the same reset-equals-fresh contract.
 	mpis  map[mpiKey]*mpisim.Engine
 	raids map[raidKey]*raidsim.System
-	// scratch is the grow-only host-memory arena hostMem carves from and
-	// scratchOff the carve cursor, rewound by resetScratch at the start of
-	// each measurement point that uses it.
-	scratch    []byte
-	scratchOff int
+	// zeros is the grow-only, zero-filled array behind zeroMem: every
+	// timing-only ME region this Env hands out is a prefix of it.
+	zeros []byte
 	// kids is the grow-only arena binomialKids carves child lists from,
-	// likewise rewound per point.
+	// rewound by resetScratch at the start of each measurement point that
+	// uses it.
 	kids []int
 	// mes and mesOff form the matching-entry arena behind allocME.
 	mes    []portals.ME
@@ -244,12 +244,11 @@ func (e *Env) raidSystem(p netsim.Params, spin bool, im *netsim.Impairment) (*ra
 	return sys, nil
 }
 
-// resetScratch rewinds the Env's point-scoped arenas (hostMem regions and
-// binomialKids lists). Experiments that draw from either arena call it once
-// at the start of each measurement point; regions carved before the rewind
-// must no longer be in use.
+// resetScratch rewinds the Env's point-scoped arenas (binomialKids lists
+// and allocME entries). Experiments that draw from either arena call it
+// once at the start of each measurement point; lists and entries carved
+// before the rewind must no longer be in use.
 func (e *Env) resetScratch() {
-	e.scratchOff = 0
 	e.kids = e.kids[:0]
 	e.mesOff = 0
 }
@@ -260,8 +259,8 @@ func (e *Env) resetScratch() {
 // outlive a point live in portal-table lists of Env-cached clusters, and
 // those lists are truncated (without dereferencing the entries) by the
 // cluster Reset that precedes any reuse (a fresh Env replaces the cluster
-// instead). Like hostMem, growing the arena leaves earlier entries on the
-// old backing array, so live pointers never move.
+// instead). Growing the arena leaves earlier entries on the old backing
+// array, so live pointers never move.
 func (e *Env) allocME() *portals.ME {
 	if e.mesOff == len(e.mes) {
 		grow := 2 * len(e.mes)
@@ -277,28 +276,20 @@ func (e *Env) allocME() *portals.ME {
 	return me
 }
 
-// hostMem returns an n-byte scratch host-memory region for timing-only
-// MEs, carved from a grow-only per-Env arena instead of allocated per
-// measurement point. Contents are unspecified — callers must be
-// NoData/timing-only. Regions are valid for the current point (until the
-// next resetScratch); several may be live at once (the broadcast sweeps
-// carve one per rank). When the arena must grow mid-point, previously
-// carved regions keep the old backing array, so they stay valid and
-// distinct.
-func (e *Env) hostMem(n int) []byte {
-	need := e.scratchOff + n
-	if cap(e.scratch) < need {
-		grow := 2 * cap(e.scratch)
-		if grow < n {
-			grow = n
-		}
-		e.scratch = make([]byte, grow)
-		e.scratchOff = 0
-		need = n
+// zeroMem returns an n-byte host-memory region for a timing-only ME: the
+// first n bytes of the Env's one grow-only, zero-filled array, which grows
+// to the next power of two at or above n when it must. Regions alias each
+// other by design. That is exact because only zero bytes ever land in
+// them: every put that targets one is NoData or carries only zeros, and
+// every handler that touches one writes back zeros or bytes it read from
+// one. So the array stays all zero, and simulated time depends on a
+// region's length, never on its contents. A point whose puts carry real
+// bytes (ftbcast) must give its MEs regions of its own.
+func (e *Env) zeroMem(n int) []byte {
+	if n > len(e.zeros) {
+		e.zeros = make([]byte, 1<<bits.Len(uint(n-1)))
 	}
-	s := e.scratch[e.scratchOff:need:need]
-	e.scratchOff = need
-	return s
+	return e.zeros[:n:n]
 }
 
 // programBuffer returns the Env's grow-only mpisim program buffer.

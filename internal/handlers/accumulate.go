@@ -48,7 +48,7 @@ func Accumulate(cfg AccumulateConfig) core.HandlerSet {
 		},
 		Payload: func(c *core.Ctx, p core.Payload) core.PayloadRC {
 			base := int64(c.U64(accOffset))
-			buf := make([]byte, p.Size)
+			buf := c.Scratch(p.Size)
 			c.DMAFromHostB(base+int64(p.Offset), buf, core.MEHostMem)
 			if p.Data != nil {
 				complexMulInto(buf, p.Data)

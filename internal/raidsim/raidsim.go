@@ -56,6 +56,14 @@ type System struct {
 	opDone    sim.Time
 	readOpen  bool
 	partsBuf  [DataNodes]int
+	// zeros backs every ME region of the system: each maxBlock region is
+	// all of it and each 4 KiB ack region its first 4 KiB, so every region
+	// keeps its length. Regions alias by design, which is exact because
+	// only zero bytes land in them: every put the system makes is NoData
+	// or carries only zeros (a region's bytes, a zero completion code),
+	// and the sPIN handlers XOR zeros. Each System owns its own array: its handlers
+	// write into it, and pool workers run systems concurrently.
+	zeros []byte
 
 	// Stats
 	Writes, Reads uint64
@@ -69,7 +77,7 @@ func New(p netsim.Params, spin bool) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{C: c, nis: portals.Setup(c), spin: spin}
+	s := &System{C: c, nis: portals.Setup(c), spin: spin, zeros: make([]byte, maxBlock)}
 	if err := s.setupClient(); err != nil {
 		return nil, err
 	}
@@ -121,7 +129,7 @@ func (s *System) setupClient() error {
 	}
 	s.ackCT = portals.NewCT(s.C.Eng)
 	if err := ni.MEAppend(clientAckPT, &portals.ME{
-		Start: make([]byte, 4096), IgnoreBits: ^uint64(0), ManageLocal: true, CT: s.ackCT,
+		Start: s.zeros[:4096:4096], IgnoreBits: ^uint64(0), ManageLocal: true, CT: s.ackCT,
 	}, portals.PriorityList); err != nil {
 		return err
 	}
@@ -136,7 +144,7 @@ func (s *System) setupClient() error {
 		}
 	})
 	return ni.MEAppend(readReplyPT, &portals.ME{
-		Start: make([]byte, maxBlock), IgnoreBits: ^uint64(0), ManageLocal: true, EQ: s.readEQ,
+		Start: s.zeros, IgnoreBits: ^uint64(0), ManageLocal: true, EQ: s.readEQ,
 	}, portals.PriorityList)
 }
 
@@ -145,7 +153,7 @@ func (s *System) setupParity() error {
 	if _, err := ni.PTAlloc(diffPT, nil); err != nil {
 		return err
 	}
-	me := &portals.ME{Start: make([]byte, maxBlock), MatchBits: handlers.ParityTag}
+	me := &portals.ME{Start: s.zeros, MatchBits: handlers.ParityTag}
 	if s.spin {
 		mem, err := ni.RT.AllocHPUMem(handlers.RaidStateBytes)
 		if err != nil {
@@ -183,9 +191,9 @@ func (s *System) setupDataServer(server int) error {
 			return err
 		}
 	}
-	writeME := &portals.ME{Start: make([]byte, maxBlock), MatchBits: 1}
-	ackME := &portals.ME{Start: make([]byte, 4096), IgnoreBits: ^uint64(0), ManageLocal: true}
-	readME := &portals.ME{Start: make([]byte, maxBlock), MatchBits: readBits}
+	writeME := &portals.ME{Start: s.zeros, MatchBits: 1}
+	ackME := &portals.ME{Start: s.zeros[:4096:4096], IgnoreBits: ^uint64(0), ManageLocal: true}
+	readME := &portals.ME{Start: s.zeros, MatchBits: readBits}
 	if s.spin {
 		wmem, err := ni.RT.AllocHPUMem(handlers.RaidStateBytes)
 		if err != nil {

@@ -116,11 +116,14 @@ echo "== nested benchmark module (golden hashes) =="
 # benchmark run.
 go -C benchmark test -count=1 ./...
 
-echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC) =="
+echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7c / Trees) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, 0 per lossy reliable put in steady state, the
 # post-program-pooling Table 5c budget, the post-triggered-op-pooling
-# Fig 5a budget, and the post-portals-pooling SPC budget.
+# Fig 5a budget, and the post-portals-pooling SPC budget; plus bytes per
+# regeneration for Fig 5a, SPC, Fig 7c and the trees ablation, which fail
+# if timing-only host memory goes back to being zero-filled per rank or
+# per raidsim system.
 go test -count=1 -run 'TestAllocBudgets' .
 
 echo "== perf smoke (BenchmarkFig3b, 1x) =="
