@@ -32,6 +32,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
 	$(GO) test -race -count=1 -run 'TestPoolRunByteIdentical' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestConcurrentIdenticalRequestsRunOnce' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestOverlappingScalesReusePoints' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestLPEquivalenceRandomized' ./internal/bench
 
 build:

@@ -170,7 +170,12 @@
 //     content-addressed result cache keyed by (experiment, canonical
 //     params, code version) — determinism makes every result infinitely
 //     cacheable, so repeat requests are byte-identical cache hits and
-//     identical in-flight requests coalesce onto one computation.
+//     identical in-flight requests coalesce onto one computation. Below
+//     it, bench.Pool remembers each finished point's row and fault delta
+//     under (experiment, Sweep.Row key, impairment), at most 4096 of them,
+//     so a request at a new scale simulates only the points no earlier
+//     request ran; in a serve-mix round the memo answers every fig7a
+//     burst point and about 91% of the cold-miss points.
 //
 // BENCH_core.json records the measured trajectory (with the enforced
 // allocation budgets); scripts/check.sh (or `make check`) runs tier-1 plus

@@ -96,7 +96,7 @@ func fig3dSweep(scale int) *Sweep {
 		if i%scale != 0 && size != sizes[len(sizes)-1] {
 			continue
 		}
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(size), func(e *Env) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", size)}
 			for _, p := range []netsim.Params{netsim.Integrated(), netsim.Discrete()} {
 				for _, spin := range []bool{false, true} {

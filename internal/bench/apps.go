@@ -97,7 +97,7 @@ func table5cSweep(scale int) *Sweep {
 		Notes:  "paper traces are full-length (MILC 5.7M, POP 772M, coMD 5.3M/28.1M, Cloverleaf 2.7M/15.3M msgs)",
 	})
 	for _, a := range apps.Suite() {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprintf("%s-%d/%d", a.Name, a.Ranks, iters), func(e *Env) ([]string, error) {
 			r, err := RunApp(e, a, iters)
 			if err != nil {
 				return nil, err

@@ -184,7 +184,7 @@ func fig5aSweep(scale int) *Sweep {
 	}
 	p := netsim.Discrete()
 	for _, n := range procs {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(n), func(e *Env) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", n)}
 			for _, size := range []int{8, 64 << 10} {
 				for _, v := range []Variant{RDMA, P4, SpinStream} {
@@ -213,7 +213,7 @@ func bcastStoreSweep(int) *Sweep {
 	})
 	p := netsim.Discrete()
 	for _, size := range []int{8, 512, 4096, 65536} {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(size), func(e *Env) ([]string, error) {
 			p4, err := broadcastTime(e, p, P4, 64, size)
 			if err != nil {
 				return nil, err

@@ -111,7 +111,7 @@ func fig7aSweep(scale int) *Sweep {
 		if i%scale != 0 && b != sizes[len(sizes)-1] {
 			continue
 		}
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(b), func(e *Env) ([]string, error) {
 			rdma, err := stridedReceiveTime(e, p, false, b)
 			if err != nil {
 				return nil, err

@@ -213,7 +213,7 @@ func ftbcastSweep(scale int) *Sweep {
 	}
 	p := netsim.Discrete()
 	for _, n := range procs {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(n), func(e *Env) ([]string, error) {
 			return ftbcastPoint(e, p, n, ftbcastMsgs)
 		})
 	}

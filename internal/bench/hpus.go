@@ -54,7 +54,7 @@ func fig4Sweep(int) *Sweep {
 	})
 	times := []sim.Time{100 * sim.Nanosecond, 200 * sim.Nanosecond, 500 * sim.Nanosecond, 1000 * sim.Nanosecond}
 	for sz := 64; sz <= 4096; sz += 64 {
-		s.Row(func(*Env) ([]string, error) {
+		s.Row(fmt.Sprint(sz), func(*Env) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", sz)}
 			for _, T := range times {
 				row = append(row, fmt.Sprintf("%d", HPUsNeeded(p, T, sz)))

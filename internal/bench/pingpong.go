@@ -186,7 +186,7 @@ func fig3(p netsim.Params, id, kind string, scale int) *Sweep {
 		if i%scale != 0 && size != sizes[len(sizes)-1] {
 			continue
 		}
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(size), func(e *Env) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", size)}
 			for _, v := range []Variant{RDMA, P4, SpinStore, SpinStream} {
 				half, err := pingPongHalfRTT(e, p, v, size, noise.None())
@@ -212,7 +212,7 @@ func noiseSweep(int) *Sweep {
 		Notes:  "offloaded variants are noise-immune (§4.4.1, §5.1)",
 	})
 	for _, v := range []Variant{RDMA, P4, SpinStream} {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(v.String(), func(e *Env) ([]string, error) {
 			quiet, err := pingPongHalfRTT(e, netsim.Discrete(), v, 8192, noise.None())
 			if err != nil {
 				return nil, err

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -13,8 +15,10 @@ import (
 // task pool: a sweep executed on a shared persistent pool — including a
 // pool whose Envs are warm from previous, differently-impaired runs — must
 // produce the bytes of a serial run, and per-sweep fault counters must
-// charge each sweep exactly its own faults even when two impaired sweeps
-// share the pool concurrently. trees and fig7c run on the same pool too:
+// charge each sweep exactly its own faults even when an impaired and an
+// unimpaired sweep share the pool concurrently. Every sweep here is its
+// experiment's first on the pool, so the memo answers none of their points
+// and all of them execute. trees and fig7c run on the same pool too:
 // their handlers write into the zero array of the worker's Env and of each
 // raidsim system on every packet, so under -race they fail if two workers
 // ever share an array.
@@ -30,7 +34,11 @@ func TestPoolRunByteIdentical(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()
 
-	poolTab, err := exp.Build(scale).Run(RunOptions{Pool: pool})
+	// executed counts the points the pool has run: each sweep below is
+	// its experiment's first on this pool, so every point executes.
+	poolSweep := exp.Build(scale)
+	executed := poolSweep.Points()
+	poolTab, err := poolSweep.Run(RunOptions{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +51,9 @@ func TestPoolRunByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", id, err)
 		}
-		pooled, err := e.Build(scale).Run(RunOptions{Pool: pool})
+		s := e.Build(scale)
+		executed += s.Points()
+		pooled, err := s.Run(RunOptions{Pool: pool})
 		if err != nil {
 			t.Fatalf("%s pool: %v", id, err)
 		}
@@ -65,11 +75,21 @@ func TestPoolRunByteIdentical(t *testing.T) {
 		t.Fatal("impaired reference recorded no faults")
 	}
 
-	// One impaired and one unimpaired sweep running concurrently on the
-	// same (already warm) pool: bytes and fault attribution must both hold.
+	// One impaired fig3b and one unimpaired fig3c sweep running
+	// concurrently on the same (already warm) pool: bytes and fault
+	// attribution must both hold. The pool has finished neither sweep's
+	// points before, so the memo answers none of them and both execute.
+	plainExp := buildExperiment(t, "fig3c")
+	plainSerial, err := plainExp.Build(scale).Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlain := tableCSV(plainSerial)
 	var wg sync.WaitGroup
 	impaired := exp.Build(scale)
-	plain := exp.Build(scale)
+	plain := plainExp.Build(scale)
+	waitCompleted(t, pool, uint64(executed))
+	reused := pool.Reused()
 	var impairedCSV, plainCSV string
 	var impairedErr, plainErr error
 	wg.Add(2)
@@ -98,8 +118,8 @@ func TestPoolRunByteIdentical(t *testing.T) {
 	if impairedCSV != wantImpaired {
 		t.Fatalf("impaired pool output differs from impaired serial:\n--- serial ---\n%s--- pool ---\n%s", wantImpaired, impairedCSV)
 	}
-	if plainCSV != want {
-		t.Fatalf("unimpaired pool output (shared with impaired sweep) differs from serial:\n--- serial ---\n%s--- pool ---\n%s", want, plainCSV)
+	if plainCSV != wantPlain {
+		t.Fatalf("unimpaired pool output (shared with impaired sweep) differs from serial:\n--- serial ---\n%s--- pool ---\n%s", wantPlain, plainCSV)
 	}
 	if impaired.Faults() != wantFaults {
 		t.Fatalf("impaired sweep fault counters diverged on the pool: %+v vs %+v", impaired.Faults(), wantFaults)
@@ -107,8 +127,119 @@ func TestPoolRunByteIdentical(t *testing.T) {
 	if f := plain.Faults(); f.Any() {
 		t.Fatalf("unimpaired sweep was charged faults from its pool neighbor: %+v", f)
 	}
-	if pool.Completed() == 0 {
-		t.Fatal("pool completed-task counter never advanced")
+	if got := pool.Reused() - reused; got != 0 {
+		t.Fatalf("concurrent section reused %d memoized points, want 0", got)
+	}
+	waitCompleted(t, pool, uint64(executed+impaired.Points()+plain.Points()))
+}
+
+// TestPoolMemoReusesPoints runs overlapping sweeps on one pool. fig7a at
+// scales 2, 3 and 8 registers only points that its scale-1 sweep already
+// finished, so after scale 1 every later point comes from the memo and no
+// task runs; each table still matches serial byte for byte. fig3b then
+// runs unimpaired at scale 1 and under jitter at scales 1 and 2: the
+// memo's impairment key keeps the jittered sweep from reusing unimpaired
+// rows, the scale-2 sweep reuses every point of the scale-1 one, and rows
+// and fault counters equal the serial impaired runs.
+func TestPoolMemoReusesPoints(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+
+	fig7a := buildExperiment(t, "fig7a")
+	for i, scale := range []int{1, 2, 3, 8} {
+		serial, err := fig7a.Build(scale).Run(RunOptions{})
+		if err != nil {
+			t.Fatalf("fig7a scale %d serial: %v", scale, err)
+		}
+		s := fig7a.Build(scale)
+		completed, reused := pool.Completed(), pool.Reused()
+		tab, err := s.Run(RunOptions{Pool: pool})
+		if err != nil {
+			t.Fatalf("fig7a scale %d pool: %v", scale, err)
+		}
+		if got, want := tableCSV(tab), tableCSV(serial); got != want {
+			t.Fatalf("fig7a scale %d pool output differs from serial:\n--- serial ---\n%s--- pool ---\n%s", scale, want, got)
+		}
+		if i == 0 {
+			// A worker counts a task just after the task signals done, so
+			// wait for the fresh pool's counter to reach the sweep's points.
+			waitCompleted(t, pool, uint64(s.Points()))
+			continue
+		}
+		if got := pool.Reused() - reused; got != uint64(s.Points()) {
+			t.Fatalf("fig7a scale %d reused %d points, want all %d", scale, got, s.Points())
+		}
+		if got := pool.Completed(); got != completed {
+			t.Fatalf("fig7a scale %d executed %d points, want 0", scale, got-completed)
+		}
+	}
+
+	fig3b := buildExperiment(t, "fig3b")
+	if _, err := fig3b.Build(1).Run(RunOptions{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	jitter, err := netsim.ParseImpairment("jitter=2us,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, scale := range []int{1, 2} {
+		ref := fig3b.Build(scale)
+		refTab, err := ref.Run(RunOptions{Impairment: jitter})
+		if err != nil {
+			t.Fatalf("fig3b scale %d impaired serial: %v", scale, err)
+		}
+		if f := ref.Faults(); !f.Any() {
+			t.Fatalf("fig3b scale %d: jitter recorded no faults", scale)
+		}
+		s := fig3b.Build(scale)
+		reused := pool.Reused()
+		tab, err := s.Run(RunOptions{Pool: pool, Impairment: jitter})
+		if err != nil {
+			t.Fatalf("fig3b scale %d impaired pool: %v", scale, err)
+		}
+		if got, want := tableCSV(tab), tableCSV(refTab); got != want {
+			t.Fatalf("fig3b scale %d impaired pool output differs from serial:\n--- serial ---\n%s--- pool ---\n%s", scale, want, got)
+		}
+		if s.Faults() != ref.Faults() {
+			t.Fatalf("fig3b scale %d impaired pool faults %+v, serial %+v", scale, s.Faults(), ref.Faults())
+		}
+		want := uint64(0) // nothing jittered has run yet
+		if i > 0 {
+			want = uint64(s.Points())
+		}
+		if got := pool.Reused() - reused; got != want {
+			t.Fatalf("fig3b scale %d impaired reused %d points, want %d", scale, got, want)
+		}
+	}
+}
+
+// waitCompleted waits until the pool's executed-point counter reads want.
+func waitCompleted(t *testing.T, p *Pool, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Completed() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool completed %d points, want %d", p.Completed(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolMemoBounded stores more than memoCap points: the memo never
+// holds more than memoCap, and the store that finds it full drops the
+// oldest key.
+func TestPoolMemoBounded(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	key := func(i int) pointKey { return pointKey{exp: "x", point: fmt.Sprint(i)} }
+	for i := 0; i <= memoCap; i++ {
+		pool.remember(key(i), pointResult{row: []string{fmt.Sprint(i)}})
+		if got := pool.MemoEntries(); got > memoCap {
+			t.Fatalf("memo holds %d entries after %d stores, over the cap %d", got, i+1, memoCap)
+		}
+	}
+	if _, ok := pool.recall(key(0)); ok {
+		t.Fatal("the oldest key survived a store into a full memo")
 	}
 }
 

@@ -43,7 +43,7 @@ func fig7cSweep(scale int) *Sweep {
 		if i%scale != 0 && size != sizes[len(sizes)-1] {
 			continue
 		}
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(size), func(e *Env) ([]string, error) {
 			row := []string{fmt.Sprintf("%d", size)}
 			for _, p := range []netsim.Params{netsim.Integrated(), netsim.Discrete()} {
 				for _, spinMode := range []bool{false, true} {

@@ -46,7 +46,7 @@ func spcSweep(int) *Sweep {
 	traces := spctrace.Suite(SPCOpsPerTrace)
 	for _, name := range spctrace.SuiteNames() {
 		recs := traces[name]
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(name, func(e *Env) ([]string, error) {
 			stats := spctrace.Summarize(recs)
 			row := []string{name, fmt.Sprintf("%.0f%%", 100*stats.WriteFraction)}
 			for _, p := range []netsim.Params{netsim.Integrated(), netsim.Discrete()} {

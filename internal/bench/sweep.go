@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -308,10 +309,14 @@ func (e *Env) programBuffer() *mpisim.ProgramBuffer {
 // resulting table is byte-identical no matter which worker ran which point.
 // Each point is an independent simulation (its cluster is reset to the
 // post-construction state first), which is what makes the distribution
-// sound.
+// sound, and what lets a Pool answer a point it has already finished from
+// its memo.
 type Sweep struct {
 	table  *Table
 	points []func(e *Env) ([]string, error)
+	// keys[i] names what points[i]'s row depends on besides the experiment
+	// and the run's impairment (see Row).
+	keys []string
 
 	// faults accumulates the counters of every worker's Env after a run
 	// under a fault model (RunOptions.Impairment); the counter sums are
@@ -334,9 +339,16 @@ func (s *Sweep) Header() []string { return s.table.Header }
 // progress against this total.
 func (s *Sweep) Points() int { return len(s.points) }
 
-// Row appends one measurement point producing one table row.
-func (s *Sweep) Row(fn func(e *Env) ([]string, error)) {
+// Row appends one measurement point producing one table row. key names
+// everything the row depends on besides the experiment (the table ID) and
+// the run's impairment — a size, a rank count, a variant or trace name —
+// and must be unique within the sweep. The contract a Pool relies on to
+// reuse finished points: two points of one experiment with equal keys
+// produce byte-identical rows and fault-counter deltas under any
+// impairment, at any scale (TestRowKeysIdentifyPoints).
+func (s *Sweep) Row(key string, fn func(e *Env) ([]string, error)) {
 	s.points = append(s.points, fn)
+	s.keys = append(s.keys, key)
 }
 
 // RunOptions selects how Run executes a sweep. The zero value runs
@@ -356,9 +368,11 @@ type RunOptions struct {
 	// Pool, when non-nil, executes every point as a queued task on the
 	// shared persistent worker pool: the pool's long-lived Envs carry their
 	// cluster caches across runs, and its worker count bounds execution.
-	// Output is byte-identical to the serial shape because points are
-	// hermetic (reset == fresh) and rows merge in point order. Ignored when
-	// Fresh is true.
+	// A point the pool has already finished for this experiment, key and
+	// impairment is not queued again: its remembered row and fault delta
+	// are reused. Output is byte-identical to the serial shape because
+	// points are hermetic (reset == fresh) and rows merge in point order.
+	// Ignored when Fresh is true.
 	Pool *Pool
 	// LP > 1 partitions every mpisim replay in the sweep into up to that
 	// many logical processes advancing on private engines under a
@@ -401,10 +415,22 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 		// Queued tasks on the persistent pool: whichever worker dequeues a
 		// point runs it on its long-lived Env. Fault counters are charged
 		// per point by snapshot delta, so concurrent sweeps sharing the
-		// pool each see exactly their own faults.
+		// pool each see exactly their own faults. A point the pool has
+		// finished before is answered from its memo with the same row and
+		// delta, and no task is queued.
 		var wg sync.WaitGroup
 		var mu sync.Mutex
+		impair := im.Key()
 		for i := range s.points {
+			k := pointKey{exp: s.table.ID, point: s.keys[i], impair: impair}
+			if r, ok := opts.Pool.recall(k); ok {
+				rows[i] = slices.Clone(r.row)
+				mu.Lock()
+				s.faults.Add(r.faults)
+				mu.Unlock()
+				progress()
+				continue
+			}
 			wg.Add(1)
 			point := s.points[i]
 			out := i
@@ -415,6 +441,9 @@ func (s *Sweep) Run(opts RunOptions) (*Table, error) {
 				before := e.FaultStats()
 				rows[out], errs[out] = point(e)
 				delta := e.FaultStats().Sub(before)
+				if errs[out] == nil {
+					opts.Pool.remember(k, pointResult{row: slices.Clone(rows[out]), faults: delta})
+				}
 				mu.Lock()
 				s.faults.Add(delta)
 				mu.Unlock()

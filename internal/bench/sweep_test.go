@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -217,13 +219,69 @@ func TestSweepRunTwice(t *testing.T) {
 	}
 }
 
+// TestRowKeysIdentifyPoints pins the contract Sweep.Row's keys carry and a
+// Pool's point memo relies on: keys are unique within a sweep, and two
+// points of one experiment with equal keys produce byte-identical rows and
+// fault-counter deltas at any scale. Every registered experiment runs point
+// by point on one Env, as a pool worker would, at scales 1, 2, 3 and 5
+// clamped to its range; table5c runs at scales 8, 12 and 20, whose 15, 10
+// and 10 halo iterations give it both distinct and equal keys. ftbcast's
+// built-in fault schedule makes its deltas non-zero.
+func TestRowKeysIdentifyPoints(t *testing.T) {
+	type result struct {
+		scale  int
+		row    []string
+		faults netsim.FaultStats
+	}
+	for _, exp := range Experiments() {
+		scales := []int{1, 2, 3, 5}
+		if exp.ID == "table5c" {
+			scales = []int{8, 12, 20}
+		}
+		e := NewEnv()
+		seen := make(map[string]result)
+		last := 0
+		for _, scale := range scales {
+			scale = min(max(scale, exp.MinScale), exp.MaxScale)
+			if scale == last {
+				continue
+			}
+			last = scale
+			s := exp.Build(scale)
+			inSweep := make(map[string]bool)
+			for i, point := range s.points {
+				key := s.keys[i]
+				if inSweep[key] {
+					t.Fatalf("%s scale %d: key %q registered twice", exp.ID, scale, key)
+				}
+				inSweep[key] = true
+				before := e.FaultStats()
+				row, err := point(e)
+				if err != nil {
+					t.Fatalf("%s scale %d key %q: %v", exp.ID, scale, key, err)
+				}
+				got := result{scale, row, e.FaultStats().Sub(before)}
+				if prev, ok := seen[key]; ok {
+					if !slices.Equal(got.row, prev.row) || got.faults != prev.faults {
+						t.Fatalf("%s scale %d key %q: row %q faults %+v, but scale %d gave row %q faults %+v",
+							exp.ID, scale, key, got.row, got.faults, prev.scale, prev.row, prev.faults)
+					}
+					continue
+				}
+				seen[key] = got
+			}
+		}
+	}
+}
+
 // TestSweepErrorPropagates checks Run surfaces a failing point's error in
-// point order, serial and parallel.
+// point order, serial and parallel. The pooled sweep runs twice on one pool
+// and fails both times: a failed point is never remembered.
 func TestSweepErrorPropagates(t *testing.T) {
 	build := func() *Sweep {
 		s := NewSweep(&Table{ID: "x", Header: []string{"v"}})
 		for i := 0; i < 6; i++ {
-			s.Row(func(e *Env) ([]string, error) {
+			s.Row(fmt.Sprint(i), func(e *Env) ([]string, error) {
 				// An impossible ping-pong: oversized HPU memory demand is
 				// not triggerable here, so use a plain failing point.
 				if i == 3 {
@@ -237,8 +295,12 @@ func TestSweepErrorPropagates(t *testing.T) {
 	if _, err := build().Run(RunOptions{}); err != errPoint {
 		t.Fatalf("serial: err = %v, want errPoint", err)
 	}
-	if _, err := runPooled(build(), 3, RunOptions{}); err != errPoint {
-		t.Fatalf("parallel: err = %v, want errPoint", err)
+	pool := NewPool(3)
+	defer pool.Close()
+	for run := 1; run <= 2; run++ {
+		if _, err := build().Run(RunOptions{Pool: pool}); err != errPoint {
+			t.Fatalf("parallel run %d: err = %v, want errPoint", run, err)
+		}
 	}
 }
 

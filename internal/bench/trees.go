@@ -90,7 +90,7 @@ func treesSweep(int) *Sweep {
 	p := netsim.Integrated()
 	const P = 16
 	for _, size := range []int{8, 4096, 65536, 1 << 20} {
-		s.Row(func(e *Env) ([]string, error) {
+		s.Row(fmt.Sprint(size), func(e *Env) ([]string, error) {
 			bin, err := treeBroadcastTime(e, p, handlers.BinomialTree, P, size, handlers.BinomialTree(0, P))
 			if err != nil {
 				return nil, err

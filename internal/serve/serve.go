@@ -153,7 +153,9 @@ func wireFaults(f netsim.FaultStats) statsFaults {
 }
 
 // handleStats serves the service counters: cache effectiveness, queue
-// state, job states, and the fault totals accumulated across every run.
+// state, point work (points_total executed on workers, points_reused
+// answered from the pool's point memo, point_memo_entries held there), job
+// states, and the fault totals accumulated across every run.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobStates := map[string]int{}
@@ -161,18 +163,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		jobStates[j.status]++
 	}
 	snap := map[string]any{
-		"version":       s.version,
-		"cache_entries": len(s.cache),
-		"cache_hits":    s.hits,
-		"cache_misses":  s.misses,
-		"coalesced":     s.coalesced,
-		"inflight":      len(s.flights),
-		"workers":       s.pool.Workers(),
-		"queue_depth":   s.pool.QueueDepth(),
-		"running":       s.pool.Running(),
-		"points_total":  s.pool.Completed(),
-		"jobs":          jobStates,
-		"faults":        wireFaults(s.faults),
+		"version":            s.version,
+		"cache_entries":      len(s.cache),
+		"cache_hits":         s.hits,
+		"cache_misses":       s.misses,
+		"coalesced":          s.coalesced,
+		"inflight":           len(s.flights),
+		"workers":            s.pool.Workers(),
+		"queue_depth":        s.pool.QueueDepth(),
+		"running":            s.pool.Running(),
+		"points_total":       s.pool.Completed(),
+		"points_reused":      s.pool.Reused(),
+		"point_memo_entries": s.pool.MemoEntries(),
+		"jobs":               jobStates,
+		"faults":             wireFaults(s.faults),
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, snap)

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/netsim"
 )
 
 // newTestServer returns a small-pool server with a fixed version stamp so
@@ -164,6 +166,66 @@ func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 	}
 	if got := m["cache_hits"].(float64) + m["coalesced"].(float64); got != n-1 {
 		t.Fatalf("/stats hits+coalesced = %v, want %d", got, n-1)
+	}
+}
+
+// TestOverlappingScalesReusePoints sends concurrent requests whose sweeps
+// share points to a 2-worker server: fig3b at scales 1-8, fig7c at scales
+// 2-6, and fig3b under jitter. Every answer must be the serial bench bytes,
+// whichever request computed a shared point and whichever reused it, and
+// the pool's point memo must have answered some points.
+func TestOverlappingScalesReusePoints(t *testing.T) {
+	s := newTestServer(t)
+	type request struct {
+		exp    string
+		scale  int
+		impair string
+	}
+	var reqs []request
+	for scale := 1; scale <= 8; scale++ {
+		reqs = append(reqs, request{"fig3b", scale, ""})
+	}
+	for scale := 2; scale <= 6; scale++ {
+		reqs = append(reqs, request{"fig7c", scale, ""})
+	}
+	reqs = append(reqs, request{"fig3b", 2, "jitter=2us,seed=3"})
+
+	want := make([][]byte, len(reqs))
+	for i, q := range reqs {
+		exp, _ := bench.FindExperiment(q.exp)
+		im, err := netsim.ParseImpairment(q.impair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := exp.Build(q.scale).Run(bench.RunOptions{Impairment: im})
+		if err != nil {
+			t.Fatalf("%+v: direct run: %v", q, err)
+		}
+		var b bytes.Buffer
+		tab.CSV(&b)
+		want[i] = b.Bytes()
+	}
+
+	var wg sync.WaitGroup
+	for i, q := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			target := fmt.Sprintf("/run?experiment=%s&scale=%d&impair=%s", q.exp, q.scale, url.QueryEscape(q.impair))
+			w := do(t, s, "POST", target, "")
+			if w.Code != http.StatusOK {
+				t.Errorf("%+v: served run = %d: %s", q, w.Code, w.Body.String())
+				return
+			}
+			if !bytes.Equal(w.Body.Bytes(), want[i]) {
+				t.Errorf("%+v: served CSV differs from direct bench CSV:\n--- direct ---\n%s--- served ---\n%s",
+					q, want[i], w.Body.String())
+			}
+		}()
+	}
+	wg.Wait()
+	if m := stats(t, s); m["points_reused"].(float64) == 0 {
+		t.Fatalf("/stats points_reused = 0 after %d overlapping requests: %v", len(reqs), m)
 	}
 }
 

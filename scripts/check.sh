@@ -103,6 +103,14 @@ echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) 
 # above: a naive acquire scans every server.
 go test -run '^$' -fuzz 'FuzzIntervalPoolMatchesNaive' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
 
+echo "== serve request fuzz (FuzzServeRequest, 5s) =="
+# Fuzzed JSON bodies and query values through parseRequest and validate,
+# running no experiment: never a panic, every rejection a 400 *apiError
+# (the ones validate makes name the valid values), and every accepted
+# request in range with a re-parse fixed-point impairment key. Minimization
+# is capped as above.
+go test -run '^$' -fuzz 'FuzzServeRequest' -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
+
 echo "== nested benchmark module (go vet) =="
 # benchmark/ is its own module (replace repro => ../), so the root
 # `go build ./...` never compiles it; vetting it here catches an exported
@@ -137,12 +145,14 @@ go test -count=1 -run 'TestFig7aWallClock' .
 echo "== alloc smoke (BenchmarkClusterSendLarge, hot path) =="
 go test -run='^$' -bench=BenchmarkClusterSendLarge -benchtime=100x -benchmem ./internal/netsim
 
-echo "== spinserve smoke (serve vs CLI byte-identity + cache hit) =="
+echo "== spinserve smoke (serve vs CLI byte-identity + cache hit + point memo) =="
 # End-to-end over a real socket with version-stamped binaries: start
 # spinserve, POST a small experiment, diff the CSV byte-for-byte against
 # the same build's spinbench -csv, then re-request and require a cache hit
-# (X-Cache: hit) with identical bytes. Runs in every CI matrix job because
-# CI runs this script.
+# (X-Cache: hit) with identical bytes. A last request at another scale with
+# the same points must be a cache miss the pool's point memo answers
+# (points_reused >= 2), byte-identical to spinbench. Runs in every CI
+# matrix job because CI runs this script.
 SMOKEDIR=$(mktemp -d)
 trap 'rm -rf "$SMOKEDIR"' EXIT
 VERSION=$(git rev-parse --short HEAD 2>/dev/null || echo dev)

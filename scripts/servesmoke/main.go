@@ -3,9 +3,12 @@
 // ephemeral port, requests a small experiment, and diffs the response
 // byte-for-byte against what the same build's spinbench -csv prints —
 // then re-requests and asserts the cache served it (X-Cache: hit) with
-// identical bytes. It exercises the acceptance criteria of the serve
-// layer over a real TCP socket, where httptest suites can't see ldflags
-// stamping or process startup.
+// identical bytes. Last it requests the same experiment at another scale
+// whose points are the same sizes: a cache miss that the pool's point memo
+// answers (points_reused in /stats), still byte-identical to spinbench.
+// It exercises the acceptance criteria of the serve layer over a real TCP
+// socket, where httptest suites can't see ldflags stamping or process
+// startup.
 //
 // Usage: servesmoke <spinserve-binary> <spinbench-binary>
 package main
@@ -13,6 +16,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,19 +37,24 @@ func main() {
 const expID = "fig3b"
 const scale = 64
 
+// overlapScale subsamples fig3b to the same two sizes as scale: the first
+// and the last.
+const overlapScale = 32
+
 func run() error {
 	if len(os.Args) != 3 {
 		return fmt.Errorf("usage: servesmoke <spinserve-binary> <spinbench-binary>")
 	}
 	spinserve, spinbench := os.Args[1], os.Args[2]
 
-	// Reference bytes: what the CLI prints for the same request.
-	var want bytes.Buffer
-	cli := exec.Command(spinbench, "-exp", expID, "-scale", fmt.Sprint(scale), "-csv")
-	cli.Stdout = &want
-	cli.Stderr = os.Stderr
-	if err := cli.Run(); err != nil {
-		return fmt.Errorf("spinbench reference run: %v", err)
+	// Reference bytes: what the CLI prints for the same requests.
+	want, err := reference(spinbench, scale)
+	if err != nil {
+		return err
+	}
+	wantOverlap, err := reference(spinbench, overlapScale)
+	if err != nil {
+		return err
 	}
 
 	// Start the server on an ephemeral port; its post-listen stderr line
@@ -86,8 +95,8 @@ func run() error {
 	if cache1 != "miss" {
 		return fmt.Errorf("first request X-Cache = %q, want miss", cache1)
 	}
-	if !bytes.Equal(first, want.Bytes()) {
-		return fmt.Errorf("server CSV differs from spinbench -csv:\n--- spinbench ---\n%s--- spinserve ---\n%s", want.String(), first)
+	if !bytes.Equal(first, want) {
+		return fmt.Errorf("server CSV differs from spinbench -csv:\n--- spinbench ---\n%s--- spinserve ---\n%s", want, first)
 	}
 	second, cache2, err := post(base + "/run?experiment=" + expID + fmt.Sprintf("&scale=%d", scale))
 	if err != nil {
@@ -100,6 +109,26 @@ func run() error {
 		return fmt.Errorf("repeat request bytes differ from first")
 	}
 
+	overlap, cache3, err := post(base + "/run?experiment=" + expID + fmt.Sprintf("&scale=%d", overlapScale))
+	if err != nil {
+		return err
+	}
+	if cache3 != "miss" {
+		return fmt.Errorf("scale %d request X-Cache = %q, want miss", overlapScale, cache3)
+	}
+	if !bytes.Equal(overlap, wantOverlap) {
+		return fmt.Errorf("scale %d server CSV differs from spinbench -csv:\n--- spinbench ---\n%s--- spinserve ---\n%s", overlapScale, wantOverlap, overlap)
+	}
+	var st struct {
+		Reused uint64 `json:"points_reused"`
+	}
+	if err := getJSON(base+"/stats", &st); err != nil {
+		return err
+	}
+	if st.Reused < 2 {
+		return fmt.Errorf("/stats points_reused = %d after the scale %d request, want >= 2: its points are the scale %d points", st.Reused, overlapScale, scale)
+	}
+
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		return fmt.Errorf("healthz: %v", err)
@@ -110,6 +139,35 @@ func run() error {
 		return fmt.Errorf("healthz = %d: %s", resp.StatusCode, body)
 	}
 	return nil
+}
+
+// reference returns what spinbench -csv prints for the experiment at scale.
+func reference(spinbench string, scale int) ([]byte, error) {
+	var out bytes.Buffer
+	cli := exec.Command(spinbench, "-exp", expID, "-scale", fmt.Sprint(scale), "-csv")
+	cli.Stdout = &out
+	cli.Stderr = os.Stderr
+	if err := cli.Run(); err != nil {
+		return nil, fmt.Errorf("spinbench reference run at scale %d: %v", scale, err)
+	}
+	return out.Bytes(), nil
+}
+
+// getJSON issues a GET and decodes its 200 answer into v.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return fmt.Errorf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s = %d: %s", url, resp.StatusCode, body)
+	}
+	return json.Unmarshal(body, v)
 }
 
 // post issues POST /run and returns (body, X-Cache header).
