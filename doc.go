@@ -53,12 +53,13 @@
 //     scheduling (verified against the PR-0 engine in BENCH_core.json).
 //   - Setup reuse. With the per-event path allocation-free, sweeps became
 //     setup-dominated (a fresh 325-node cluster per measurement point).
-//     netsim.Cluster.Reset returns a cluster to its post-construction
-//     state — engine clock/queue/sequence, every resource's busy-until
-//     timeline, the Portals NIs and sPIN runtimes (via the netsim.Resetter
-//     cascade), free lists kept, timeline recorder cleared — so one cluster
-//     per configuration serves a whole sweep (bench.Env caches them; the
-//     full Fig 3b sweep dropped from 647k to 12.5k allocations, 52x).
+//     netsim.Cluster.Reset returns a cluster's transport to its
+//     post-construction state — engine clock/queue/sequence, every
+//     resource's busy-until timeline, free lists kept, timeline recorder
+//     cleared — and bench.Env then resets the cluster's Portals NIs (and
+//     through them the sPIN runtimes) in node order, so one cluster per
+//     configuration serves a whole sweep (bench.Env caches them; the full
+//     Fig 3b sweep dropped from 647k to 12.5k allocations, 52x).
 //     Reset is simulation-equivalent to reconstruction because every input
 //     to the event order (clock, (time, seq) tie-breaks, busy-until
 //     trajectories) restarts exactly as construction leaves it; pooled-
@@ -69,14 +70,15 @@
 //     arrival, and wire message drawn from engine-owned free lists — never
 //     sync.Pool), and raidsim.System.Reset re-arms the RAID service with
 //     its portal tables, MEs, and handler scratchpad intact
-//     (netsim.Cluster.ResetCore + portals.NI.ResetInFlight). bench.Env
+//     (netsim.Cluster.Reset + portals.NI.ResetInFlight). bench.Env
 //     caches both, which took a Table 5c regeneration from 6.54M to 439k
 //     allocations (14.9x). Reset == fresh is pinned bit-exactly by
 //     engine-, system-, and sweep-level golden tests.
 //   - Portals-layer pooling. The per-request protocol path allocates
 //     nothing in steady state: wire messages come from a cluster-owned free
 //     list (netsim.Cluster.AllocMessage) and are recycled by the transport
-//     itself after the last packet's dispatch; payload staging reuses a
+//     itself once their last packet retires (dispatched, dropped, or
+//     discarded); payload staging reuses a
 //     message-owned grow-only buffer (Message.StageData); pendingOps,
 //     handler contexts (with a Ctx.Scratch arena), and EQ dispatches are
 //     pooled; CT triggers are stored by value; and the remaining hot-path

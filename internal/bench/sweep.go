@@ -130,6 +130,9 @@ func (e *Env) cluster(n int, p netsim.Params, im *netsim.Impairment) (*netsim.Cl
 		e.faultAcc.Add(ec.c.Faults)
 		if !e.fresh {
 			ec.c.Reset()
+			for _, ni := range ec.nis {
+				ni.Reset()
+			}
 			return ec.c, ec.nis, nil
 		}
 	}

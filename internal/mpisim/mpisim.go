@@ -302,7 +302,7 @@ func (e *Engine) Ranks() int { return len(e.rank) }
 // set on the same cluster, so one engine per (rank count, configuration) can
 // serve an entire experiment instead of a single replay. The cluster's
 // transport state (engine clock/queue/sequence, resource busy-until
-// timelines, recorder) restarts via netsim.Cluster.ResetCore; the protocol
+// timelines, recorder) restarts via netsim.Cluster.Reset; the protocol
 // maps are cleared in place; and all outstanding per-message state returns
 // to the engine's free lists.
 //
@@ -315,7 +315,7 @@ func (e *Engine) Reset(programs [][]Op) error {
 	if len(programs) != len(e.rank) {
 		return fmt.Errorf("mpisim: Reset with %d programs on a %d-rank engine", len(programs), len(e.rank))
 	}
-	e.C.ResetCore()
+	e.C.Reset()
 	e.Res = Result{}
 	for i, r := range e.rank {
 		// The maps' values are owned by the rank-side lists below, so free

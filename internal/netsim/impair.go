@@ -399,8 +399,8 @@ const (
 // the cluster's fault model and restarts the per-link packet counters. Call
 // it before traffic starts; changing the model mid-run would shift the
 // packet-seq keys of in-flight messages. The impairment itself survives
-// Reset/ResetCore — only the counters restart — so a reset cluster replays
-// the exact same fault schedule.
+// Reset — only the counters restart — so a reset cluster replays the exact
+// same fault schedule.
 func (c *Cluster) SetImpairment(im *Impairment) {
 	if !im.Enabled() {
 		im = nil
@@ -490,32 +490,6 @@ func (c *Cluster) impairPacket(w *msgWalk, pkt *Packet, now sim.Time) (at sim.Ti
 		c.Faults.Delayed++
 	}
 	return at, false
-}
-
-// packetAccounted marks one of an impaired message's packets as terminally
-// handled (delivered, dropped, or CRC-discarded). When the last packet is
-// accounted for, a pooled message is either recycled or — if any fault
-// removed a packet after a receiver saw part of the message — quarantined
-// until the next ResetCore. A pending Delivered event does not hold the
-// message (it carries DeliveredArg), so it never forces quarantine.
-// Quarantine is what keeps loss safe for pooled messages: a receiver that
-// saw part of the message left partial state in its RecvState slot, and
-// that state may point back at the message (portals and core keep the
-// *Message in their receive records); when loss prevents the final
-// dispatch, nothing retires that state until the receivers reset.
-func (c *Cluster) packetAccounted(m *Message) {
-	if m.track <= 0 {
-		return
-	}
-	m.track--
-	if m.track > 0 || !m.pooled {
-		return
-	}
-	if m.faulted && m.touched {
-		c.quarantine = append(c.quarantine, m)
-		return
-	}
-	c.recycleMessage(m)
 }
 
 // runDelayedReceive is the ScheduleCall dispatcher for impairment-delayed

@@ -263,38 +263,28 @@ func (c *slotCollector) ReceivePacket(now sim.Time, pkt *Packet) {
 	c.collector.ReceivePacket(now, pkt)
 }
 
-func TestLostPooledMessagesQuarantinedUntilReset(t *testing.T) {
+// TestPartlyDeliveredLostPooledMessageRecycles: a pooled message whose
+// header reached a receiver that left state in its RecvState slot, and
+// whose second packet was lost, is done when that second packet retires.
+// When the run ends it is back on the free list with the slot zeroed, and
+// the next AllocMessage returns it; no reset is needed.
+func TestPartlyDeliveredLostPooledMessageRecycles(t *testing.T) {
 	c := mkCluster(t, 2, Integrated())
-	c.SetImpairment(&Impairment{LossEveryN: 1}) // every packet dies
+	c.SetImpairment(&Impairment{LossEveryN: 2}) // the second packet dies
 	col := &slotCollector{}
 	c.Nodes[1].Recv = col
-	// A pooled multi-packet message that a receiver partially saw can never
-	// be recycled mid-run: the receiver's partial state still rides in its
-	// RecvState slot. With every packet lost and the receiver untouched,
-	// the message is recyclable immediately; make it "touched" by losing
-	// only the second packet.
-	c.SetImpairment(&Impairment{LossEveryN: 2})
 	m := c.AllocMessage()
 	m.Type, m.Src, m.Dst, m.Length = OpPut, 0, 1, 2*4096
 	c.Send(0, m)
 	c.Eng.Run()
-	if len(col.pkts) != 1 {
-		t.Fatalf("delivered %d packets, want 1 (second lost)", len(col.pkts))
+	if len(col.pkts) != 1 || !col.pkts[0].Header {
+		t.Fatalf("delivered %d packets, want only the header (second lost)", len(col.pkts))
 	}
-	if len(c.quarantine) != 1 || c.quarantine[0] != m {
-		t.Fatalf("touched faulted message not quarantined (%d quarantined)", len(c.quarantine))
+	if len(c.msgFree) != 1 || c.msgFree[0] != m {
+		t.Fatalf("partly delivered lost message not recycled: %d free", len(c.msgFree))
 	}
-	if m.RecvState == nil {
-		t.Fatal("receiver's state missing from the quarantined message's slot")
-	}
-	free := len(c.msgFree)
-	c.Reset()
-	if len(c.quarantine) != 0 || len(c.msgFree) != free+1 {
-		t.Fatalf("reset did not reclaim quarantine: %d left, %d free (was %d)", len(c.quarantine), len(c.msgFree), free)
-	}
-	// The next allocation reuses the message with the receiver's state gone.
 	if got := c.AllocMessage(); got != m || got.RecvState != nil {
-		t.Fatalf("AllocMessage after reset = %p with RecvState %v; want %p with nil", got, got.RecvState, m)
+		t.Fatalf("AllocMessage = %p with RecvState %v; want %p with nil", got, got.RecvState, m)
 	}
 }
 
@@ -306,9 +296,6 @@ func TestUntouchedLostPooledMessageRecyclesImmediately(t *testing.T) {
 	m.Type, m.Src, m.Dst, m.Length = OpPut, 0, 1, 64
 	c.Send(0, m)
 	c.Eng.Run()
-	if len(c.quarantine) != 0 {
-		t.Fatalf("untouched lost message needlessly quarantined (%d)", len(c.quarantine))
-	}
 	if len(c.msgFree) != 1 {
 		t.Fatalf("lost message not recycled: %d free", len(c.msgFree))
 	}
@@ -333,7 +320,7 @@ func TestLostPooledMessageWithDeliveredRecyclesImmediately(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("Delivered fired %d times, want 1", fired)
 	}
-	if len(c.quarantine) != 0 || len(c.msgFree) != 1 {
-		t.Fatalf("lost message with a Delivered callback: quarantined %d, free %d; want 0 and 1", len(c.quarantine), len(c.msgFree))
+	if len(c.msgFree) != 1 {
+		t.Fatalf("lost message with a Delivered callback not recycled: %d free", len(c.msgFree))
 	}
 }

@@ -198,7 +198,7 @@ func TestLPPartitionConstruction(t *testing.T) {
 
 // TestLPResetBitIdentical extends the reset-equals-fresh contract to the
 // partitioned transport: an LP cluster that ran an impaired storm, once
-// ResetCore, must replay a second storm bit-identically to a fresh LP
+// Reset, must replay a second storm bit-identically to a fresh LP
 // cluster — shard clocks, per-link impairment sequence numbers, message
 // IDs, and outboxes all restart.
 func TestLPResetBitIdentical(t *testing.T) {
@@ -245,7 +245,7 @@ func TestLPResetBitIdentical(t *testing.T) {
 	}
 	reused.SetImpairment(tc.imp)
 	run(reused) // dirty every shard
-	reused.ResetCore()
+	reused.Reset()
 	got := run(reused)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("reset LP cluster diverged from fresh:\nfresh: %v\nreset: %v", want, got)

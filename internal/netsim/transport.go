@@ -87,20 +87,12 @@ type Message struct {
 	// payload staging allocates nothing.
 	buf []byte
 	// pooled marks messages drawn from Cluster.AllocMessage: the transport
-	// recycles them automatically after their last packet has been
-	// dispatched to the receiver.
+	// recycles them automatically once every packet has retired.
 	pooled bool
 
-	// track, faulted, and touched exist only under impairment (track stays 0
-	// otherwise). track counts packets not yet terminally accounted for
-	// (delivered, dropped, or CRC-discarded); faulted records that at least
-	// one packet was removed; touched records that a receiver saw at least
-	// one packet. Together they decide recycle-vs-quarantine for pooled
-	// messages when loss breaks the "last packet dispatches" invariant — see
-	// Cluster.packetAccounted.
-	track   int
-	faulted bool
-	touched bool
+	// track counts the packets of the current send that have not retired
+	// yet (see Cluster.retire).
+	track int
 }
 
 // StageData returns an n-byte payload buffer owned by the message and
@@ -147,14 +139,6 @@ type Receiver interface {
 	// ReceivePacket is called when the packet has cleared the NIC's
 	// matching hardware at time now.
 	ReceivePacket(now sim.Time, pkt *Packet)
-}
-
-// Resetter is implemented by receivers that can return to their
-// post-construction state. Cluster.Reset resets every installed receiver
-// that implements it, which is how a reset cascades from the transport into
-// the Portals/runtime layers without netsim importing them.
-type Resetter interface {
-	Reset()
 }
 
 // Node is one network endpoint: a host CPU, its NIC (egress + matching
@@ -206,18 +190,16 @@ type Cluster struct {
 
 	// pktFree, walkFree, and msgFree are engine-owned free lists. msgFree
 	// is hand-rolled because a recycled message keeps its staging buffer
-	// (see recycleMessage).
+	// (see retire).
 	pktFree  sim.FreeList[Packet]
 	walkFree sim.FreeList[msgWalk]
 	msgFree  []*Message
 
-	// imp is the installed fault model (nil = perfect network); linkSeq
-	// counts packets per directed link, keying the impairment PRNG; and
-	// quarantine parks faulted pooled messages until the next ResetCore
-	// (see packetAccounted). All three are touched only under impairment.
-	imp        *Impairment
-	linkSeq    map[uint64]uint64
-	quarantine []*Message
+	// imp is the installed fault model (nil = perfect network), and linkSeq
+	// counts packets per directed link, keying the impairment PRNG. Both are
+	// touched only under impairment.
+	imp     *Impairment
+	linkSeq map[uint64]uint64
 
 	// Faults counts injected faults and recovery work (see FaultStats).
 	Faults FaultStats
@@ -248,16 +230,17 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 	return c, nil
 }
 
-// Reset returns the cluster to its post-construction state so one cluster
-// can serve an entire measurement sweep instead of a single point: the
-// engine's clock, queue, and sequence counter restart at zero; every node's
-// egress, matching unit, memory bus, and core pool go idle; installed
-// receivers that implement Resetter (the Portals NI and, through it, the
-// sPIN runtime) are reset; the attached timeline recorder (if any) is
-// cleared; and message IDs and statistics restart. The engine-owned free
-// lists (packets, walks, messages) are deliberately retained — that is the
-// point of reuse — and cannot leak stale state because every pooled object
-// is zeroed when it is recycled.
+// Reset returns the transport to its post-construction state so one
+// cluster can serve an entire measurement sweep instead of a single point:
+// the engine's clock, queue, and sequence counter restart at zero; every
+// node's egress, matching unit, memory bus, and core pool go idle; the
+// attached timeline recorder (if any) is cleared; and message IDs and
+// statistics restart. Installed receivers are not touched: the layer that
+// installed them resets them (bench.Env its Portals NIs, mpisim and
+// raidsim their own receiver state in place). The engine-owned free lists
+// (packets, walks, messages) are deliberately retained — that is the point
+// of reuse — and cannot leak stale state because every pooled object is
+// zeroed when it is recycled.
 //
 // Determinism contract: a reset cluster produces bit-identical simulated
 // times to a freshly constructed one, because every input to the event
@@ -266,22 +249,6 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 // map-bucket reuse changes only allocation behaviour, never simulated time;
 // no simulation path iterates those maps.
 func (c *Cluster) Reset() {
-	c.ResetCore()
-	for _, n := range c.Nodes {
-		if r, ok := n.Recv.(Resetter); ok {
-			r.Reset()
-		}
-	}
-}
-
-// ResetCore resets the transport itself — engine clock/queue/sequence,
-// every node's egress, matching unit, memory bus and core pool, the
-// recorder, message IDs, and statistics — without cascading into the
-// installed receivers. Systems that keep long-lived protocol setup on their
-// receivers (mpisim's rank machinery, raidsim's portal tables) use it to
-// reuse a cluster across replays while restoring their own receiver state
-// in place; everything Reset says about determinism applies equally here.
-func (c *Cluster) ResetCore() {
 	for _, n := range c.Nodes {
 		n.Egress.Reset()
 		n.MatchHW.Reset()
@@ -302,8 +269,8 @@ func (c *Cluster) ResetCore() {
 
 // resetEngineState restarts one engine's share of the transport state —
 // clock/queue/sequence, message IDs, statistics, impairment link counters,
-// fault counters, quarantine, and cross-shard outbox. Node hardware and the
-// recorder are shared across shards and reset by ResetCore itself.
+// fault counters, and cross-shard outbox. Node hardware and the recorder
+// are shared across shards and reset by Reset itself.
 func (c *Cluster) resetEngineState() {
 	c.Eng.Reset()
 	c.nextID = 0
@@ -312,14 +279,6 @@ func (c *Cluster) resetEngineState() {
 	c.BytesSent = 0
 	clear(c.linkSeq)
 	c.Faults = FaultStats{}
-	// Quarantined messages are safe to reuse once the receivers have reset:
-	// recycling zeroes the receive slot that held their partial state, and
-	// recycling them here (deterministic LIFO order) keeps the pool steady
-	// across reset-reuse sweeps.
-	for _, m := range c.quarantine {
-		c.recycleMessage(m)
-	}
-	c.quarantine = c.quarantine[:0]
 	c.outbox = c.outbox[:0]
 }
 
@@ -361,8 +320,8 @@ type msgWalk struct {
 
 // AllocMessage draws a zeroed wire message from the cluster's engine-owned
 // free list. Pooled messages are recycled by the transport itself as soon as
-// their last packet has been dispatched to the destination's Receiver — so a
-// receiver (and every layer above it) must copy anything it needs past that
+// every packet of the send has retired (see retire) — so a receiver (and
+// every layer above it) must copy anything it needs past a packet's
 // dispatch and must never hold a pooled *Message across events. See
 // ARCHITECTURE.md "Pooling ownership rules" for the full contract.
 //
@@ -382,9 +341,18 @@ func (c *Cluster) AllocMessage() *Message {
 // idle size, proving no path leaks or double-holds a pooled message).
 func (c *Cluster) PooledMessages() int { return len(c.msgFree) }
 
-// recycleMessage zeroes a pooled message and returns it to the free list,
-// keeping the staging buffer's capacity for the next StageData.
-func (c *Cluster) recycleMessage(m *Message) {
+// retire marks one packet of m as done for good: dispatched to the
+// Receiver, dropped by the impairment, discarded by the CRC check, or
+// vanished at a node with no Receiver. When the send's last packet retires,
+// a pooled message is zeroed — its RecvState slot, which holds any partial
+// receive state, included — and returned to the free list, keeping the
+// staging buffer's capacity for the next StageData. A pending Delivered
+// event carries DeliveredArg, not the message, so it never holds one.
+func (c *Cluster) retire(m *Message) {
+	m.track--
+	if m.track > 0 || !m.pooled {
+		return
+	}
 	buf := m.buf
 	*m = Message{}
 	m.buf = buf[:0]
@@ -461,10 +429,8 @@ func (c *Cluster) send(ready sim.Time, msg *Message) {
 		k := linkKey(msg.Src, msg.Dst)
 		impSeq = c.linkSeq[k]
 		c.linkSeq[k] += uint64(n)
-		msg.track = n
-		msg.faulted = false
-		msg.touched = false
 	}
+	msg.track = n
 	stamp := c.Eng.Now()
 	// The walk's priority key: (source send count, source rank), unique per
 	// message and derived only from the node's own traffic history — so two
@@ -533,8 +499,7 @@ func walkDeliver(a any) {
 	dst := w.dst
 	// Decide the packet's fate before advancing the walk: the final packet's
 	// advance frees w, and the verdict reads the walk's impairment state.
-	var at sim.Time
-	var drop bool
+	at, drop := w.arr, false
 	if c.imp != nil {
 		at, drop = c.impairPacket(w, pkt, w.arr)
 	}
@@ -549,15 +514,10 @@ func walkDeliver(a any) {
 	} else {
 		c.walkFree.Put(w)
 	}
-	if c.imp == nil {
-		dst.receive(pkt)
-		return
-	}
 	if drop {
 		msg := pkt.Msg
-		msg.faulted = true
 		c.pktFree.Put(pkt)
-		c.packetAccounted(msg)
+		c.retire(msg)
 		return
 	}
 	if at == c.Eng.Now() {
@@ -585,53 +545,31 @@ func (n *Node) receive(pkt *Packet) {
 		c.Rec.Record(n.Rank, "NIC", start, done, fmt.Sprintf("match %s #%d", pkt.Msg.Type, pkt.Index)) //simlint:alloc-ok trace labels are built only when recording is enabled; benchmarks run with Rec nil
 	}
 	if n.Recv == nil {
-		// No consumer installed; the packet vanishes (tests only). A pooled
-		// message is still done once its last packet would have dispatched.
-		last, msg := pkt.Last, pkt.Msg
+		// No consumer installed; the packet vanishes (tests only).
+		msg := pkt.Msg
 		c.pktFree.Put(pkt)
-		if msg.track > 0 {
-			c.packetAccounted(msg)
-		} else if last && msg.pooled {
-			c.recycleMessage(msg)
-		}
+		c.retire(msg)
 		return
 	}
 	pkt.node = n
 	c.Eng.ScheduleCall(done, deliverMatched, pkt)
 }
 
-// deliverMatched hands a matched packet to the node's Receiver and recycles
-// it. Receivers must not retain the pointer past the call. After the LAST
-// packet's dispatch returns, a pooled message is recycled too: the transport
-// owns pooled-message lifetime, receivers keep their per-message state in
-// the message's own RecvState slot (which recycling zeroes), and no layer
-// holds the pointer past this instant.
+// deliverMatched hands a matched packet to the node's Receiver, recycles
+// it, and retires it from its message. Receivers must not retain the
+// pointer past the call. A corrupted packet fails the NIC CRC check here:
+// it consumed wire and matching bandwidth but never reaches the Receiver,
+// so recovery layers see it as a loss.
 func deliverMatched(a any) {
 	pkt := a.(*Packet)
 	n := pkt.node
 	c := n.cluster
-	last, msg := pkt.Last, pkt.Msg
-	if pkt.corrupt {
-		// NIC CRC check: a corrupted packet consumed wire and matching
-		// bandwidth but never reaches the Receiver; recovery layers see it
-		// as a loss.
-		msg.faulted = true
-		c.pktFree.Put(pkt)
-		c.packetAccounted(msg)
-		return
-	}
-	if msg.track > 0 {
-		msg.touched = true
+	msg := pkt.Msg
+	if !pkt.corrupt {
 		n.Recv.ReceivePacket(c.Eng.Now(), pkt)
-		c.pktFree.Put(pkt)
-		c.packetAccounted(msg)
-		return
 	}
-	n.Recv.ReceivePacket(c.Eng.Now(), pkt)
 	c.pktFree.Put(pkt)
-	if last && msg.pooled {
-		c.recycleMessage(msg)
-	}
+	c.retire(msg)
 }
 
 // HostSend charges the injection overhead o on a host core at time now and

@@ -202,11 +202,12 @@ func TestSteadyStatePoolsStable(t *testing.T) {
 
 // TestLiteralMessageResentAfterMidFlightReset covers a receive abandoned
 // mid-flight: a literal (never recycled) multi-packet put is cut off by a
-// Cluster.Reset after its header packet was received, and the same
-// message is then sent again. The receive state of the first send is left
-// behind on the message, so the second send must start over from its
-// header: on a plain ME and on a handler ME alike, it must deposit, run
-// handlers and complete exactly as the same send does on a fresh cluster.
+// reset of the cluster and its NIs after its header packet was received,
+// and the same message is then sent again. The receive state of the first
+// send is left behind on the message, so the second send must start over
+// from its header: on a plain ME and on a handler ME alike, it must
+// deposit, run handlers and complete exactly as the same send does on a
+// fresh cluster.
 func TestLiteralMessageResentAfterMidFlightReset(t *testing.T) {
 	const length = 6 * 4096
 	data := make([]byte, length)
@@ -251,6 +252,9 @@ func TestLiteralMessageResentAfterMidFlightReset(t *testing.T) {
 				t.Fatal("message completed before the reset")
 			}
 			c.Reset()
+			for _, ni := range nis {
+				ni.Reset()
+			}
 			o.calls = o.calls[:0]
 			me, eq = post()
 		}

@@ -170,11 +170,11 @@ func NewNI(c *netsim.Cluster, rank int) *NI {
 
 // Reset returns the interface to its post-construction state — no portal
 // table entries, no outstanding operations, no in-flight receives, zero
-// drops — and resets the attached sPIN runtime. It implements
-// netsim.Resetter, so netsim.Cluster.Reset cascades into the Portals layer
-// automatically. The free lists are kept (records are zeroed when
-// recycled), and map storage is cleared in place so a reused NI allocates
-// nothing to reach its pristine state.
+// drops — and resets the attached sPIN runtime. netsim.Cluster.Reset
+// resets only the transport, so whoever reuses a cluster resets its NIs
+// too (bench.Env does, in node order). The free lists are kept (records
+// are zeroed when recycled), and map storage is cleared in place so a
+// reused NI allocates nothing to reach its pristine state.
 func (ni *NI) Reset() {
 	// Recycle the portal table entries and the EQ/CT objects handed out by
 	// NewEQ/NewCT. Map iteration order is irrelevant (pool entries are

@@ -94,8 +94,8 @@ func New(p netsim.Params, spin bool) (*System, error) {
 
 // Reset returns the system to its post-construction state so one service
 // instance can replay trace after trace instead of being rebuilt per
-// replay: the cluster's transport resets without touching the installed
-// receivers (netsim.Cluster.ResetCore), every NI returns to idle with its
+// replay: the cluster's transport resets (netsim.Cluster.Reset, which
+// leaves the installed receivers alone), every NI returns to idle with its
 // portal tables, MEs, and handler scratchpad intact (portals.NI.
 // ResetInFlight — which also rewinds locally-managed offsets, re-zeroes
 // handler state, and clears the per-ME event queues), the client's ack
@@ -108,7 +108,7 @@ func New(p netsim.Params, spin bool) (*System, error) {
 // contents, and the ME lists keep their construction order. Free lists and
 // map buckets kept by the resets change allocation behaviour only.
 func (s *System) Reset() {
-	s.C.ResetCore()
+	s.C.Reset()
 	for _, ni := range s.nis {
 		ni.ResetInFlight()
 	}

@@ -37,8 +37,7 @@ var Analyzer = &lintkit.Analyzer{
 // window barriers (ARCHITECTURE.md, Parallel DES).
 var shardOwned = map[string]bool{
 	"pktFree": true, "walkFree": true, "msgFree": true,
-	"linkSeq": true, "quarantine": true,
-	"outbox": true, "crossBuf": true, "nextID": true,
+	"linkSeq": true, "outbox": true, "crossBuf": true, "nextID": true,
 	"Faults": true, "MessagesSent": true, "PacketsSent": true, "BytesSent": true,
 }
 
