@@ -29,6 +29,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: spinasm [-run|-dis] [-mem N] prog.s")
 		os.Exit(2)
 	}
+	if *memSize < 0 {
+		fmt.Fprintf(os.Stderr, "spinasm: -mem %d: scratchpad size must be >= 0\n", *memSize)
+		os.Exit(2)
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spinasm:", err)

@@ -84,6 +84,9 @@ func parseInst(line string) (p struct {
 	line  int
 }, err error) {
 	fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+	if len(fields) == 0 {
+		return p, fmt.Errorf("missing mnemonic")
+	}
 	mn := strings.ToLower(fields[0])
 	args := fields[1:]
 	need := func(n int) error {

@@ -130,6 +130,8 @@ func TestAssemblerErrors(t *testing.T) {
 		"li r1, 99999999",
 		"lw r1, r2",
 		"dup: nop\ndup: nop",
+		",",
+		"start: , ,",
 	} {
 		if _, err := Assemble(bad); err == nil {
 			t.Errorf("assembled %q", bad)

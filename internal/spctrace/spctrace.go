@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -31,7 +32,13 @@ type Record struct {
 	At    sim.Time
 }
 
-// Parse reads an SPC-format trace.
+// maxSeconds bounds a record's timestamp so that it converts to sim.Time
+// without overflow. It is a whole number of seconds, so Format's rounding
+// to microseconds never carries an accepted timestamp past it.
+const maxSeconds = float64(math.MaxInt64 / sim.Second)
+
+// Parse reads an SPC-format trace. ASU, LBA and size must be non-negative
+// and the timestamp within [0, maxSeconds].
 func Parse(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -46,15 +53,15 @@ func Parse(r io.Reader) ([]Record, error) {
 		if len(fields) < 5 {
 			return nil, fmt.Errorf("spctrace: line %d: want 5 fields, got %d", line, len(fields))
 		}
-		asu, err := strconv.Atoi(strings.TrimSpace(fields[0]))
+		asu, err := nonNegative(fields[0], 0)
 		if err != nil {
 			return nil, fmt.Errorf("spctrace: line %d: bad ASU: %v", line, err)
 		}
-		lba, err := strconv.ParseInt(strings.TrimSpace(fields[1]), 10, 64)
+		lba, err := nonNegative(fields[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("spctrace: line %d: bad LBA: %v", line, err)
 		}
-		size, err := strconv.Atoi(strings.TrimSpace(fields[2]))
+		size, err := nonNegative(fields[2], 0)
 		if err != nil {
 			return nil, fmt.Errorf("spctrace: line %d: bad size: %v", line, err)
 		}
@@ -63,13 +70,16 @@ func Parse(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("spctrace: line %d: bad opcode %q", line, op)
 		}
 		ts, err := strconv.ParseFloat(strings.TrimSpace(fields[4]), 64)
+		if err == nil && !(ts >= 0 && ts <= maxSeconds) { // NaN fails both
+			err = fmt.Errorf("%v s outside [0, %.0f]", ts, maxSeconds)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("spctrace: line %d: bad timestamp: %v", line, err)
 		}
 		recs = append(recs, Record{
-			ASU:   asu,
+			ASU:   int(asu),
 			LBA:   lba,
-			Bytes: size,
+			Bytes: int(size),
 			Write: op == "W",
 			At:    sim.Time(ts * float64(sim.Second)),
 		})
@@ -78,6 +88,16 @@ func Parse(r io.Reader) ([]Record, error) {
 		return nil, err
 	}
 	return recs, nil
+}
+
+// nonNegative parses a decimal integer field of the given bit size (0 for
+// int) that must not be negative.
+func nonNegative(field string, bitSize int) (int64, error) {
+	v, err := strconv.ParseInt(strings.TrimSpace(field), 10, bitSize)
+	if err == nil && v < 0 {
+		err = fmt.Errorf("%d is negative", v)
+	}
+	return v, err
 }
 
 // Format writes records in SPC format.

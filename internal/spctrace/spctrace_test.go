@@ -35,6 +35,13 @@ func TestParseErrors(t *testing.T) {
 		"0,1,z,R,0\n",        // bad size
 		"0,1,2,Q,0\n",        // bad opcode
 		"0,1,2,R,notatime\n", // bad timestamp
+		"0,1,2,R,NaN\n",      // NaN timestamp
+		"0,1,2,R,-Inf\n",     // infinite timestamp
+		"0,1,2,R,1e300\n",    // timestamp past sim.Time's range
+		"0,1,2,R,-1\n",       // negative timestamp
+		"-1,1,2,R,0\n",       // negative ASU
+		"0,-1,2,R,0\n",       // negative LBA
+		"0,1,-2,R,0\n",       // negative size
 	} {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("input %q accepted", bad)
