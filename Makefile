@@ -24,7 +24,8 @@ lint:
 	$(GO) run ./cmd/simlint -suppressions ./...
 
 # race gates the parallel sweep / concurrent-experiment runners; CI runs
-# this as its own job.
+# this as its own job. The spinbench golden manifest skips under -race
+# (make check runs it).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench

@@ -72,6 +72,17 @@ go test -count=1 -run 'TestImpairedSweepDeterminism' ./internal/bench
 # Experiment-level concurrency in spinbench must match serial stdout.
 go test -count=1 -run 'TestSerialVsConcurrentExperimentsByteIdentical' ./cmd/spinbench
 
+echo "== golden manifest (every printed spinbench digit) =="
+# cmd/spinbench/testdata/golden.sha256 pins the SHA-256 of stdout and of
+# stderr and the exit code of every experiment in five modes (-csv at scale
+# 1; -scale 4 with -csv, -parallel 2, -lp 2, and -impair jitter=2us,seed=7
+# -csv) and of two lossy whole runs, one of which exits 1. A mismatch names
+# the mode and the experiment. go test ./... runs it too (it may be cached
+# there); this step reruns it, scale-1 mode included, and the cross-check
+# that every key shared with benchmark/testdata/golden.sha256 carries the
+# same CSV hash.
+go test -count=1 -run 'TestGoldenManifest' ./cmd/spinbench
+
 echo "== LP equivalence (conservative parallel DES vs serial) =="
 # Randomized scales/seeds/impairments at -lp 2/4/7 must produce CSV and
 # fault counters byte-identical to serial; the lookahead-safety property
@@ -110,6 +121,19 @@ echo "== serve request fuzz (FuzzServeRequest, 5s) =="
 # request in range with a re-parse fixed-point impairment key. Minimization
 # is capped as above.
 go test -run '^$' -fuzz 'FuzzServeRequest' -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
+
+echo "== assembler fuzz (FuzzAssembleRun, 5s) =="
+# Arbitrary spinasm source: every program isa.Assemble accepts encodes and
+# decodes back to itself and runs on a VM without panicking (a runaway
+# program ends at MaxSteps with an error). Minimization is capped as above.
+go test -run '^$' -fuzz 'FuzzAssembleRun' -fuzztime 5s -fuzzminimizetime 1x ./internal/isa
+
+echo "== SPC trace fuzz (FuzzSPCParse, 5s) =="
+# Arbitrary trace text: spctrace.Parse never panics, accepts only
+# non-negative fields and timestamps that fit sim.Time, and Format's
+# rendering of what it accepts parses back to the same ASU, LBA, size and
+# direction. Minimization is capped as above.
+go test -run '^$' -fuzz 'FuzzSPCParse' -fuzztime 5s -fuzzminimizetime 1x ./internal/spctrace
 
 echo "== nested benchmark module (go vet) =="
 # benchmark/ is its own module (replace repro => ../), so the root
