@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,26 +75,9 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenCase is one pinned invocation under its manifest key.
-type goldenCase struct {
-	key  string
-	args []string
-}
-
-// goldenCases lists every pinned invocation in manifest order: each mode's
-// experiments in registry order, then the whole runs.
-func goldenCases(m goldenMode) []goldenCase {
-	var cs []goldenCase
-	for _, id := range bench.ExperimentIDs() {
-		args := append(append([]string(nil), m.flags...), "-exp", id)
-		cs = append(cs, goldenCase{key: m.name + "/" + id, args: args})
-	}
-	return cs
-}
-
-func runGolden(c goldenCase) goldenEntry {
+func runGolden(args []string) goldenEntry {
 	var out, errOut bytes.Buffer
-	code := run(c.args, &out, &errOut)
+	code := run(args, &out, &errOut)
 	return goldenEntry{stdout: sha(out.Bytes()), stderr: sha(errOut.Bytes()), exit: code}
 }
 
@@ -143,32 +127,32 @@ func TestGoldenManifest(t *testing.T) {
 	var manifest bytes.Buffer
 	manifest.WriteString("# spinbench golden manifest: <stdout-sha256> <stderr-sha256> <exit> <mode/experiment | run>\n")
 	manifest.WriteString("# regenerate: go test ./cmd/spinbench -run TestGoldenManifest -update\n")
-	check := func(t *testing.T, c goldenCase) {
-		got := runGolden(c)
-		fmt.Fprintf(&manifest, "%s %s %d %s\n", got.stdout, got.stderr, got.exit, c.key)
+	check := func(t *testing.T, key string, args []string) {
+		got := runGolden(args)
+		fmt.Fprintf(&manifest, "%s %s %d %s\n", got.stdout, got.stderr, got.exit, key)
 		if *update {
 			return
 		}
-		w, ok := want[c.key]
-		if !ok {
-			t.Fatalf("%s (spinbench %s): no manifest entry (regenerate with -update)", c.key, strings.Join(c.args, " "))
-		}
-		if got != w {
-			t.Errorf("%s (spinbench %s): got %v; manifest has %v", c.key, strings.Join(c.args, " "), got, w)
+		if w, ok := want[key]; !ok {
+			t.Fatalf("%s (spinbench %s): no manifest entry (regenerate with -update)", key, strings.Join(args, " "))
+		} else if got != w {
+			t.Errorf("%s (spinbench %s): got %v; manifest has %v", key, strings.Join(args, " "), got, w)
 		}
 	}
+	// Manifest order: each mode's experiments in registry order, then the
+	// whole runs.
 	for _, m := range goldenModes {
 		t.Run(m.name, func(t *testing.T) {
 			if m.scale == 1 && testing.Short() && !*update {
 				t.Skip("scale-1 mode skipped in -short")
 			}
-			for _, c := range goldenCases(m) {
-				check(t, c)
+			for _, id := range bench.ExperimentIDs() {
+				check(t, m.name+"/"+id, append(slices.Clone(m.flags), "-exp", id))
 			}
 		})
 	}
 	for _, r := range goldenRuns {
-		t.Run(r.name, func(t *testing.T) { check(t, goldenCase{key: r.name, args: r.args}) })
+		t.Run(r.name, func(t *testing.T) { check(t, r.name, r.args) })
 	}
 	if *update {
 		if err := os.WriteFile(goldenPath, manifest.Bytes(), 0o644); err != nil {

@@ -78,11 +78,11 @@
 //     nothing in steady state: wire messages come from a cluster-owned free
 //     list (netsim.Cluster.AllocMessage) and are recycled by the transport
 //     itself once their last packet retires (dispatched, dropped, or
-//     discarded); payload staging reuses a
-//     message-owned grow-only buffer (Message.StageData); pendingOps,
-//     handler contexts (with a Ctx.Scratch arena), and EQ dispatches are
-//     pooled; CT triggers are stored by value; and the remaining hot-path
-//     closures were replaced by pre-bound func(any)+arg pairs
+//     discarded); payload staging reuses a message-owned grow-only buffer
+//     (Message.StageData); pendingOps, handler contexts (with a
+//     Ctx.Scratch arena), and EQ dispatches are pooled; CT triggers are
+//     stored by value; and the remaining hot-path closures were replaced
+//     by pre-bound func(any)+arg pairs
 //     (Message.Delivered, CT.OnReachCall) that go straight onto the engine
 //     with ScheduleCall, the engine's one callback shape. The SPC trace
 //     study — pure per-request protocol work — dropped from ~155k to ~2.9k
