@@ -24,8 +24,7 @@ lint:
 	$(GO) run ./cmd/simlint -suppressions ./...
 
 # race gates the parallel sweep / concurrent-experiment runners; CI runs
-# this as its own job. The spinbench golden manifest skips under -race
-# (make check runs it).
+# this as its own job.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestSweepResetAndParallelDeterminism' ./internal/bench

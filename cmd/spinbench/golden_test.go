@@ -117,9 +117,6 @@ func readManifest(t *testing.T) map[string]goldenEntry {
 // is not a function of the code). The scale-1 mode is the slowest; -short
 // skips it.
 func TestGoldenManifest(t *testing.T) {
-	if raceEnabled && !*update {
-		t.Skip("race instrumentation makes the manifest runs slow; -parallel and -lp are raced by the serial-equality tests")
-	}
 	var want map[string]goldenEntry
 	if !*update {
 		want = readManifest(t)
