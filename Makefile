@@ -33,6 +33,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestPoolRunByteIdentical' ./internal/bench
 	$(GO) test -race -count=1 -run 'TestConcurrentIdenticalRequestsRunOnce' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestOverlappingScalesReusePoints' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestOneContentAddressPerResult' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestLPEquivalenceRandomized' ./internal/bench
 
 build:
@@ -55,4 +56,4 @@ bench:
 
 # bench-micro runs the hot-path microbenchmarks tracked in BENCH_core.json.
 bench-micro:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/fattree ./internal/hostsim ./internal/datatype
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/fattree ./internal/hostsim ./internal/datatype ./internal/serve

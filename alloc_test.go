@@ -8,11 +8,14 @@
 package repro_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/netsim"
 	"repro/internal/portals"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -52,6 +55,18 @@ import (
 //     per-attempt message, timer event, ack, and the lost messages
 //     themselves — runs entirely on NI/cluster/engine free lists, so after
 //     warmup a put that is lost and retransmitted costs zero allocations.
+//   - serveHitBudget: one warm POST /run cache hit through
+//     Server.ServeHTTP, with a ResponseWriter that keeps only headers. It
+//     cost 31 allocations while every hit rebuilt the registry, hashed
+//     its content address, read an empty body, built a url.Values map and
+//     made three header slices; a hit is now one lookup under the server's
+//     lock and allocates nothing. Zero leaves no factor to apply, so the
+//     budget allows one allocation for the standard library's share of
+//     the path (ServeMux routing), which a Go release may change. Each
+//     cost the hit shed is at least two allocations (the body read, the
+//     smallest, is two), so any one of them coming back fails the gate.
+//   - findExperimentBudget: a registry lookup scans the registry built
+//     once at package initialization and allocates nothing.
 //   - the *Bytes ceilings: bytes allocated per regeneration at benchScale.
 //     Timing-only ME regions alias one zero-filled array per bench.Env and
 //     one per raidsim.System, so no regeneration zero-fills host memory per
@@ -69,6 +84,8 @@ const (
 	spcBudget                = 15_000
 	fig5aBudget              = 120_000
 	retransSteadyStateBudget = 0
+	findExperimentBudget     = 0
+	serveHitBudget           = 1
 
 	fig5aBytesBudget = 34_000_000
 	spcBytesBudget   = 25_000_000
@@ -143,6 +160,28 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 
+	t.Run("ServeHit", func(t *testing.T) {
+		if got := testing.AllocsPerRun(1000, func() {
+			foundExp, _ = bench.FindExperiment("fig3b")
+		}); got > findExperimentBudget {
+			t.Errorf("FindExperiment = %.1f allocs/op, budget %d", got, findExperimentBudget)
+		}
+
+		s := serve.New(serve.Config{Workers: 1, Version: "alloc"})
+		defer s.Close()
+		r := httptest.NewRequest(http.MethodPost, "/run?experiment=fig3b&scale=1&format=csv", nil)
+		w := &headerWriter{h: http.Header{}}
+		s.ServeHTTP(w, r) // the miss that fills the cache
+		got := testing.AllocsPerRun(1000, func() { s.ServeHTTP(w, r) })
+		if w.status != http.StatusOK || w.h.Get("X-Cache") != "hit" {
+			t.Fatalf("warm request: status %d, X-Cache %q, want 200 hit", w.status, w.h.Get("X-Cache"))
+		}
+		t.Logf("POST /run cache hit: %.1f allocs/op", got)
+		if got > serveHitBudget {
+			t.Errorf("POST /run cache hit = %.1f allocs/op, budget %d", got, serveHitBudget)
+		}
+	})
+
 	t.Run("RetransSteadyState", func(t *testing.T) {
 		p := netsim.Integrated()
 		c, err := netsim.NewCluster(2, p)
@@ -208,3 +247,18 @@ func TestAllocBudgets(t *testing.T) {
 		})
 	}
 }
+
+// foundExp keeps the ServeHit subtest's FindExperiment calls live.
+var foundExp bench.Experiment
+
+// headerWriter is an http.ResponseWriter that keeps the status and the
+// header map and drops the body, so a request's allocations are the
+// handler's own.
+type headerWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *headerWriter) Header() http.Header         { return w.h }
+func (w *headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *headerWriter) WriteHeader(status int)      { w.status = status }

@@ -172,7 +172,10 @@
 //     content-addressed result cache keyed by (experiment, canonical
 //     params, code version) — determinism makes every result infinitely
 //     cacheable, so repeat requests are byte-identical cache hits and
-//     identical in-flight requests coalesce onto one computation. Below
+//     identical in-flight requests coalesce onto one computation. A hit is
+//     one map lookup keyed by the canonical request; the content address
+//     is computed once, when a result is stored, and a warm hit allocates
+//     nothing in the service's own code. Below
 //     it, bench.Pool remembers each finished point's row and fault delta
 //     under (experiment, Sweep.Row key, impairment), at most 4096 of them,
 //     so a request at a new scale simulates only the points no earlier

@@ -115,11 +115,17 @@ func Experiments() []Experiment {
 	}
 }
 
-// FindExperiment resolves an experiment id case-insensitively.
+// registry is Experiments() built once, for lookups that must not rebuild
+// it: FindExperiment runs on every spinserve request. Nothing writes it.
+var registry = Experiments()
+
+// FindExperiment resolves an experiment id case-insensitively, without
+// allocating. The returned Experiment shares its Columns slice with the
+// registry, so callers must treat it as read-only.
 func FindExperiment(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if strings.EqualFold(e.ID, id) {
-			return e, true
+	for i := range registry {
+		if strings.EqualFold(registry[i].ID, id) {
+			return registry[i], true
 		}
 	}
 	return Experiment{}, false
@@ -128,9 +134,8 @@ func FindExperiment(id string) (Experiment, bool) {
 // ExperimentIDs returns every registered id in print order, for error
 // messages that name the valid values.
 func ExperimentIDs() []string {
-	exps := Experiments()
-	ids := make([]string, len(exps))
-	for i, e := range exps {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
 		ids[i] = e.ID
 	}
 	return ids

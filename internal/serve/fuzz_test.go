@@ -59,6 +59,28 @@ func FuzzServeRequest(f *testing.F) {
 	})
 }
 
+// FuzzQueryFields checks readQuery, the one-pass reader parseRequest and
+// GET /results use, against the reader it replaced: url.ParseQuery
+// followed by Values.Get. Every raw query must give the same value for
+// each of the five request fields — the first value of a key, even an
+// empty one, with ';' pairs and bad escapes skipped. Seed corpus:
+// testdata/fuzz/FuzzQueryFields.
+func FuzzQueryFields(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, _ := url.ParseQuery(raw) // the error names a skipped pair; the rest is parsed
+		want := query{
+			experiment: v.Get("experiment"),
+			scale:      v.Get("scale"),
+			impair:     v.Get("impair"),
+			format:     v.Get("format"),
+			async:      v.Get("async"),
+		}
+		if got := readQuery(raw); got != want {
+			t.Fatalf("readQuery(%q) = %+v, url.ParseQuery + Get = %+v", raw, got, want)
+		}
+	})
+}
+
 // badRequest fails unless err is an *apiError with status 400 that, when
 // wantValid is set, names the valid values.
 func badRequest(t *testing.T, stage string, err error, wantValid bool) {

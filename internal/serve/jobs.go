@@ -8,11 +8,12 @@ import (
 // job is one asynchronous run request. Ids are sequence numbers, not
 // timestamps — the serve layer reads no wall clocks. Status moves
 // queued → running → done|failed under s.mu; the result itself lives in
-// the shared cache under j.key, so an async job and a sync request for the
+// the shared cache under j.req, so an async job and a sync request for the
 // same canonical parameters share one computation and one cached result.
 type job struct {
 	id     string
-	key    string
+	req    reqKey
+	key    string // the result's content address, for the result link
 	format string
 	status string // "queued", "running", "done", "failed"
 	errMsg string
@@ -39,6 +40,7 @@ func (s *Server) submitJob(c canonical) *job {
 	s.jobSeq++
 	j := &job{
 		id:     fmt.Sprintf("j%d", s.jobSeq),
+		req:    c.id(),
 		key:    s.cacheKey(c),
 		format: c.Format,
 		status: "queued",
@@ -67,12 +69,12 @@ func (s *Server) submitJob(c canonical) *job {
 func (s *Server) jobStatus(j *job) jobJSON {
 	s.mu.Lock()
 	out := jobJSON{ID: j.id, Key: j.key, Status: j.status, Error: j.errMsg}
-	if f := s.flights[j.key]; f != nil {
+	if f := s.flights[j.req]; f != nil {
 		out.Done = f.done.Load()
 		out.Total = f.total.Load()
 	}
 	if j.status == "done" {
-		if res := s.cache[j.key]; res != nil {
+		if res := s.cache[j.req]; res != nil {
 			// A finished sweep has run every point; recover the count from
 			// the cached result rather than keeping the flight alive.
 			out.Done = int64(res.points)

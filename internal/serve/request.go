@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -45,44 +46,114 @@ type canonical struct {
 	Async  bool
 }
 
-// parseRequest decodes a /run request from body and query parameters.
+// reqKey is a canonical request's identity on one server, the key of its
+// result cache and its flights: the version is fixed per server and the
+// format renders the same table. Equal reqKeys have equal content
+// addresses (cacheKey).
+type reqKey struct {
+	exp    string
+	scale  int
+	impair string
+}
+
+func (c canonical) id() reqKey { return reqKey{c.Exp.ID, c.Scale, c.Key} }
+
+// parseRequest decodes a /run request from body and query parameters. A
+// request whose Content-Length is 0 has no body to read.
 func parseRequest(r *http.Request) (Request, error) {
 	var req Request
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<16))
-	if err != nil {
-		return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("reading request body: %v", err)}
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			return req, &apiError{status: http.StatusBadRequest,
-				Msg: fmt.Sprintf("request body is not valid JSON: %v (fields: experiment, scale, impair, format, async)", err)}
+	if r.ContentLength != 0 {
+		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<16))
+		if err != nil {
+			return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("reading request body: %v", err)}
+		}
+		if len(body) > 0 {
+			// Decoded into its own variable: json.Unmarshal moves it to the
+			// heap, and only a request with a body should pay for that.
+			var b Request
+			if err := json.Unmarshal(body, &b); err != nil {
+				return req, &apiError{status: http.StatusBadRequest,
+					Msg: fmt.Sprintf("request body is not valid JSON: %v (fields: experiment, scale, impair, format, async)", err)}
+			}
+			req = b
 		}
 	}
-	q := r.URL.Query()
-	if v := q.Get("experiment"); v != "" {
-		req.Experiment = v
+	q := readQuery(r.URL.RawQuery)
+	if q.experiment != "" {
+		req.Experiment = q.experiment
 	}
-	if v := q.Get("scale"); v != "" {
-		n, err := strconv.Atoi(v)
+	if q.scale != "" {
+		n, err := strconv.Atoi(q.scale)
 		if err != nil {
-			return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("scale %q is not an integer", v)}
+			return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("scale %q is not an integer", q.scale)}
 		}
 		req.Scale = n
 	}
-	if v := q.Get("impair"); v != "" {
-		req.Impair = v
+	if q.impair != "" {
+		req.Impair = q.impair
 	}
-	if v := q.Get("format"); v != "" {
-		req.Format = v
+	if q.format != "" {
+		req.Format = q.format
 	}
-	if v := q.Get("async"); v != "" {
-		b, err := strconv.ParseBool(v)
+	if q.async != "" {
+		b, err := strconv.ParseBool(q.async)
 		if err != nil {
-			return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("async %q is not a boolean", v)}
+			return req, &apiError{status: http.StatusBadRequest, Msg: fmt.Sprintf("async %q is not a boolean", q.async)}
 		}
 		req.Async = b
 	}
 	return req, nil
+}
+
+// query holds the first value of each request field in a raw URL query,
+// "" for a field the query does not carry.
+type query struct {
+	experiment, scale, impair, format, async string
+}
+
+// readQuery reads the request fields from a raw query in one pass, with
+// exactly the semantics of url.ParseQuery followed by Values.Get: pairs
+// split on '&'; a pair that contains ';', or whose key or value has a bad
+// escape, is skipped; and the first value of a key wins, even an empty
+// one. It allocates only to unescape a pair that has escapes.
+func readQuery(raw string) query {
+	var q query
+	var seen uint8 // one bit per field whose first value is read
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
+		}
+		var dst *string
+		var bit uint8
+		switch k {
+		case "experiment":
+			dst, bit = &q.experiment, 1
+		case "scale":
+			dst, bit = &q.scale, 2
+		case "impair":
+			dst, bit = &q.impair, 4
+		case "format":
+			dst, bit = &q.format, 8
+		case "async":
+			dst, bit = &q.async, 16
+		default:
+			continue
+		}
+		if seen&bit != 0 {
+			continue
+		}
+		if v, err = url.QueryUnescape(v); err == nil {
+			*dst, seen = v, seen|bit
+		}
+	}
+	return q
 }
 
 // validate checks req against the registry and canonicalizes it. Every
@@ -165,7 +236,8 @@ func impairableIDs(exps []bench.Experiment) []string {
 // key). Format is deliberately absent — csv and json render the same
 // cached table. The version component means a binary built from different
 // code computes disjoint keys, so stale results are unreachable, not
-// merely unlikely.
+// merely unlikely. It is computed when a result is stored, which keeps it,
+// and when a job is submitted; lookups go by reqKey.
 func (s *Server) cacheKey(c canonical) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v=%s\nexp=%s\nscale=%d\nimpair=%s\n", s.version, c.Exp.ID, c.Scale, c.Key)

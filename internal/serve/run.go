@@ -10,20 +10,35 @@ import (
 	"repro/internal/netsim"
 )
 
-// result is one cached experiment outcome: the canonical request identity
-// plus both renderings, computed once at store time so every later hit
-// returns the exact same bytes (the byte-identity guarantee is literal —
-// repeats serve the same slice).
+// result is one cached experiment outcome: its content address plus both
+// renderings, computed once at store time so every later hit returns the
+// exact same bytes (the byte-identity guarantee is literal — repeats serve
+// the same slice).
 type result struct {
-	key    string
-	expID  string
-	scale  int
-	impair string
-	points int
-	csv    []byte
-	json   []byte
-	faults netsim.FaultStats
+	key       string
+	keyHeader []string // X-Result-Key's value, shared by every response
+	points    int
+	csv       []byte
+	json      []byte
+	faults    netsim.FaultStats
 }
+
+// source is how getOrRun resolved a request, sent as X-Cache.
+type source uint8
+
+const (
+	hit source = iota
+	miss
+	coalesced
+)
+
+// Header values shared by every response that carries them: net/http only
+// reads a header's values, so no response needs a copy of its own.
+var (
+	xCache          = [...][]string{hit: {"hit"}, miss: {"miss"}, coalesced: {"coalesced"}}
+	csvContentType  = []string{"text/csv; charset=utf-8"}
+	jsonContentType = []string{"application/json"}
+)
 
 // flight is one in-progress computation: the leader (first requester of a
 // key) runs the sweep, everyone else arriving before it finishes blocks on
@@ -51,48 +66,50 @@ type resultJSON struct {
 	Faults     *statsFaults `json:"faults,omitempty"`
 }
 
-// getOrRun resolves a canonical request to a result, reporting how:
-// "hit" (served from cache), "coalesced" (joined another request's
-// in-flight computation), or "miss" (this call computed it). Errors are
-// never cached — a failed run reruns on the next request.
-func (s *Server) getOrRun(c canonical) (*result, string, error) {
-	key := s.cacheKey(c)
+// getOrRun resolves a canonical request to a result, reporting how: hit
+// (served from cache), coalesced (joined another request's in-flight
+// computation), or miss (this call computed it). A hit is one lookup
+// under s.mu. Errors are never cached — a failed run reruns on the next
+// request.
+func (s *Server) getOrRun(c canonical) (*result, source, error) {
+	id := c.id()
 	s.mu.Lock()
-	if res := s.cache[key]; res != nil {
+	if res := s.cache[id]; res != nil {
 		s.hits++
 		s.mu.Unlock()
-		return res, "hit", nil
+		return res, hit, nil
 	}
-	if f := s.flights[key]; f != nil {
+	if f := s.flights[id]; f != nil {
 		s.coalesced++
 		s.mu.Unlock()
 		<-f.ch
-		return f.res, "coalesced", f.err
+		return f.res, coalesced, f.err
 	}
 	f := &flight{ch: make(chan struct{})}
-	s.flights[key] = f
+	s.flights[id] = f
 	s.misses++
 	s.mu.Unlock()
 
-	res, err := s.runFlight(key, c, f)
+	res, err := s.runFlight(c, f)
 
 	s.mu.Lock()
 	if err == nil {
-		s.cache[key] = res
+		s.cache[id] = res
+		s.byKey[res.key] = res
 		s.faults.Add(res.faults)
 	}
-	delete(s.flights, key)
+	delete(s.flights, id)
 	s.mu.Unlock()
 	f.res, f.err = res, err
 	close(f.ch) // after res/err are set: waiters read them only post-close
-	return res, "miss", err
+	return res, miss, err
 }
 
 // runFlight executes one experiment on the pool and renders the result.
 // This is the only function that builds sweeps, and the sweep's points
 // execute exclusively on pool workers — the calling HTTP (or job)
 // goroutine just waits.
-func (s *Server) runFlight(key string, c canonical, f *flight) (*result, error) {
+func (s *Server) runFlight(c canonical, f *flight) (*result, error) {
 	sweep := c.Exp.Build(c.Scale)
 	f.total.Store(int64(sweep.Points()))
 	tab, err := sweep.Run(bench.RunOptions{
@@ -103,22 +120,21 @@ func (s *Server) runFlight(key string, c canonical, f *flight) (*result, error) 
 	if err != nil {
 		return nil, err
 	}
+	key := s.cacheKey(c)
 	res := &result{
-		key:    key,
-		expID:  c.Exp.ID,
-		scale:  c.Scale,
-		impair: c.Key,
-		points: sweep.Points(),
-		faults: sweep.Faults(),
+		key:       key,
+		keyHeader: []string{key},
+		points:    sweep.Points(),
+		faults:    sweep.Faults(),
 	}
 	var csvBuf bytes.Buffer
 	tab.CSV(&csvBuf) // exactly the bytes `spinbench -csv` prints for this table
 	res.csv = csvBuf.Bytes()
 
 	rj := resultJSON{
-		Experiment: res.expID,
-		Scale:      res.scale,
-		Impair:     res.impair,
+		Experiment: c.Exp.ID,
+		Scale:      c.Scale,
+		Impair:     c.Key,
 		Version:    s.version,
 		Key:        key,
 		Title:      tab.Title,
@@ -141,19 +157,20 @@ func (s *Server) runFlight(key string, c canonical, f *flight) (*result, error) 
 }
 
 // writeResult writes a result in the requested format with the cache
-// provenance headers (X-Cache: hit|miss|coalesced, X-Result-Key).
-func writeResult(w http.ResponseWriter, res *result, format, source string) {
-	w.Header().Set("X-Cache", source)
-	w.Header().Set("X-Result-Key", res.key)
+// provenance headers (X-Cache: hit|miss|coalesced, X-Result-Key). Every
+// header value is a shared slice, so writing one allocates nothing here.
+func writeResult(w http.ResponseWriter, res *result, format string, src source) {
+	h := w.Header()
+	h["X-Cache"] = xCache[src]
+	h["X-Result-Key"] = res.keyHeader
+	body := res.csv
+	h["Content-Type"] = csvContentType
 	if format == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(res.json)
-		return
+		body = res.json
+		h["Content-Type"] = jsonContentType
 	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	w.Write(res.csv)
+	w.Write(body)
 }
 
 // handleRun is POST /run: validate, then either compute-or-fetch
@@ -174,10 +191,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, s.jobStatus(j))
 		return
 	}
-	res, source, err := s.getOrRun(c)
+	res, src, err := s.getOrRun(c)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeResult(w, res, c.Format, source)
+	writeResult(w, res, c.Format, src)
 }

@@ -46,8 +46,9 @@ type Server struct {
 	mux     *http.ServeMux
 
 	mu        sync.Mutex
-	cache     map[string]*result
-	flights   map[string]*flight
+	cache     map[reqKey]*result // the lookup every POST /run makes
+	byKey     map[string]*result // the same results by content address
+	flights   map[reqKey]*flight
 	jobs      map[string]*job
 	jobSeq    int
 	hits      uint64
@@ -66,8 +67,9 @@ func New(cfg Config) *Server {
 		version: v,
 		pool:    bench.NewPool(cfg.Workers),
 		exps:    bench.Experiments(),
-		cache:   make(map[string]*result),
-		flights: make(map[string]*flight),
+		cache:   make(map[reqKey]*result),
+		byKey:   make(map[string]*result),
+		flights: make(map[reqKey]*flight),
 		jobs:    make(map[string]*job),
 	}
 	mux := http.NewServeMux()
@@ -92,7 +94,7 @@ func (s *Server) Close() { s.pool.Close() }
 
 // writeJSON writes v as indented JSON with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -188,13 +190,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // is a hash, not a request.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	format, err := normalizeFormat(r.URL.Query().Get("format"))
+	format, err := normalizeFormat(readQuery(r.URL.RawQuery).format)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	s.mu.Lock()
-	res := s.cache[key]
+	res := s.byKey[key]
 	if res != nil {
 		s.hits++
 	}
@@ -204,5 +206,5 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			Msg: fmt.Sprintf("no cached result for key %q (POST /run computes and caches it)", key)})
 		return
 	}
-	writeResult(w, res, format, "hit")
+	writeResult(w, res, format, hit)
 }

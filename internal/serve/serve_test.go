@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -399,3 +401,159 @@ func TestImpairedRequestsCachedSeparately(t *testing.T) {
 		t.Fatalf("/stats shows no lost packets after an impaired run: %v", m)
 	}
 }
+
+// TestOneContentAddressPerResult pins the content address of one canonical
+// request — fig5a at its default scale under a jitter model — across every
+// way the service answers it: the miss that computes it, a request that
+// coalesces onto that flight, an async job that joins it, a later hit,
+// GET /results/{key} and the job's result link all return the same bytes
+// under the same key, and the key is the SHA-256 over version, experiment
+// id, canonical scale and canonical impairment key. Each answer spells the
+// request differently (id case, scale 0 against the default, impairment
+// fields reordered, query against body), and /stats counts one cache
+// entry. The job must report point progress from the flight while it runs.
+// A coalesced answer and a running job need the flight still in progress,
+// so a run whose flight ended first is retried on a fresh server under
+// another impairment seed.
+func TestOneContentAddressPerResult(t *testing.T) {
+	for seed := 1; seed <= 3; seed++ {
+		if oneContentAddress(t, seed) {
+			return
+		}
+		t.Logf("seed %d: the flight ended before a request could join it; retrying", seed)
+	}
+	t.Fatal("no run saw a coalesced answer and a running job")
+}
+
+// oneContentAddress runs TestOneContentAddressPerResult once. It reports
+// false when the flight ended before the coalescing request and the job
+// could see it.
+func oneContentAddress(t *testing.T, seed int) bool {
+	s := newTestServer(t)
+	spec := fmt.Sprintf("jitter=1us,seed=%d", seed)
+	respelled := fmt.Sprintf("seed=%d,jitter=1us", seed)
+	im, err := netsim.ParseImpairment(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("v=test\nexp=fig5a\nscale=1\nimpair=%s\n", im.Key())))
+	wantKey := hex.EncodeToString(sum[:])[:32]
+
+	// check requires an answer with the wanted key, body (unless want is
+	// nil) and X-Cache (unless cache is "").
+	check := func(what string, w *httptest.ResponseRecorder, want []byte, cache string) {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", what, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("X-Result-Key"); got != wantKey {
+			t.Fatalf("%s: X-Result-Key %q, want %q", what, got, wantKey)
+		}
+		if got := w.Header().Get("X-Cache"); cache != "" && got != cache {
+			t.Fatalf("%s: X-Cache %q, want %q", what, got, cache)
+		}
+		if want != nil && !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("%s: body differs from the miss's:\n%s", what, w.Body.String())
+		}
+	}
+
+	leader := make(chan *httptest.ResponseRecorder)
+	go func() {
+		leader <- do(t, s, "POST", "/run?experiment=fig5a&impair="+url.QueryEscape(spec), "")
+	}()
+	deadline := time.Now().Add(time.Minute)
+	for stats(t, s)["inflight"].(float64) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the leader's flight never started")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	submit := do(t, s, "POST", "/run", fmt.Sprintf(`{"experiment":"FIG5A","scale":1,"impair":%q,"async":true}`, respelled))
+	if submit.Code != http.StatusAccepted {
+		t.Fatalf("async submit = %d: %s", submit.Code, submit.Body.String())
+	}
+	type jobWire struct {
+		ID     string `json:"id"`
+		Key    string `json:"key"`
+		Status string `json:"status"`
+		Done   int64  `json:"points_done"`
+		Total  int64  `json:"points_total"`
+		Result string `json:"result"`
+	}
+	var j jobWire
+	if err := json.Unmarshal(submit.Body.Bytes(), &j); err != nil {
+		t.Fatalf("async submit response: %v\n%s", err, submit.Body.String())
+	}
+	if j.Key != wantKey {
+		t.Fatalf("job key %q, want %q", j.Key, wantKey)
+	}
+	// pollJob refreshes j from GET /jobs/{id} until stop reports true.
+	pollJob := func(stop func() bool) {
+		t.Helper()
+		for !stop() {
+			if j.Status == "failed" || time.Now().After(deadline) {
+				t.Fatalf("job %+v did not finish", j)
+			}
+			time.Sleep(100 * time.Microsecond)
+			if err := json.Unmarshal(do(t, s, "GET", "/jobs/"+j.ID, "").Body.Bytes(), &j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pollJob(func() bool { return j.Status == "done" || j.Status == "running" && j.Total > 0 })
+	sawProgress := j.Status == "running"
+	if sawProgress && j.Done > j.Total {
+		t.Fatalf("running job reports %d of %d points", j.Done, j.Total)
+	}
+
+	joined := do(t, s, "POST", "/run?experiment=Fig5a&scale=1&impair="+url.QueryEscape(respelled), "")
+	first := <-leader
+	check("miss", first, nil, "miss")
+	want := first.Body.Bytes()
+	if !sawProgress || joined.Header().Get("X-Cache") != "coalesced" {
+		check("late joiner", joined, want, "")
+		return false
+	}
+	check("coalesced", joined, want, "coalesced")
+
+	pollJob(func() bool { return j.Status == "done" })
+	if j.Key != wantKey || j.Done != j.Total || j.Total == 0 {
+		t.Fatalf("done job %+v: want key %q and every point done", j, wantKey)
+	}
+	check("job result link", do(t, s, "GET", j.Result, ""), want, "hit")
+	check("hit", do(t, s, "POST", "/run", fmt.Sprintf(`{"experiment":"fig5a","scale":0,"impair":%q}`, spec)), want, "hit")
+	check("GET /results/{key}", do(t, s, "GET", "/results/"+wantKey, ""), want, "hit")
+
+	m := stats(t, s)
+	if m["cache_entries"].(float64) != 1 || m["cache_misses"].(float64) != 1 || m["coalesced"].(float64) != 2 {
+		t.Fatalf("/stats after one canonical request in five spellings: %v, want 1 entry, 1 miss, 2 coalesced", m)
+	}
+	return true
+}
+
+// BenchmarkServeHit measures one warm POST /run cache hit through
+// Server.ServeHTTP, routing included, with a ResponseWriter that keeps
+// only the headers, so ns/op and allocs/op are the handler's own.
+func BenchmarkServeHit(b *testing.B) {
+	s := New(Config{Workers: 1, Version: "bench"})
+	defer s.Close()
+	r := httptest.NewRequest(http.MethodPost, "/run?experiment=fig3b&scale=1&format=csv", nil)
+	w := &headerWriter{h: http.Header{}}
+	s.ServeHTTP(w, r) // the miss that fills the cache
+	b.ReportAllocs()
+	for b.Loop() {
+		s.ServeHTTP(w, r)
+	}
+	if got := w.h.Get("X-Cache"); got != "hit" {
+		b.Fatalf("X-Cache = %q, want hit", got)
+	}
+}
+
+// headerWriter is an http.ResponseWriter that keeps the header map and
+// drops the status and the body.
+type headerWriter struct{ h http.Header }
+
+func (w *headerWriter) Header() http.Header         { return w.h }
+func (w *headerWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *headerWriter) WriteHeader(int)             {}

@@ -122,6 +122,14 @@ echo "== serve request fuzz (FuzzServeRequest, 5s) =="
 # is capped as above.
 go test -run '^$' -fuzz 'FuzzServeRequest' -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
 
+echo "== serve query-reader oracle fuzz (FuzzQueryFields, 5s) =="
+# Raw query strings through the one-pass reader parseRequest and
+# GET /results use, against url.ParseQuery + Values.Get: the same five
+# field values every time, the first value of a key winning even when it
+# is empty, and ';' pairs and bad escapes skipped. Minimization is capped
+# as above.
+go test -run '^$' -fuzz 'FuzzQueryFields' -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
+
 echo "== assembler fuzz (FuzzAssembleRun, 5s) =="
 # Arbitrary spinasm source: every program isa.Assemble accepts encodes and
 # decodes back to itself and runs on a VM without panicking (a runaway
@@ -148,14 +156,15 @@ echo "== nested benchmark module (golden hashes) =="
 # benchmark run.
 go -C benchmark test -count=1 ./...
 
-echo "== alloc budgets (engine schedule / transport / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7c / Trees) =="
+echo "== alloc budgets (engine schedule / transport / serve hit / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7c / Trees) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
-# 256-packet message, 0 per lossy reliable put in steady state, the
-# post-program-pooling Table 5c budget, the post-triggered-op-pooling
-# Fig 5a budget, and the post-portals-pooling SPC budget; plus bytes per
-# regeneration for Fig 5a, SPC, Fig 7c and the trees ablation, which fail
-# if timing-only host memory goes back to being zero-filled per rank or
-# per raidsim system.
+# 256-packet message, <= 1 per warm spinserve cache hit through
+# ServeHTTP (0 measured) and 0 per registry lookup, 0 per lossy reliable
+# put in steady state, the post-program-pooling Table 5c budget, the
+# post-triggered-op-pooling Fig 5a budget, and the post-portals-pooling SPC
+# budget; plus bytes per regeneration for Fig 5a, SPC, Fig 7c and the trees
+# ablation, which fail if timing-only host memory goes back to being
+# zero-filled per rank or per raidsim system.
 go test -count=1 -run 'TestAllocBudgets' .
 
 echo "== perf smoke (BenchmarkFig3b, 1x) =="
