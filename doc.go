@@ -124,12 +124,12 @@
 //     and CTs handed out by NI.NewEQ/NewCT recycle on NI.Reset. With the
 //     bench-side arenas (matching entries, binomial child lists, deposit
 //     regions on bench.Env), a Fig 5a regeneration fell from ~321k to
-//     ~108k allocations. Timing-only deposit regions now alias one
-//     zero-filled array per bench.Env and one per raidsim.System, so no
-//     regeneration zero-fills host memory per rank or per system: bytes
-//     allocated per regeneration at benchScale fell from 150.8 to 16.8 MB
-//     for Fig 5a, 50.3 to 12.4 MB for SPC, 42.6 to 4.8 MB for Fig 7c and
-//     38.8 to 6.4 MB for the trees ablation.
+//     ~108k allocations. Timing-only host regions (portals.ME.Length)
+//     hold no bytes, so no regeneration allocates or zero-fills host
+//     memory it only times: bytes allocated per regeneration at benchScale
+//     fell from 150.8 to 16.7 MB for Fig 5a (the rest is PutFromDevice
+//     staging), 18.3 to 1.56 MB for Fig 7a, 50.3 to 6.0 MB for SPC, 42.6
+//     to 0.59 MB for Fig 7c and 38.8 to 5.2 MB for the trees ablation.
 //   - Pooled program sets. Table 5c rebuilt every rank program per
 //     calibration probe and per replay. apps.App.ProgramsInto builds into a
 //     caller-owned grow-only mpisim.ProgramBuffer cached on bench.Env

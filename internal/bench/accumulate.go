@@ -43,7 +43,7 @@ func accumulateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, err
 		if err != nil {
 			return 0, err
 		}
-		me.Start = e.zeroMem(size)
+		me.Length = size
 		me.HPUMem = mem
 		me.Handlers = handlers.Accumulate(handlers.AccumulateConfig{})
 		eq.OnEvent(func(ev portals.Event) {

@@ -121,8 +121,9 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 			}
 			me.HPUMem = mem
 			// Handlers deposit each rank's copy via DMA, so the ME needs
-			// a real host region for the write timing to be charged.
-			me.Start = e.zeroMem(size)
+			// a host region for the write timing to be charged; a
+			// timing-only one holds no bytes.
+			me.Length = size
 			me.Handlers = handlers.Bcast(handlers.BcastConfig{
 				MyRank: r, NProcs: nprocs, PT: 0, Bits: 7,
 				Streaming: true, MaxSize: maxSize,

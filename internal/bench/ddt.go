@@ -47,9 +47,9 @@ func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.
 			return 0, err
 		}
 		handlers.InitDDTState(mem.Buf, handlers.DDTConfig{Blocksize: blocksize, Gap: blocksize})
-		// Timing-only deposit target: the 8 MiB landing area is the
-		// Env's zero array, not re-allocated per point.
-		me.Start = e.zeroMem(2*DDTTotalBytes + blocksize)
+		// Timing-only deposit target: the 8 MiB landing area bounds and
+		// charges every DMA but holds no bytes.
+		me.Length = 2*DDTTotalBytes + blocksize
 		me.HPUMem = mem
 		me.Handlers = handlers.DDTVector()
 		eq.OnEvent(func(ev portals.Event) {

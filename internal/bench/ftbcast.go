@@ -97,7 +97,7 @@ func ftbcastPoint(e *Env, p netsim.Params, nprocs, msgs int) ([]string, error) {
 	// The only real host bytes in the harness: the root's puts carry
 	// 8-byte sequence numbers that the handlers deposit into each rank's
 	// ME, so the MEs and the root's MD buffers get 8-byte windows of this
-	// point's own slice, never the Env's zero array. Window r is rank r's
+	// point's own slice, never timing-only regions. Window r is rank r's
 	// ME region and window nprocs+s-1 sequence s's MD buffer.
 	host := make([]byte, 8*(nprocs+msgs))
 	window := func(i int) []byte { return host[8*i : 8*i+8 : 8*i+8] }

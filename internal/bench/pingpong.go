@@ -107,10 +107,8 @@ func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Mod
 		}
 		respME.HPUMem = mem
 		// Store mode replies large messages from host memory, so the ME
-		// needs a real deposit region.
-		if size > 0 {
-			respME.Start = e.zeroMem(size)
-		}
+		// needs a deposit region; a timing-only one holds no bytes.
+		respME.Length = size
 		respME.Handlers = handlers.PingPong(handlers.PingPongConfig{
 			ReplyPT: 0, ReplyBits: pongBits, Streaming: true, MaxSize: maxSize,
 		})

@@ -18,10 +18,9 @@ import (
 // charge each sweep exactly its own faults even when an impaired and an
 // unimpaired sweep share the pool concurrently. Every sweep here is its
 // experiment's first on the pool, so the memo answers none of their points
-// and all of them execute. trees and fig7c run on the same pool too:
-// their handlers write into the zero array of the worker's Env and of each
-// raidsim system on every packet, so under -race they fail if two workers
-// ever share an array.
+// and all of them execute. trees and fig7c run on the same pool too, so
+// their handler DMA and raidsim replay paths run on concurrent workers
+// under -race: any state two workers shared would show as a race.
 func TestPoolRunByteIdentical(t *testing.T) {
 	scale := 4
 	exp := buildExperiment(t, "fig3b")

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,9 +40,6 @@ type Env struct {
 	// raidsim.System.Reset) under the same reset-equals-fresh contract.
 	mpis  map[mpiKey]*mpisim.Engine
 	raids map[raidKey]*raidsim.System
-	// zeros is the grow-only, zero-filled array behind zeroMem: every
-	// timing-only ME region this Env hands out is a prefix of it.
-	zeros []byte
 	// kids is the grow-only arena binomialKids carves child lists from,
 	// rewound by resetScratch at the start of each measurement point that
 	// uses it.
@@ -278,22 +274,6 @@ func (e *Env) allocME() *portals.ME {
 	e.mesOff++
 	*me = portals.ME{}
 	return me
-}
-
-// zeroMem returns an n-byte host-memory region for a timing-only ME: the
-// first n bytes of the Env's one grow-only, zero-filled array, which grows
-// to the next power of two at or above n when it must. Regions alias each
-// other by design. That is exact because only zero bytes ever land in
-// them: every put that targets one is NoData or carries only zeros, and
-// every handler that touches one writes back zeros or bytes it read from
-// one. So the array stays all zero, and simulated time depends on a
-// region's length, never on its contents. A point whose puts carry real
-// bytes (ftbcast) must give its MEs regions of its own.
-func (e *Env) zeroMem(n int) []byte {
-	if n > len(e.zeros) {
-		e.zeros = make([]byte, 1<<bits.Len(uint(n-1)))
-	}
-	return e.zeros[:n:n]
 }
 
 // programBuffer returns the Env's grow-only mpisim program buffer.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -46,8 +45,8 @@ func buildExperiment(t *testing.T, id string) Experiment {
 // (d) an LP run. The list covers every reuse mechanism: fig3b and fig5a
 // exercise the cluster cache, table5c the mpisim engine cache, spc (trace
 // replays) and fig7c (single updates) the raidsim system cache, and fig7a
-// an 8 MiB landing area aliased on the Env's zero array plus the
-// vectorized scatter path (both columns, so the sPIN column's bit-identity
+// an 8 MiB timing-only landing area plus the vectorized scatter path
+// (both columns, so the sPIN column's bit-identity
 // contract is pinned here too — since PR 5's vectorized scatter it runs at the common
 // subsample in well under a second). scripts/check.sh runs this test as the merge gate — a
 // nondeterministic merge or a stale field missed by a Reset shows up here
@@ -86,57 +85,6 @@ func TestSweepResetAndParallelDeterminism(t *testing.T) {
 			t.Fatalf("%s: LP-partitioned output differs from serial output:\n--- serial ---\n%s--- lp ---\n%s", id, fresh, lp)
 		}
 	}
-}
-
-// TestZeroMemStaysZero pins the invariant that makes Env.zeroMem's
-// aliasing exact: every point of every experiment that takes timing-only
-// ME regions from the Env's zero array leaves the array all zero, on a
-// perfect network and under jitter. One Env runs every experiment in turn,
-// as a pool worker would. Its array is sized up front for fig7a's largest
-// landing area, so no point grows it and every region aliases the bytes
-// checked after each point: a put that carried real bytes into a region
-// fails here naming the experiment and point.
-func TestZeroMemStaysZero(t *testing.T) {
-	jitter, err := netsim.ParseImpairment("jitter=2us,seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	largest := 2*DDTTotalBytes + Fig7aBlocksizes()[len(Fig7aBlocksizes())-1]
-	for _, im := range []*netsim.Impairment{nil, jitter} {
-		e := NewEnv()
-		e.impair = im
-		e.zeroMem(largest)
-		size := len(e.zeros)
-		for _, id := range []string{"fig3b", "fig3c", "fig3d", "fig5a", "fig7a", "bcast-store", "trees"} {
-			s := buildExperiment(t, id).Build(4)
-			for i, point := range s.points {
-				if _, err := point(e); err != nil {
-					t.Fatalf("%s point %d (impairment %q): %v", id, i, im.Key(), err)
-				}
-				if len(e.zeros) != size {
-					t.Fatalf("%s point %d grew the zero array from %d to %d bytes", id, i, size, len(e.zeros))
-				}
-				if at := firstNonZero(e.zeros); at >= 0 {
-					t.Fatalf("%s point %d (impairment %q) left byte %d of the Env's zero array at %#x", id, i, im.Key(), at, e.zeros[at])
-				}
-			}
-		}
-	}
-}
-
-// firstNonZero returns the index of b's first non-zero byte, or -1. The
-// all-zero case, checked on every point, takes bytes.Count's vectorized
-// scan rather than a byte loop the race detector instruments.
-func firstNonZero(b []byte) int {
-	if bytes.Count(b, []byte{0}) == len(b) {
-		return -1
-	}
-	for i, c := range b {
-		if c != 0 {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestEnvReusesClusters pins the cache behaviour Env exists for: same

@@ -47,7 +47,7 @@ func treeBroadcastTime(e *Env, p netsim.Params, tree handlers.Tree, nprocs, size
 			}
 		})
 		if err := nis[r].MEAppend(0, &portals.ME{
-			Start:     e.zeroMem(size),
+			Length:    size,
 			MatchBits: 7,
 			EQ:        eq,
 			HPUMem:    mem,

@@ -153,20 +153,40 @@ func (c *Ctx) fail(err error) {
 	}
 }
 
-// hostSpace resolves a memory space to its backing buffer.
-func (c *Ctx) hostSpace(space MemSpace) []byte {
+// hostSpace resolves a memory space to its bytes and its length. The bytes
+// are nil for a timing-only region (MEContext.HostLength): DMA calls bound
+// and charge by the length alone and move no bytes.
+func (c *Ctx) hostSpace(space MemSpace) ([]byte, int64) {
 	if space == HandlerHostMem {
-		return c.me.HandlerHostMem
+		return c.me.HandlerHostMem, int64(len(c.me.HandlerHostMem))
 	}
-	return c.me.HostMem
+	return c.me.HostMem, int64(len(c.me.HostMem) + c.me.HostLength)
 }
 
-func (c *Ctx) checkRange(buf []byte, offset int64, n int, op string) bool {
-	if offset < 0 || n < 0 || offset+int64(n) > int64(len(buf)) {
-		c.fail(fmt.Errorf("core: %s [%d,%d) outside host region of %d bytes", op, offset, offset+int64(n), len(buf)))
+func (c *Ctx) checkRange(size, offset int64, n int, op string) bool {
+	if offset < 0 || n < 0 || offset+int64(n) > size {
+		c.fail(fmt.Errorf("core: %s [%d,%d) outside host region of %d bytes", op, offset, offset+int64(n), size))
 		return false
 	}
 	return true
+}
+
+// readHost copies the host bytes at offset into local; a timing-only
+// region reads as zeros.
+func readHost(local, buf []byte, offset int64) {
+	if buf == nil {
+		clear(local)
+		return
+	}
+	copy(local, buf[offset:])
+}
+
+// writeHost copies local into the host bytes at offset; a timing-only
+// region stores nothing.
+func writeHost(buf []byte, offset int64, local []byte) {
+	if buf != nil {
+		copy(buf[offset:], local)
+	}
 }
 
 // DMAToHostB copies local to host memory at offset (blocking write:
@@ -174,12 +194,12 @@ func (c *Ctx) checkRange(buf []byte, offset int64, n int, op string) bool {
 // posted write; the data becomes visible one bus latency later.
 func (c *Ctx) DMAToHostB(local []byte, offset int64, space MemSpace) {
 	c.Charge(CostDMAIssue)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, len(local), "DMAToHost") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, len(local), "DMAToHost") {
 		return
 	}
 	free, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	copy(buf[offset:], local)
+	writeHost(buf, offset, local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr")
 	c.now = free
 	if visible > c.lastVisible {
@@ -214,11 +234,11 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 	if nsegs == 0 {
 		return
 	}
-	buf := c.hostSpace(space)
+	buf, size := c.hostSpace(space)
 	first := base + v.HostOffset(streamOff)
 	last := base + v.HostOffset(streamOff+bytes-1) + 1
-	if first < 0 || last > int64(len(buf)) {
-		c.fail(fmt.Errorf("core: DMAToHostVec [%d,%d) outside host region of %d bytes", first, last, len(buf)))
+	if first < 0 || last > size {
+		c.fail(fmt.Errorf("core: DMAToHostVec [%d,%d) outside host region of %d bytes", first, last, size))
 		return
 	}
 	bus := c.rt.Node.Bus
@@ -229,7 +249,7 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 		c.Charge(CostDMAIssue)
 		free, visible := bus.Write(c.now, ln)
 		if local != nil {
-			copy(buf[base+off:], local[pos:pos+ln])
+			writeHost(buf, base+off, local[pos:pos+ln])
 			pos += ln
 		}
 		if rec {
@@ -248,12 +268,12 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 // transfer, per §4.3.
 func (c *Ctx) DMAFromHostB(offset int64, local []byte, space MemSpace) {
 	c.Charge(CostDMAIssue)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, len(local), "DMAFromHost") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, len(local), "DMAFromHost") {
 		return
 	}
 	ready := c.rt.Node.Bus.Read(c.now, len(local))
-	copy(local, buf[offset:])
+	readHost(local, buf, offset)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, ready, "rd")
 	c.now = ready
 }
@@ -265,12 +285,12 @@ func (c *Ctx) DMAFromHostB(offset int64, local []byte, space MemSpace) {
 // fire-and-forget deposits do, costs nothing.
 func (c *Ctx) DMAToHostNB(local []byte, offset int64, space MemSpace) DMAHandle {
 	c.Charge(CostDMAIssue + CostDMAHandle)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, len(local), "DMAToHostNB") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, len(local), "DMAToHostNB") {
 		return DMAHandle{done: c.now}
 	}
 	_, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	copy(buf[offset:], local)
+	writeHost(buf, offset, local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr-nb")
 	if visible > c.lastVisible {
 		c.lastVisible = visible
@@ -282,12 +302,12 @@ func (c *Ctx) DMAToHostNB(local []byte, offset int64, space MemSpace) DMAHandle 
 // performs the data copy eagerly; timing is carried by the (value) handle.
 func (c *Ctx) DMAFromHostNB(offset int64, local []byte, space MemSpace) DMAHandle {
 	c.Charge(CostDMAIssue + CostDMAHandle)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, len(local), "DMAFromHostNB") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, len(local), "DMAFromHostNB") {
 		return DMAHandle{done: c.now}
 	}
 	ready := c.rt.Node.Bus.Read(c.now, len(local))
-	copy(local, buf[offset:])
+	readHost(local, buf, offset)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, ready, "rd-nb")
 	return DMAHandle{done: ready}
 }
@@ -312,14 +332,19 @@ func (c *Ctx) DMAWait(h *DMAHandle) {
 // and whether the swap happened.
 func (c *Ctx) DMACAS(offset int64, cmpval, swapval uint64, space MemSpace) (prev uint64, swapped bool) {
 	c.Charge(CostDMAIssue)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, 8, "DMACAS") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, 8, "DMACAS") {
 		return 0, false
 	}
 	done := c.rt.Node.Bus.Atomic(c.now, 8)
-	prev = binary.LittleEndian.Uint64(buf[offset:])
+	var word [8]byte // a timing-only region's word: reads zero, keeps nothing
+	w := word[:]
+	if buf != nil {
+		w = buf[offset : offset+8]
+	}
+	prev = binary.LittleEndian.Uint64(w)
 	if prev == cmpval {
-		binary.LittleEndian.PutUint64(buf[offset:], swapval)
+		binary.LittleEndian.PutUint64(w, swapval)
 		swapped = true
 	}
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, done, "cas")
@@ -334,13 +359,18 @@ func (c *Ctx) DMACAS(offset int64, cmpval, swapval uint64, space MemSpace) (prev
 // previous value (PtlHandlerDMAFetchAddNB's blocking core).
 func (c *Ctx) DMAFetchAdd(offset int64, inc uint64, space MemSpace) (prev uint64) {
 	c.Charge(CostDMAIssue)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, 8, "DMAFetchAdd") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, 8, "DMAFetchAdd") {
 		return 0
 	}
 	done := c.rt.Node.Bus.Atomic(c.now, 8)
-	prev = binary.LittleEndian.Uint64(buf[offset:])
-	binary.LittleEndian.PutUint64(buf[offset:], prev+inc)
+	var word [8]byte // a timing-only region's word: reads zero, keeps nothing
+	w := word[:]
+	if buf != nil {
+		w = buf[offset : offset+8]
+	}
+	prev = binary.LittleEndian.Uint64(w)
+	binary.LittleEndian.PutUint64(w, prev+inc)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, done, "fadd")
 	c.now = done
 	if done > c.lastVisible {
@@ -432,11 +462,12 @@ func (c *Ctx) PutFromDevice(data []byte, target, ptIndex int, matchBits uint64, 
 // enters the normal send queue as if posted by the host, without host-CPU
 // involvement. Consistent with the paper's accounting (§4.3 charges DMA on
 // delivery into host memory; source-side send-queue fetches are omitted,
-// as in the RDMA/P4 baselines), no source DMA time is charged here.
+// as in the RDMA/P4 baselines), no source DMA time is charged here. From a
+// timing-only region the message carries no data.
 func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIndex int, matchBits uint64, remoteOffset int64, hdrData uint64) error {
 	c.Charge(CostPut)
-	buf := c.hostSpace(space)
-	if !c.checkRange(buf, offset, length, "PutFromHost") {
+	buf, size := c.hostSpace(space)
+	if !c.checkRange(size, offset, length, "PutFromHost") {
 		return c.err
 	}
 	m := c.rt.C.AllocMessage()
@@ -448,7 +479,9 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 	m.Offset = remoteOffset
 	m.HdrData = hdrData
 	m.Length = length
-	copy(m.StageData(length), buf[offset:])
+	if buf != nil {
+		copy(m.StageData(length), buf[offset:])
+	}
 	c.rt.C.Send(c.now, m)
 	return nil
 }

@@ -33,6 +33,11 @@ type MEContext struct {
 	State *HPUMem
 	// HostMem is the ME's host-memory region (steering target).
 	HostMem []byte
+	// HostLength sizes a timing-only steering region when HostMem is nil:
+	// DMA calls are bounded and charged by it, but no bytes move (reads
+	// yield zeros, writes store nothing, PutFromHost sends no data). At
+	// most one of HostMem and HostLength sizes the region.
+	HostLength int
 	// HandlerHostMem is the optional extra host region for handler output.
 	HandlerHostMem []byte
 	// Owner receives the entry's upcalls: message completion, handler

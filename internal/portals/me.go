@@ -11,9 +11,20 @@ import (
 // ME is a matching list entry (§3.1) with the sPIN extensions of Appendix
 // B.1: three optional handlers, an HPU memory handle, initial HPU state,
 // and an auxiliary host-memory region for handler output.
+//
+// Like a Portals 4 ME, an entry carries a start and a length, and exactly
+// one of Start and Length sizes its host region. A region given by Length
+// is timing-only: every deposit, get reply and handler DMA is bounded and
+// charged by its length exactly as for a Length-byte Start, but it holds
+// no bytes. Writes into it store nothing, reads from it yield zeros, and a
+// get or PutFromHost served from it sends a message without data. An entry
+// with neither holds no bytes and has no bound: deposits and gets are not
+// truncated, and handler DMA calls see a zero-length region.
 type ME struct {
 	// Start is the host-memory region the entry steers into.
 	Start []byte
+	// Length sizes a timing-only host region (see ME); 0 when Start does.
+	Length int
 	// MatchBits/IgnoreBits implement 64-bit masked matching.
 	MatchBits  uint64
 	IgnoreBits uint64
@@ -75,6 +86,12 @@ func (ni *NI) MEAppend(ptIndex int, me *ME, list ListKind) error {
 	}
 	if me.ni != nil {
 		return fmt.Errorf("portals: ME already appended")
+	}
+	if me.Length < 0 {
+		return fmt.Errorf("portals: ME length %d is negative", me.Length)
+	}
+	if me.Start != nil && me.Length != 0 {
+		return fmt.Errorf("portals: ME sets both Start (%d bytes) and Length %d", len(me.Start), me.Length)
 	}
 	if len(me.InitialState) > ni.Limits.MaxInitialState {
 		return fmt.Errorf("portals: initial state of %d bytes exceeds max_initial_state %d",
@@ -153,6 +170,7 @@ func (me *ME) buildMEContext() {
 		Handlers:       me.Handlers,
 		State:          me.HPUMem,
 		HostMem:        me.Start,
+		HostLength:     me.Length,
 		HandlerHostMem: me.HandlerHostMem,
 		Owner:          me,
 	}

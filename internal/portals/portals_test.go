@@ -431,6 +431,15 @@ func TestMEAppendValidation(t *testing.T) {
 	if err := ni.MEAppend(0, &ME{InitialState: big, HPUMem: &core.HPUMem{Buf: make([]byte, 16384)}}, PriorityList); err == nil {
 		t.Fatal("oversized initial state accepted")
 	}
+	if err := ni.MEAppend(0, &ME{Start: make([]byte, 8), Length: 8}, PriorityList); err == nil {
+		t.Fatal("ME with both Start and Length accepted")
+	}
+	if err := ni.MEAppend(0, &ME{Length: -1}, PriorityList); err == nil {
+		t.Fatal("ME with a negative Length accepted")
+	}
+	if err := ni.MEAppend(0, &ME{Length: 8}, PriorityList); err != nil {
+		t.Fatalf("timing-only ME rejected: %v", err)
+	}
 	me := &ME{}
 	if err := ni.MEAppend(0, me, PriorityList); err != nil {
 		t.Fatal(err)

@@ -244,7 +244,9 @@ func (ni *NI) finishMessage(now sim.Time, me *ME, r core.MessageResult) {
 }
 
 // serveGet answers a get request: match, then the NIC fetches the data from
-// ME host memory via DMA and streams the reply — no host CPU involved.
+// ME host memory via DMA and streams the reply — no host CPU involved. The
+// reply is truncated at the region's end; from a timing-only region
+// (ME.Length) it carries no data.
 func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	msg := pkt.Msg
 	pte := ni.pt[msg.PTIndex]
@@ -262,12 +264,13 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	}
 	length := msg.GetLength
 	offset := msg.Offset
-	if me.Start != nil {
+	if me.Start != nil || me.Length > 0 {
+		size := int64(len(me.Start) + me.Length) // MEAppend admits one of the two
 		if offset < 0 {
 			offset = 0
 		}
-		if offset+int64(length) > int64(len(me.Start)) {
-			length = int(int64(len(me.Start)) - offset)
+		if offset+int64(length) > size {
+			length = int(size - offset)
 			if length < 0 {
 				length = 0
 			}
@@ -281,7 +284,7 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	reply.Dst = msg.Src
 	reply.Length = length
 	reply.ReplyTo = msg.ID
-	if me.Start != nil {
+	if me.Start != nil && length > 0 {
 		copy(reply.StageData(length), me.Start[offset:])
 	}
 	ni.C.Send(ready, reply)

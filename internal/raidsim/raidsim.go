@@ -44,7 +44,9 @@ const (
 // maxBlock is the largest single transfer the system accepts.
 const maxBlock = 1 << 20
 
-// System is a running RAID-5 service on a 6-node cluster.
+// System is a running RAID-5 service on a 6-node cluster. Its ME regions
+// are timing-only (portals.ME.Length): no simulated time depends on the
+// bytes a block holds, so the regions hold none.
 type System struct {
 	C    *netsim.Cluster
 	nis  []*portals.NI
@@ -56,14 +58,6 @@ type System struct {
 	opDone    sim.Time
 	readOpen  bool
 	partsBuf  [DataNodes]int
-	// zeros backs every ME region of the system: each maxBlock region is
-	// all of it and each 4 KiB ack region its first 4 KiB, so every region
-	// keeps its length. Regions alias by design, which is exact because
-	// only zero bytes land in them: every put the system makes is NoData
-	// or carries only zeros (a region's bytes, a zero completion code),
-	// and the sPIN handlers XOR zeros. Each System owns its own array: its handlers
-	// write into it, and pool workers run systems concurrently.
-	zeros []byte
 
 	// Stats
 	Writes, Reads uint64
@@ -77,7 +71,7 @@ func New(p netsim.Params, spin bool) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{C: c, nis: portals.Setup(c), spin: spin, zeros: make([]byte, maxBlock)}
+	s := &System{C: c, nis: portals.Setup(c), spin: spin}
 	if err := s.setupClient(); err != nil {
 		return nil, err
 	}
@@ -129,7 +123,7 @@ func (s *System) setupClient() error {
 	}
 	s.ackCT = portals.NewCT(s.C.Eng)
 	if err := ni.MEAppend(clientAckPT, &portals.ME{
-		Start: s.zeros[:4096:4096], IgnoreBits: ^uint64(0), ManageLocal: true, CT: s.ackCT,
+		Length: 4096, IgnoreBits: ^uint64(0), ManageLocal: true, CT: s.ackCT,
 	}, portals.PriorityList); err != nil {
 		return err
 	}
@@ -144,7 +138,7 @@ func (s *System) setupClient() error {
 		}
 	})
 	return ni.MEAppend(readReplyPT, &portals.ME{
-		Start: s.zeros, IgnoreBits: ^uint64(0), ManageLocal: true, EQ: s.readEQ,
+		Length: maxBlock, IgnoreBits: ^uint64(0), ManageLocal: true, EQ: s.readEQ,
 	}, portals.PriorityList)
 }
 
@@ -153,7 +147,7 @@ func (s *System) setupParity() error {
 	if _, err := ni.PTAlloc(diffPT, nil); err != nil {
 		return err
 	}
-	me := &portals.ME{Start: s.zeros, MatchBits: handlers.ParityTag}
+	me := &portals.ME{Length: maxBlock, MatchBits: handlers.ParityTag}
 	if s.spin {
 		mem, err := ni.RT.AllocHPUMem(handlers.RaidStateBytes)
 		if err != nil {
@@ -191,9 +185,9 @@ func (s *System) setupDataServer(server int) error {
 			return err
 		}
 	}
-	writeME := &portals.ME{Start: s.zeros, MatchBits: 1}
-	ackME := &portals.ME{Start: s.zeros[:4096:4096], IgnoreBits: ^uint64(0), ManageLocal: true}
-	readME := &portals.ME{Start: s.zeros, MatchBits: readBits}
+	writeME := &portals.ME{Length: maxBlock, MatchBits: 1}
+	ackME := &portals.ME{Length: 4096, IgnoreBits: ^uint64(0), ManageLocal: true}
+	readME := &portals.ME{Length: maxBlock, MatchBits: readBits}
 	if s.spin {
 		wmem, err := ni.RT.AllocHPUMem(handlers.RaidStateBytes)
 		if err != nil {

@@ -155,47 +155,6 @@ func TestResetBitIdenticalToFresh(t *testing.T) {
 	}
 }
 
-// TestRegionsStayZero pins the invariant that makes the System's shared
-// zero array exact: in both protocols on both NIC types, every byte of the
-// array is still 0 after a replay of each SPC suite trace and after a
-// write of the full stripe capacity, so aliasing the ME regions cannot
-// change a simulated time.
-func TestRegionsStayZero(t *testing.T) {
-	suite := spctrace.Suite(100)
-	for _, spin := range []bool{false, true} {
-		for _, nic := range []string{"int", "dis"} {
-			p, err := netsim.ParseNIC(nic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := New(p, spin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(after string) {
-				t.Helper()
-				for at, b := range sys.zeros {
-					if b != 0 {
-						t.Fatalf("spin=%v %s: after %s, byte %d of the zero array is %#x", spin, nic, after, at, b)
-					}
-				}
-			}
-			for _, name := range spctrace.SuiteNames() {
-				sys.Reset()
-				if _, err := sys.Replay(suite[name]); err != nil {
-					t.Fatalf("spin=%v %s: %s: %v", spin, nic, name, err)
-				}
-				check(name)
-			}
-			sys.Reset()
-			if _, err := sys.Write(0, maxBlock*DataNodes); err != nil {
-				t.Fatalf("spin=%v %s: full-stripe write: %v", spin, nic, err)
-			}
-			check("a full-stripe write")
-		}
-	}
-}
-
 func TestChunksPartition(t *testing.T) {
 	var s System
 	for _, size := range []int{1, 3, 4, 5, 4096, 4097, 1 << 18} {

@@ -18,8 +18,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -44,6 +46,9 @@ type Server struct {
 	pool    *bench.Pool
 	exps    []bench.Experiment
 	mux     *http.ServeMux
+	// healthz is the /healthz body, rendered once: the version and the
+	// worker count are fixed per server.
+	healthz []byte
 
 	mu        sync.Mutex
 	cache     map[reqKey]*result // the lookup every POST /run makes
@@ -72,6 +77,13 @@ func New(cfg Config) *Server {
 		flights: make(map[reqKey]*flight),
 		jobs:    make(map[string]*job),
 	}
+	var hz bytes.Buffer
+	encodeJSON(&hz, map[string]any{
+		"status":  "ok",
+		"version": v,
+		"workers": s.pool.Workers(),
+	})
+	s.healthz = hz.Bytes()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /experiments", s.handleExperiments)
 	mux.HandleFunc("POST /run", s.handleRun)
@@ -96,6 +108,11 @@ func (s *Server) Close() { s.pool.Close() }
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON is the service's one JSON rendering: indented, newline-ended.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
@@ -128,13 +145,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus the code-version stamp, so operators
-// can tell which build a cache was warmed by.
+// can tell which build a cache was warmed by. It writes the body New
+// rendered.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"version": s.version,
-		"workers": s.pool.Workers(),
-	})
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	w.Write(s.healthz)
 }
 
 // statsFaults is netsim.FaultStats in wire form.

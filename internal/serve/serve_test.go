@@ -370,6 +370,17 @@ func TestExperimentsAndHealthz(t *testing.T) {
 	if hz.Status != "ok" || hz.Version != "test" || hz.Workers != 2 {
 		t.Fatalf("/healthz = %+v, want ok/test/2", hz)
 	}
+	// The body New renders once is byte-identical to encoding the map
+	// with the service's indented json.Encoder.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(map[string]any{"status": "ok", "version": "test", "workers": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if h.Body.String() != want.String() || h.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("/healthz = %q (%s), want %q (application/json)", h.Body.String(), h.Header().Get("Content-Type"), want.String())
+	}
 }
 
 // TestImpairedRequestsCachedSeparately runs the same experiment impaired

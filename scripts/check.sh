@@ -130,6 +130,15 @@ echo "== serve query-reader oracle fuzz (FuzzQueryFields, 5s) =="
 # as above.
 go test -run '^$' -fuzz 'FuzzQueryFields' -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
 
+echo "== timing-only region oracle fuzz (FuzzTimingOnlyRegionMatchesBytes, 5s) =="
+# Two single-NI rigs that differ only in their entries' host regions, one
+# timing-only (ME.Length) and one of real bytes (Start), run the same
+# random puts, atomics, gets and payload-handler DMA, PutFromHost and Get
+# calls: the same events (type, time, length, offset) and the same action
+# errors every time, and a read from the timing-only region leaves zeros.
+# Minimization is capped as above.
+go test -run '^$' -fuzz 'FuzzTimingOnlyRegionMatchesBytes' -fuzztime 5s -fuzzminimizetime 1x ./internal/portals
+
 echo "== assembler fuzz (FuzzAssembleRun, 5s) =="
 # Arbitrary spinasm source: every program isa.Assemble accepts encodes and
 # decodes back to itself and runs on a VM without panicking (a runaway
@@ -156,15 +165,15 @@ echo "== nested benchmark module (golden hashes) =="
 # benchmark run.
 go -C benchmark test -count=1 ./...
 
-echo "== alloc budgets (engine schedule / transport / serve hit / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7c / Trees) =="
+echo "== alloc budgets (engine schedule / transport / serve hit / healthz / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7a / Fig7c / Trees) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, <= 1 per warm spinserve cache hit through
-# ServeHTTP (0 measured) and 0 per registry lookup, 0 per lossy reliable
-# put in steady state, the post-program-pooling Table 5c budget, the
-# post-triggered-op-pooling Fig 5a budget, and the post-portals-pooling SPC
-# budget; plus bytes per regeneration for Fig 5a, SPC, Fig 7c and the trees
-# ablation, which fail if timing-only host memory goes back to being
-# zero-filled per rank or per raidsim system.
+# ServeHTTP (0 measured) and 0 per registry lookup, <= 1 per GET /healthz
+# (0 measured), 0 per lossy reliable put in steady state, the
+# post-program-pooling Table 5c budget, the post-triggered-op-pooling Fig
+# 5a budget, and the post-portals-pooling SPC budget; plus bytes per
+# regeneration for Fig 5a, SPC, Fig 7a, Fig 7c and the trees ablation,
+# which fail if timing-only host regions go back to holding bytes.
 go test -count=1 -run 'TestAllocBudgets' .
 
 echo "== perf smoke (BenchmarkFig3b, 1x) =="

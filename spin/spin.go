@@ -102,7 +102,10 @@ const (
 type (
 	// NI is a logical network interface.
 	NI = portals.NI
-	// ME is a matching entry with optional sPIN handlers.
+	// ME is a matching entry with optional sPIN handlers. Exactly one of
+	// Start and Length sizes its host region; a Length region is
+	// timing-only: bounded and charged like Start memory, it holds no
+	// bytes, so writes store nothing and reads yield zeros.
 	ME = portals.ME
 	// MD is a memory descriptor.
 	MD = portals.MD
