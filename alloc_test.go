@@ -227,7 +227,7 @@ func TestAllocBudgets(t *testing.T) {
 		nis[0].ConfigureRetrans(portals.RetransConfig{Timeout: 10 * sim.Microsecond})
 		put := func() {
 			if _, err := nis[0].ReliablePut(c.Eng.Now(), portals.PutArgs{
-				NoData: true, Length: 8, Target: 1, PTIndex: 0, MatchBits: 0x11,
+				Length: 8, Target: 1, PTIndex: 0, MatchBits: 0x11,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -98,8 +98,8 @@
 //     chain. The chain charges exactly what a block-at-a-time DMAToHostB
 //     loop charges — per-block arithmetic, per-descriptor issue cost, one
 //     bus reservation per transaction — so simulated time is
-//     bit-identical by construction; only the simulator-side work went
-//     away. The complementary sim.Intervals fast paths (a galloping
+//     bit-identical by construction (FuzzDMAToHostVecMatchesLoop checks it
+//     against that loop); only the simulator-side work went away. The complementary sim.Intervals fast paths (a galloping
 //     scan-start search from a finger at the previous answer, and a
 //     max-gap upper bound for tail placement) and IntervalPool.AcquireAny's
 //     early exit at the first server free at the requested time return
@@ -124,8 +124,9 @@
 //     and CTs handed out by NI.NewEQ/NewCT recycle on NI.Reset. With the
 //     bench-side arenas (matching entries, binomial child lists, deposit
 //     regions on bench.Env), a Fig 5a regeneration fell from ~321k to
-//     ~108k allocations. Timing-only host regions (portals.ME.Length)
-//     hold no bytes, so no regeneration allocates or zero-fills host
+//     ~108k allocations. Timing-only host regions (portals.ME.Length;
+//     core.Region owns both region forms and their one bounds rule) hold
+//     no bytes, so no regeneration allocates or zero-fills host
 //     memory it only times: bytes allocated per regeneration at benchScale
 //     fell from 150.8 to 16.7 MB for Fig 5a (the rest is PutFromDevice
 //     staging), 18.3 to 1.56 MB for Fig 7a, 50.3 to 6.0 MB for SPC, 42.6

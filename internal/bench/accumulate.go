@@ -65,7 +65,7 @@ func accumulateTime(e *Env, p netsim.Params, spin bool, size int) (sim.Time, err
 		return 0, err
 	}
 	if _, err := nis[0].Put(0, portals.PutArgs{
-		Length: size, NoData: true, Target: farPeer, PTIndex: 0, MatchBits: 1,
+		Length: size, Target: farPeer, PTIndex: 0, MatchBits: 1,
 	}); err != nil {
 		return 0, err
 	}

@@ -84,7 +84,7 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 				for _, child := range children {
 					var err error
 					t, err = nis[r].Put(t, portals.PutArgs{
-						Length: size, NoData: true, Target: child, PTIndex: 0, MatchBits: 7,
+						Length: size, Target: child, PTIndex: 0, MatchBits: 7,
 					})
 					if err != nil {
 						completionErr = err
@@ -95,7 +95,7 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 		case P4:
 			for _, child := range children {
 				if err := nis[r].ArmTriggeredPut(portals.PutArgs{
-					Length: size, NoData: true, Target: child, PTIndex: 0, MatchBits: 7,
+					Length: size, Target: child, PTIndex: 0, MatchBits: 7,
 				}, ct, 1); err != nil {
 					return 0, err
 				}
@@ -149,7 +149,7 @@ func broadcastTime(e *Env, p netsim.Params, v Variant, nprocs, size int) (sim.Ti
 	for _, child := range e.binomialKids(0, nprocs) {
 		var err error
 		t, err = nis[0].Put(t, portals.PutArgs{
-			Length: size, NoData: true, Target: child, PTIndex: 0, MatchBits: 7,
+			Length: size, Target: child, PTIndex: 0, MatchBits: 7,
 		})
 		if err != nil {
 			return 0, err

@@ -71,7 +71,7 @@ func stridedReceiveTime(e *Env, p netsim.Params, spin bool, blocksize int) (sim.
 		return 0, err
 	}
 	if _, err := nis[0].Put(0, portals.PutArgs{
-		Length: DDTTotalBytes, NoData: true, Target: farPeer, PTIndex: 0, MatchBits: 1,
+		Length: DDTTotalBytes, Target: farPeer, PTIndex: 0, MatchBits: 1,
 	}); err != nil {
 		return 0, err
 	}

@@ -78,7 +78,7 @@ func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Mod
 	respCT := portals.NewCT(c.Eng)
 	respME := &portals.ME{MatchBits: pingBits, EQ: respEQ, CT: respCT}
 	pong := portals.PutArgs{
-		Length: size, NoData: true, Target: 0, PTIndex: 0, MatchBits: pongBits,
+		Length: size, Target: 0, PTIndex: 0, MatchBits: pongBits,
 	}
 	switch v {
 	case RDMA:
@@ -143,7 +143,7 @@ func pingPongHalfRTT(e *Env, p netsim.Params, v Variant, size int, nz *noise.Mod
 	}
 
 	if _, err := nis[0].Put(0, portals.PutArgs{
-		Length: size, NoData: true, Target: farPeer, PTIndex: 0, MatchBits: pingBits,
+		Length: size, Target: farPeer, PTIndex: 0, MatchBits: pingBits,
 	}); err != nil {
 		return 0, err
 	}

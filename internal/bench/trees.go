@@ -63,7 +63,7 @@ func treeBroadcastTime(e *Env, p netsim.Params, tree handlers.Tree, nprocs, size
 	for _, target := range rootTargets {
 		var err error
 		t, err = nis[0].Put(t, portals.PutArgs{
-			Length: size, NoData: true, Target: target, PTIndex: 0, MatchBits: 7,
+			Length: size, Target: target, PTIndex: 0, MatchBits: 7,
 		})
 		if err != nil {
 			return 0, err

@@ -153,40 +153,18 @@ func (c *Ctx) fail(err error) {
 	}
 }
 
-// hostSpace resolves a memory space to its bytes and its length. The bytes
-// are nil for a timing-only region (MEContext.HostLength): DMA calls bound
-// and charge by the length alone and move no bytes.
-func (c *Ctx) hostSpace(space MemSpace) ([]byte, int64) {
+// hostRange returns the host region of space and, unless [offset,
+// offset+n) lies wholly inside it, records and returns the action error.
+func (c *Ctx) hostRange(space MemSpace, offset int64, n int, op string) (Region, error) {
+	r := c.me.HostMem
 	if space == HandlerHostMem {
-		return c.me.HandlerHostMem, int64(len(c.me.HandlerHostMem))
+		r = c.me.HandlerHostMem
 	}
-	return c.me.HostMem, int64(len(c.me.HostMem) + c.me.HostLength)
-}
-
-func (c *Ctx) checkRange(size, offset int64, n int, op string) bool {
-	if offset < 0 || n < 0 || offset+int64(n) > size {
-		c.fail(fmt.Errorf("core: %s [%d,%d) outside host region of %d bytes", op, offset, offset+int64(n), size))
-		return false
+	err := r.Check(op, offset, n)
+	if err != nil {
+		c.fail(err)
 	}
-	return true
-}
-
-// readHost copies the host bytes at offset into local; a timing-only
-// region reads as zeros.
-func readHost(local, buf []byte, offset int64) {
-	if buf == nil {
-		clear(local)
-		return
-	}
-	copy(local, buf[offset:])
-}
-
-// writeHost copies local into the host bytes at offset; a timing-only
-// region stores nothing.
-func writeHost(buf []byte, offset int64, local []byte) {
-	if buf != nil {
-		copy(buf[offset:], local)
-	}
+	return r, err
 }
 
 // DMAToHostB copies local to host memory at offset (blocking write:
@@ -194,12 +172,12 @@ func writeHost(buf []byte, offset int64, local []byte) {
 // posted write; the data becomes visible one bus latency later.
 func (c *Ctx) DMAToHostB(local []byte, offset int64, space MemSpace) {
 	c.Charge(CostDMAIssue)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, len(local), "DMAToHost") {
+	r, err := c.hostRange(space, offset, len(local), "DMAToHost")
+	if err != nil {
 		return
 	}
 	free, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	writeHost(buf, offset, local)
+	copy(r.Bytes(offset, len(local)), local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr")
 	c.now = free
 	if visible > c.lastVisible {
@@ -234,11 +212,10 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 	if nsegs == 0 {
 		return
 	}
-	buf, size := c.hostSpace(space)
 	first := base + v.HostOffset(streamOff)
 	last := base + v.HostOffset(streamOff+bytes-1) + 1
-	if first < 0 || last > size {
-		c.fail(fmt.Errorf("core: DMAToHostVec [%d,%d) outside host region of %d bytes", first, last, size))
+	r, err := c.hostRange(space, first, int(last-first), "DMAToHostVec")
+	if err != nil {
 		return
 	}
 	bus := c.rt.Node.Bus
@@ -249,7 +226,7 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 		c.Charge(CostDMAIssue)
 		free, visible := bus.Write(c.now, ln)
 		if local != nil {
-			writeHost(buf, base+off, local[pos:pos+ln])
+			copy(r.Bytes(base+off, ln), local[pos:pos+ln])
 			pos += ln
 		}
 		if rec {
@@ -268,12 +245,12 @@ func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, ba
 // transfer, per §4.3.
 func (c *Ctx) DMAFromHostB(offset int64, local []byte, space MemSpace) {
 	c.Charge(CostDMAIssue)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, len(local), "DMAFromHost") {
+	r, err := c.hostRange(space, offset, len(local), "DMAFromHost")
+	if err != nil {
 		return
 	}
 	ready := c.rt.Node.Bus.Read(c.now, len(local))
-	readHost(local, buf, offset)
+	r.Read(offset, local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, ready, "rd")
 	c.now = ready
 }
@@ -285,12 +262,12 @@ func (c *Ctx) DMAFromHostB(offset int64, local []byte, space MemSpace) {
 // fire-and-forget deposits do, costs nothing.
 func (c *Ctx) DMAToHostNB(local []byte, offset int64, space MemSpace) DMAHandle {
 	c.Charge(CostDMAIssue + CostDMAHandle)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, len(local), "DMAToHostNB") {
+	r, err := c.hostRange(space, offset, len(local), "DMAToHostNB")
+	if err != nil {
 		return DMAHandle{done: c.now}
 	}
 	_, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	writeHost(buf, offset, local)
+	copy(r.Bytes(offset, len(local)), local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr-nb")
 	if visible > c.lastVisible {
 		c.lastVisible = visible
@@ -302,12 +279,12 @@ func (c *Ctx) DMAToHostNB(local []byte, offset int64, space MemSpace) DMAHandle 
 // performs the data copy eagerly; timing is carried by the (value) handle.
 func (c *Ctx) DMAFromHostNB(offset int64, local []byte, space MemSpace) DMAHandle {
 	c.Charge(CostDMAIssue + CostDMAHandle)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, len(local), "DMAFromHostNB") {
+	r, err := c.hostRange(space, offset, len(local), "DMAFromHostNB")
+	if err != nil {
 		return DMAHandle{done: c.now}
 	}
 	ready := c.rt.Node.Bus.Read(c.now, len(local))
-	readHost(local, buf, offset)
+	r.Read(offset, local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, ready, "rd-nb")
 	return DMAHandle{done: ready}
 }
@@ -332,19 +309,14 @@ func (c *Ctx) DMAWait(h *DMAHandle) {
 // and whether the swap happened.
 func (c *Ctx) DMACAS(offset int64, cmpval, swapval uint64, space MemSpace) (prev uint64, swapped bool) {
 	c.Charge(CostDMAIssue)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, 8, "DMACAS") {
+	r, err := c.hostRange(space, offset, 8, "DMACAS")
+	if err != nil {
 		return 0, false
 	}
 	done := c.rt.Node.Bus.Atomic(c.now, 8)
-	var word [8]byte // a timing-only region's word: reads zero, keeps nothing
-	w := word[:]
-	if buf != nil {
-		w = buf[offset : offset+8]
-	}
-	prev = binary.LittleEndian.Uint64(w)
+	prev = r.Uint64(offset)
 	if prev == cmpval {
-		binary.LittleEndian.PutUint64(w, swapval)
+		r.PutUint64(offset, swapval)
 		swapped = true
 	}
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, done, "cas")
@@ -359,18 +331,13 @@ func (c *Ctx) DMACAS(offset int64, cmpval, swapval uint64, space MemSpace) (prev
 // previous value (PtlHandlerDMAFetchAddNB's blocking core).
 func (c *Ctx) DMAFetchAdd(offset int64, inc uint64, space MemSpace) (prev uint64) {
 	c.Charge(CostDMAIssue)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, 8, "DMAFetchAdd") {
+	r, err := c.hostRange(space, offset, 8, "DMAFetchAdd")
+	if err != nil {
 		return 0
 	}
 	done := c.rt.Node.Bus.Atomic(c.now, 8)
-	var word [8]byte // a timing-only region's word: reads zero, keeps nothing
-	w := word[:]
-	if buf != nil {
-		w = buf[offset : offset+8]
-	}
-	prev = binary.LittleEndian.Uint64(w)
-	binary.LittleEndian.PutUint64(w, prev+inc)
+	prev = r.Uint64(offset)
+	r.PutUint64(offset, prev+inc)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, done, "fadd")
 	c.now = done
 	if done > c.lastVisible {
@@ -466,9 +433,9 @@ func (c *Ctx) PutFromDevice(data []byte, target, ptIndex int, matchBits uint64, 
 // timing-only region the message carries no data.
 func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIndex int, matchBits uint64, remoteOffset int64, hdrData uint64) error {
 	c.Charge(CostPut)
-	buf, size := c.hostSpace(space)
-	if !c.checkRange(size, offset, length, "PutFromHost") {
-		return c.err
+	r, err := c.hostRange(space, offset, length, "PutFromHost")
+	if err != nil {
+		return err
 	}
 	m := c.rt.C.AllocMessage()
 	m.Type = netsim.OpPut
@@ -479,21 +446,25 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 	m.Offset = remoteOffset
 	m.HdrData = hdrData
 	m.Length = length
-	if buf != nil {
-		copy(m.StageData(length), buf[offset:])
+	if src := r.Bytes(offset, length); src != nil {
+		copy(m.StageData(length), src)
 	}
 	c.rt.C.Send(c.now, m)
 	return nil
 }
 
 // Get issues a handler get (PtlHandlerGet): fetch req.Length bytes from the
-// target ME and deposit them into this ME's host memory at req.LocalOffset.
-// Requires an MEContext.Owner to plumb the get through the Portals layer.
+// target ME and deposit them into this ME's host memory at req.LocalOffset,
+// where all of them must fit. Requires an MEContext.Owner to plumb the get
+// through the Portals layer.
 func (c *Ctx) Get(req GetRequest) error {
 	c.Charge(CostGet)
 	if c.me.Owner == nil {
 		err := fmt.Errorf("core: Get issued but no MEOwner installed to plumb it")
 		c.fail(err)
+		return err
+	}
+	if _, err := c.hostRange(MEHostMem, req.LocalOffset, req.Length, "Get"); err != nil {
 		return err
 	}
 	c.me.Owner.MEIssueGet(c.now, req)

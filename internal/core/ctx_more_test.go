@@ -10,7 +10,7 @@ import (
 func TestSteerToRedirectsDeposit(t *testing.T) {
 	host := make([]byte, 4096)
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				c.SteerTo(1024) // KV-store style steering (§5.4)
@@ -114,7 +114,7 @@ func TestDMAWaitsOverlapAcrossContexts(t *testing.T) {
 	var ends []sim.Time
 	host := make([]byte, 1<<20)
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Payload: func(c *Ctx, pl Payload) PayloadRC {
 				buf := make([]byte, pl.Size)
@@ -141,7 +141,7 @@ func TestCompletionWaitsForDepositVisibility(t *testing.T) {
 	p := netsim.Discrete()
 	var done sim.Time
 	me := &MEContext{
-		HostMem: make([]byte, 8192),
+		HostMem: BytesRegion(make([]byte, 8192)),
 		Owner:   completeFunc(func(now sim.Time, r MessageResult) { done = now }),
 	}
 	h := newHarness(t, p, me)

@@ -31,15 +31,12 @@ type MEContext struct {
 	// State is the HPU shared memory handle (PtlHPUAllocMem); may be nil
 	// for stateless handlers.
 	State *HPUMem
-	// HostMem is the ME's host-memory region (steering target).
-	HostMem []byte
-	// HostLength sizes a timing-only steering region when HostMem is nil:
-	// DMA calls are bounded and charged by it, but no bytes move (reads
-	// yield zeros, writes store nothing, PutFromHost sends no data). At
-	// most one of HostMem and HostLength sizes the region.
-	HostLength int
+	// HostMem is the ME's host-memory region (steering target): the
+	// default deposit, handler DMA, PutFromHost and a handler Get's reply
+	// are bounded by it, and move no bytes when it is timing-only.
+	HostMem Region
 	// HandlerHostMem is the optional extra host region for handler output.
-	HandlerHostMem []byte
+	HandlerHostMem Region
 	// Owner receives the entry's upcalls: message completion, handler
 	// counter increments, and handler gets. May be nil, in which case
 	// completions are discarded, CTInc is a no-op, and Get fails.
@@ -375,16 +372,12 @@ func payloadBytes(pkt *netsim.Packet) []byte {
 }
 
 // deposit performs the default action: DMA the packet payload into the ME's
-// host memory at the message offset.
+// host memory at the message offset, truncated at the region's bounds.
 func (rt *Runtime) deposit(start sim.Time, pkt *netsim.Packet, ms *msgState) {
 	_, visible := rt.Node.Bus.Write(start, pkt.Size)
 	rt.C.Rec.Record(rt.Node.Rank, "DMA", start, visible, "deposit")
-	if ms.me.HostMem != nil && pkt.Msg.Data != nil {
-		off := pkt.Msg.Offset + int64(pkt.Offset)
-		if off >= 0 && off+int64(pkt.Size) <= int64(len(ms.me.HostMem)) {
-			copy(ms.me.HostMem[off:], payloadBytes(pkt))
-		}
-	}
+	dst, src := ms.me.HostMem.Land(pkt.Msg.Offset+int64(pkt.Offset), payloadBytes(pkt))
+	copy(dst, src)
 	if visible > ms.lastEnd {
 		ms.lastEnd = visible
 	}

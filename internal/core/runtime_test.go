@@ -245,7 +245,7 @@ func TestDefaultDepositWritesHostMemory(t *testing.T) {
 	host := make([]byte, 8192)
 	var end sim.Time
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Owner: completeFunc(func(now sim.Time, r MessageResult) {
 			end = now
 			if r.Err != nil {
@@ -273,7 +273,7 @@ func TestHeaderDropDiscardsMessage(t *testing.T) {
 	payloadCalls := 0
 	host := make([]byte, 8192)
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header:  func(c *Ctx, h Header) HeaderRC { return Drop },
 			Payload: func(c *Ctx, p Payload) PayloadRC { payloadCalls++; return PayloadSuccess },
@@ -345,7 +345,7 @@ func TestEchoViaPutFromDevice(t *testing.T) {
 
 	rt0 := NewRuntime(c, c.Nodes[0])
 	echoed := make([]byte, 10000)
-	me0 := &MEContext{HostMem: echoed}
+	me0 := &MEContext{HostMem: BytesRegion(echoed)}
 	c.Nodes[0].Recv = &meReceiver{rt: rt0, me: me0}
 
 	data := make([]byte, 10000)
@@ -383,7 +383,7 @@ func TestDMAFromHostReadsHostMemory(t *testing.T) {
 	var got [64]byte
 	var dmaTime sim.Time
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				before := c.Now()
@@ -410,7 +410,7 @@ func TestDMAToHostWritesAndBlocksOnlyForInitiation(t *testing.T) {
 	host := make([]byte, 1024)
 	var blockTime sim.Time
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				before := c.Now()
@@ -434,7 +434,7 @@ func TestDMAToHostWritesAndBlocksOnlyForInitiation(t *testing.T) {
 func TestDMAOutOfRangeSetsError(t *testing.T) {
 	var res MessageResult
 	me := &MEContext{
-		HostMem: make([]byte, 16),
+		HostMem: BytesRegion(make([]byte, 16)),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				c.DMAToHostB(make([]byte, 64), 0, MEHostMem)
@@ -457,7 +457,7 @@ func TestDMAOutOfRangeSetsError(t *testing.T) {
 func TestNonblockingDMAAndWait(t *testing.T) {
 	host := make([]byte, 256)
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				hdl := c.DMAToHostNB([]byte{1, 2, 3, 4}, 0, MEHostMem)
@@ -513,7 +513,7 @@ func TestHPUAtomics(t *testing.T) {
 func TestDMAHostAtomics(t *testing.T) {
 	host := make([]byte, 64)
 	me := &MEContext{
-		HostMem: host,
+		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				if prev := c.DMAFetchAdd(0, 7, MEHostMem); prev != 0 {

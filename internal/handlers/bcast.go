@@ -74,11 +74,7 @@ func Bcast(cfg BcastConfig) core.HandlerSet {
 			})
 			// Deliver this rank's copy to host memory, overlapped with
 			// forwarding.
-			if p.Data != nil {
-				c.DMAToHostNB(p.Data, off+int64(p.Offset), core.MEHostMem)
-			} else {
-				c.DMAToHostNB(dataOrZero(p), off+int64(p.Offset), core.MEHostMem)
-			}
+			c.DMAToHostNB(data, off+int64(p.Offset), core.MEHostMem)
 			return rc
 		},
 		Completion: func(c *core.Ctx, dropped int, fc bool) core.CompletionRC {

@@ -176,7 +176,7 @@ func TestGraphTimingOnlyReplayDropsBatches(t *testing.T) {
 		HPUMem:     hm,
 		Handlers:   GraphSSSP(128),
 	})
-	nis[0].Put(0, portals.PutArgs{Length: 10 * GraphUpdateBytes, NoData: true, Target: 1, PTIndex: 0})
+	nis[0].Put(0, portals.PutArgs{Length: 10 * GraphUpdateBytes, Target: 1, PTIndex: 0})
 	c.Eng.Run()
 	// Timing-only replay still charges bus atomics.
 	if nis[1].Node.Bus.Transactions == 0 {

@@ -63,11 +63,7 @@ func BcastTree(cfg BcastConfig, tree Tree) core.HandlerSet {
 					rc = core.PayloadFail
 				}
 			}
-			if p.Data != nil {
-				c.DMAToHostNB(p.Data, off+int64(p.Offset), core.MEHostMem)
-			} else {
-				c.DMAToHostNB(dataOrZero(p), off+int64(p.Offset), core.MEHostMem)
-			}
+			c.DMAToHostNB(data, off+int64(p.Offset), core.MEHostMem)
 			return rc
 		},
 		Completion: func(c *core.Ctx, dropped int, fc bool) core.CompletionRC {

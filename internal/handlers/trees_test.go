@@ -113,7 +113,7 @@ func TestPipelineBeatsBinomialForLargeMessages(t *testing.T) {
 		var ts sim.Time
 		for _, target := range rootTargets {
 			var err error
-			ts, err = nis[0].Put(ts, portals.PutArgs{Length: size, NoData: true, Target: target, PTIndex: 0, MatchBits: 7})
+			ts, err = nis[0].Put(ts, portals.PutArgs{Length: size, Target: target, PTIndex: 0, MatchBits: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

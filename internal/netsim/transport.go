@@ -103,7 +103,7 @@ type Message struct {
 func (m *Message) StageData(n int) []byte {
 	if cap(m.buf) < n || m.buf == nil {
 		m.buf = make([]byte, n) // non-nil even for n == 0: staged Data is
-		// never nil, matching the timing-only (NoData) distinction.
+		// never nil, and nil Data marks a message without data.
 	}
 	m.Data = m.buf[:n:n]
 	return m.Data

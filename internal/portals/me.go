@@ -12,14 +12,13 @@ import (
 // B.1: three optional handlers, an HPU memory handle, initial HPU state,
 // and an auxiliary host-memory region for handler output.
 //
-// Like a Portals 4 ME, an entry carries a start and a length, and exactly
-// one of Start and Length sizes its host region. A region given by Length
-// is timing-only: every deposit, get reply and handler DMA is bounded and
-// charged by its length exactly as for a Length-byte Start, but it holds
+// Like a Portals 4 ME, an entry carries a start and a length: its host
+// region (a core.Region) is Start's bytes, or else a timing-only region of
+// Length bytes, which is bounded exactly like a Length-byte Start but holds
 // no bytes. Writes into it store nothing, reads from it yield zeros, and a
 // get or PutFromHost served from it sends a message without data. An entry
-// with neither holds no bytes and has no bound: deposits and gets are not
-// truncated, and handler DMA calls see a zero-length region.
+// with neither has a zero-length region. Deposits and gets land on their
+// intersection with the region; handler DMA must lie wholly inside it.
 type ME struct {
 	// Start is the host-memory region the entry steers into.
 	Start []byte
@@ -28,7 +27,9 @@ type ME struct {
 	// MatchBits/IgnoreBits implement 64-bit masked matching.
 	MatchBits  uint64
 	IgnoreBits uint64
-	// MatchSource restricts matching to one source rank when >= 0.
+	// MatchSource restricts matching to one source rank when >= 0. Its
+	// zero value matches any source; MatchExactSource(0) restricts the
+	// entry to rank 0.
 	MatchSource int
 	// UseOnce unlinks the entry after its first match.
 	UseOnce bool
@@ -52,6 +53,7 @@ type ME struct {
 	pte         *PTEntry
 	list        ListKind
 	unlinked    bool
+	exactSource bool
 	localOffset int64
 	// mectx is embedded by value and me installs itself as its
 	// core.MEOwner, so appending an entry allocates neither the context
@@ -111,16 +113,24 @@ func (ni *NI) MEAppend(ptIndex int, me *ME, list ListKind) error {
 	me.ni = ni
 	me.pte = pte
 	me.list = list
-	if me.MatchSource == 0 {
-		// Zero value means "any source" unless the user set it explicitly;
-		// use -1 internally for wildcard. Callers wanting source 0 only
-		// must set MatchSource after construction via MatchExactSource.
-		me.MatchSource = -1
+	if me.MatchSource == 0 && !me.exactSource {
+		me.MatchSource = -1 // the zero value is the wildcard
 	}
 	if me.InitialState != nil {
 		copy(me.HPUMem.Buf, me.InitialState)
 	}
-	me.buildMEContext()
+	// Handler completions, counter increments and gets dispatch through the
+	// entry itself (core.MEOwner), closure-free.
+	me.mectx = core.MEContext{
+		Handlers:       me.Handlers,
+		State:          me.HPUMem,
+		HostMem:        core.TimingRegion(me.Length),
+		HandlerHostMem: core.BytesRegion(me.HandlerHostMem),
+		Owner:          me,
+	}
+	if me.Start != nil {
+		me.mectx.HostMem = core.BytesRegion(me.Start)
+	}
 	if list == PriorityList {
 		pte.priority = append(pte.priority, me)
 	} else {
@@ -156,25 +166,12 @@ func (me *ME) resetState() {
 // before MEAppend; needed for src == 0 because the zero value is wildcard).
 func (me *ME) MatchExactSource(src int) *ME {
 	me.MatchSource = src
+	me.exactSource = true
 	return me
 }
 
 // Unlink removes the entry from its list (PtlMEUnlink).
 func (me *ME) Unlink() { me.unlinked = true }
-
-// buildMEContext wires an ME to the sPIN runtime: completion events,
-// counter increments, and handler-issued gets dispatch through the entry
-// itself (core.MEOwner), closure-free.
-func (me *ME) buildMEContext() {
-	me.mectx = core.MEContext{
-		Handlers:       me.Handlers,
-		State:          me.HPUMem,
-		HostMem:        me.Start,
-		HostLength:     me.Length,
-		HandlerHostMem: me.HandlerHostMem,
-		Owner:          me,
-	}
-}
 
 // MEComplete implements core.MEOwner: the runtime's completion upcall.
 func (me *ME) MEComplete(now sim.Time, r core.MessageResult) {
@@ -195,7 +192,7 @@ func (me *ME) MEIssueGet(now sim.Time, req core.GetRequest) {
 
 // handlerGet implements the PtlHandlerGet plumbing: an OpGet is injected
 // from the device and its reply is deposited into the issuing ME's host
-// memory at req.LocalOffset.
+// region at req.LocalOffset (Ctx.Get checked that it fits).
 func (ni *NI) handlerGet(now sim.Time, me *ME, req core.GetRequest) {
 	m := ni.C.AllocMessage()
 	m.Type = netsim.OpGet
@@ -208,7 +205,7 @@ func (ni *NI) handlerGet(now sim.Time, me *ME, req core.GetRequest) {
 	m.GetLength = req.Length
 	m.ID = ni.C.NextID()
 	op := ni.opFree.Get()
-	op.dest = me.Start
+	op.dest = me.mectx.HostMem
 	op.destOff = req.LocalOffset
 	op.total = ni.C.P.Packets(req.Length)
 	ni.outstanding[m.ID] = op

@@ -18,25 +18,19 @@ import (
 // Limits mirrors the NI limits structure with the sPIN additions of
 // Appendix B.2.1.
 type Limits struct {
-	MaxUserHdrSize        int
-	MaxPayloadSize        int
-	MaxHandlerMem         int
-	MaxInitialState       int
-	MinFragmentationLimit int
-	MaxCyclesPerByte      int
-	MaxPTEntries          int
+	MaxUserHdrSize  int
+	MaxHandlerMem   int
+	MaxInitialState int
+	MaxPTEntries    int
 }
 
 // DefaultLimits returns the limits used throughout the paper's experiments.
-func DefaultLimits(mtu int) Limits {
+func DefaultLimits() Limits {
 	return Limits{
-		MaxUserHdrSize:        64,
-		MaxPayloadSize:        mtu,
-		MaxHandlerMem:         core.DefaultHPUMemCapacity,
-		MaxInitialState:       4096,
-		MinFragmentationLimit: 64,
-		MaxCyclesPerByte:      16,
-		MaxPTEntries:          64,
+		MaxUserHdrSize:  64,
+		MaxHandlerMem:   core.DefaultHPUMemCapacity,
+		MaxInitialState: 4096,
+		MaxPTEntries:    64,
 	}
 }
 
@@ -77,7 +71,7 @@ const (
 // drawn from NI.opFree and recycled when the operation completes (or when
 // the NI resets with operations still outstanding).
 type pendingOp struct {
-	dest    []byte
+	dest    core.Region
 	destOff int64
 	md      *MD
 	total   int
@@ -159,7 +153,7 @@ func NewNI(c *netsim.Cluster, rank int) *NI {
 		C:           c,
 		Node:        node,
 		RT:          core.NewRuntime(c, node),
-		Limits:      DefaultLimits(c.P.MTU),
+		Limits:      DefaultLimits(),
 		pt:          make(map[int]*PTEntry),
 		outstanding: make(map[uint64]*pendingOp),
 		rtx:         make(map[uint64]*rtxRecord),
@@ -353,9 +347,6 @@ type PutArgs struct {
 	HdrData      uint64
 	UserHdr      []byte
 	AckReq       bool
-	// NoData sends a timing-only message (no payload bytes simulated);
-	// used by large-scale trace replays.
-	NoData bool
 }
 
 // validatePut checks a put's arguments without touching any pool: an
@@ -371,7 +362,7 @@ func (ni *NI) validatePut(a PutArgs) error {
 	if a.Target < 0 || a.Target >= len(ni.C.Nodes) {
 		return fmt.Errorf("portals: put target %d outside cluster of %d nodes", a.Target, len(ni.C.Nodes))
 	}
-	if !a.NoData && a.MD != nil {
+	if a.MD != nil {
 		if a.LocalOffset < 0 || a.LocalOffset+int64(a.Length) > int64(len(a.MD.Buf)) {
 			return fmt.Errorf("portals: put [%d,%d) outside MD of %d bytes", a.LocalOffset, a.LocalOffset+int64(a.Length), len(a.MD.Buf))
 		}
@@ -399,7 +390,6 @@ func (ni *NI) buildPut(a PutArgs) (*netsim.Message, error) {
 	if err := ni.validatePut(a); err != nil {
 		return nil, err
 	}
-	stage := !a.NoData && a.MD != nil
 	m := ni.C.AllocMessage()
 	m.Type = netsim.OpPut
 	m.Src = ni.Node.Rank
@@ -411,7 +401,7 @@ func (ni *NI) buildPut(a PutArgs) (*netsim.Message, error) {
 	m.UserHdr = a.UserHdr
 	m.Length = a.Length
 	m.AckReq = a.AckReq
-	if stage {
+	if a.MD != nil {
 		copy(m.StageData(a.Length), a.MD.Buf[a.LocalOffset:])
 	}
 	m.ID = ni.C.NextID()
@@ -482,7 +472,7 @@ func (ni *NI) buildGet(a GetArgs) (*netsim.Message, error) {
 	op.md = a.MD
 	op.destOff = a.LocalOffset
 	if a.MD != nil {
-		op.dest = a.MD.Buf
+		op.dest = core.BytesRegion(a.MD.Buf)
 	}
 	op.total = ni.C.P.Packets(a.Length)
 	ni.outstanding[m.ID] = op

@@ -112,7 +112,7 @@ func (ni *NI) dropMessage(now sim.Time, pkt *netsim.Packet, pte *PTEntry) {
 }
 
 // depositPacket is the default action: DMA the payload into the ME at the
-// resolved offset, truncating at the ME boundary as Portals does.
+// resolved offset, truncated at the region's bounds as Portals does.
 func (ni *NI) depositPacket(now sim.Time, pkt *netsim.Packet, st *recvState) {
 	st.arrived++
 	n := pkt.Size
@@ -122,19 +122,12 @@ func (ni *NI) depositPacket(now sim.Time, pkt *netsim.Packet, st *recvState) {
 		if visible > st.visible {
 			st.visible = visible
 		}
-		dst := st.offset + int64(pkt.Offset)
-		if st.me.Start != nil && dst < int64(len(st.me.Start)) {
-			end := dst + int64(n)
-			if end > int64(len(st.me.Start)) {
-				end = int64(len(st.me.Start))
-			}
-			if pkt.Msg.Data != nil && end > dst {
-				src := pkt.Msg.Data[pkt.Offset : pkt.Offset+int(end-dst)]
-				if pkt.Msg.Type == netsim.OpAtomic {
-					applyAtomic(AtomicOp(pkt.Msg.AtomicOp), st.me.Start[dst:end], src)
-				} else {
-					copy(st.me.Start[dst:end], src)
-				}
+		if pkt.Msg.Data != nil {
+			dst, src := st.me.mectx.HostMem.Land(st.offset+int64(pkt.Offset), pkt.Msg.Data[pkt.Offset:pkt.Offset+n])
+			if pkt.Msg.Type == netsim.OpAtomic {
+				applyAtomic(AtomicOp(pkt.Msg.AtomicOp), dst, src)
+			} else {
+				copy(dst, src)
 			}
 		}
 	} else if st.visible < now {
@@ -245,8 +238,8 @@ func (ni *NI) finishMessage(now sim.Time, me *ME, r core.MessageResult) {
 
 // serveGet answers a get request: match, then the NIC fetches the data from
 // ME host memory via DMA and streams the reply — no host CPU involved. The
-// reply is truncated at the region's end; from a timing-only region
-// (ME.Length) it carries no data.
+// reply is the requested range's intersection with the entry's region;
+// from a timing-only region (ME.Length) it carries no data.
 func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	msg := pkt.Msg
 	pte := ni.pt[msg.PTIndex]
@@ -262,20 +255,8 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	if me.UseOnce {
 		me.unlinked = true
 	}
-	length := msg.GetLength
-	offset := msg.Offset
-	if me.Start != nil || me.Length > 0 {
-		size := int64(len(me.Start) + me.Length) // MEAppend admits one of the two
-		if offset < 0 {
-			offset = 0
-		}
-		if offset+int64(length) > size {
-			length = int(size - offset)
-			if length < 0 {
-				length = 0
-			}
-		}
-	}
+	region := me.mectx.HostMem
+	offset, length := region.Clip(msg.Offset, msg.GetLength)
 	ready := ni.Node.Bus.Read(now, length)
 	ni.C.Rec.Record(ni.Node.Rank, "DMA", now, ready, "get-fetch")
 	reply := ni.C.AllocMessage()
@@ -284,8 +265,10 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	reply.Dst = msg.Src
 	reply.Length = length
 	reply.ReplyTo = msg.ID
-	if me.Start != nil && length > 0 {
-		copy(reply.StageData(length), me.Start[offset:])
+	if length > 0 {
+		if src := region.Bytes(offset, length); src != nil {
+			copy(reply.StageData(length), src)
+		}
 	}
 	ni.C.Send(ready, reply)
 	if me.CT != nil {
@@ -301,8 +284,9 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	})
 }
 
-// recvReply deposits a get response into the memory registered when the
-// get was issued (MD for host gets, ME host memory for handler gets).
+// recvReply deposits a get response into the region registered when the
+// get was issued (the MD for host gets, the ME's host region for handler
+// gets).
 func (ni *NI) recvReply(now sim.Time, pkt *netsim.Packet) {
 	op := ni.outstanding[pkt.Msg.ReplyTo]
 	if op == nil {
@@ -317,9 +301,9 @@ func (ni *NI) recvReply(now sim.Time, pkt *netsim.Packet) {
 		if visible > op.visible {
 			op.visible = visible
 		}
-		dst := op.destOff + int64(pkt.Offset)
-		if op.dest != nil && pkt.Msg.Data != nil && dst+int64(n) <= int64(len(op.dest)) {
-			copy(op.dest[dst:], pkt.Msg.Data[pkt.Offset:pkt.Offset+n])
+		if pkt.Msg.Data != nil {
+			dst, src := op.dest.Land(op.destOff+int64(pkt.Offset), pkt.Msg.Data[pkt.Offset:pkt.Offset+n])
+			copy(dst, src)
 		}
 	} else if op.visible < now {
 		op.visible = now

@@ -167,15 +167,20 @@ func (r *regionRig) payload(c *core.Ctx, p core.Payload) core.PayloadRC {
 			}
 		default:
 			name = "Get"
-			off := a.off
-			if off < 0 {
-				off = -off // a negative local offset is outside this oracle
-			}
-			_ = c.Get(core.GetRequest{PTIndex: rigPlainPT, LocalOffset: off, Length: a.n})
+			_ = c.Get(core.GetRequest{PTIndex: rigPlainPT, LocalOffset: a.off, Length: a.n})
 		}
 		r.recs = append(r.recs, rigRecord{what: name, at: c.Now(), length: a.n, offset: a.off, err: errString(c.Err())})
 	}
 	return core.PayloadSuccess
+}
+
+// mdIf returns the rig's MD when bit 0 of flags asks for a put with data,
+// and nil, a put without data, otherwise.
+func (r *regionRig) mdIf(flags byte) *MD {
+	if flags&1 == 0 {
+		return nil
+	}
+	return r.md
 }
 
 // run issues one operation at the engine's current time, runs the engine
@@ -216,14 +221,16 @@ func (in *oracleInput) u8() byte {
 
 func (in *oracleInput) u16() int { return int(in.u8())<<8 | int(in.u8()) }
 
+func (in *oracleInput) i16() int64 { return int64(int16(in.u16())) }
+
 // runRegionProgram decodes program and runs it on one rig. The program is
 // a big-endian u16 region length n (1 + v mod 16384), then up to 32
 // operations, each an opcode byte (mod 4) and its operands:
 //
-//	0 put to the plain entry: u16 remote offset, u16 length, flags
-//	  (bit 0 carries data, bit 1 makes it an AtomicSum)
+//	0 put to the plain entry: signed i16 remote offset, u16 length, flags
+//	  (bit 0 sends data from an MD, bit 1 makes it an AtomicSum)
 //	1 put to the locally managed entry: u16 length, flags (bit 0 data)
-//	2 get from the plain entry: u16 remote offset, u16 length
+//	2 get from the plain entry: signed i16 remote offset, u16 length
 //	3 put to the handler entry: u16 length (mod 16384), flags (bit 0
 //	  data), then a script of (count mod 5) actions, each an action byte
 //	  (bits 0-2 pick DMAToHostB, DMAToHostNB, DMAToHostVec, DMAFromHostB,
@@ -241,8 +248,8 @@ func runRegionProgram(t *testing.T, program []byte, timingOnly bool) []rigRecord
 	for i := 0; i < 32 && len(in) > 0; i++ {
 		switch in.u8() % 4 {
 		case 0:
-			off, length, flags := in.u16(), in.u16(), in.u8()
-			a := PutArgs{MD: r.md, Length: length, PTIndex: rigPlainPT, RemoteOffset: int64(off), NoData: flags&1 == 0}
+			off, length, flags := in.i16(), in.u16(), in.u8()
+			a := PutArgs{MD: r.mdIf(flags), Length: length, PTIndex: rigPlainPT, RemoteOffset: off}
 			if flags&2 != 0 {
 				r.run(func(now sim.Time) error { _, err := r.ni.Atomic(now, a, AtomicSum); return err })
 			} else {
@@ -250,11 +257,11 @@ func runRegionProgram(t *testing.T, program []byte, timingOnly bool) []rigRecord
 			}
 		case 1:
 			length, flags := in.u16(), in.u8()
-			a := PutArgs{MD: r.md, Length: length, PTIndex: rigLocalPT, NoData: flags&1 == 0}
+			a := PutArgs{MD: r.mdIf(flags), Length: length, PTIndex: rigLocalPT}
 			r.run(func(now sim.Time) error { _, err := r.ni.Put(now, a); return err })
 		case 2:
-			off, length := in.u16(), in.u16()
-			a := GetArgs{MD: r.md, Length: length, PTIndex: rigPlainPT, RemoteOffset: int64(off)}
+			off, length := in.i16(), in.u16()
+			a := GetArgs{MD: r.md, Length: length, PTIndex: rigPlainPT, RemoteOffset: off}
 			r.run(func(now sim.Time) error { _, err := r.ni.Get(now, a); return err })
 		default:
 			length, flags := in.u16()%16384, in.u8()
@@ -263,10 +270,10 @@ func runRegionProgram(t *testing.T, program []byte, timingOnly bool) []rigRecord
 				b := in.u8()
 				r.script = append(r.script, rigAction{
 					kind: b & 7, nilLocal: b&8 != 0, block: 8 << (b >> 4 & 7),
-					off: int64(int16(in.u16())), n: in.u16() % 8192,
+					off: in.i16(), n: in.u16() % 8192,
 				})
 			}
-			a := PutArgs{MD: r.md, Length: length, PTIndex: rigHandlerPT, NoData: flags&1 == 0}
+			a := PutArgs{MD: r.mdIf(flags), Length: length, PTIndex: rigHandlerPT}
 			r.run(func(now sim.Time) error { _, err := r.ni.Put(now, a); return err })
 		}
 	}
@@ -277,12 +284,13 @@ func runRegionProgram(t *testing.T, program []byte, timingOnly bool) []rigRecord
 // timing-only host regions: two single-NI rigs that differ only in their
 // entries, one setting Length: n and the other Start: make([]byte, n),
 // run the same program of puts with and without data (in range,
-// straddling the region's end, past it, atomic, and under ManageLocal),
-// gets (truncated or not), and payload-handler DMAToHostB/NB/Vec,
-// DMAFromHostB/NB, DMACAS, DMAFetchAdd, PutFromHost and Get calls. Both
-// must post the same events (type, time, length, offset) and the same
-// action errors at the same handler times, and every read from the
-// timing-only region, an atomic's old value included, must yield zeros.
+// straddling either end of the region, outside it, atomic, and under
+// ManageLocal), gets (truncated or not, at negative offsets too), and
+// payload-handler DMAToHostB/NB/Vec, DMAFromHostB/NB, DMACAS, DMAFetchAdd,
+// PutFromHost and Get calls, at any local offset. Both must post the same
+// events (type, time, length, offset) and the same action errors at the
+// same handler times, and every read from the timing-only region, an
+// atomic's old value included, must yield zeros.
 // The seed corpus lives in testdata/fuzz/FuzzTimingOnlyRegionMatchesBytes.
 func FuzzTimingOnlyRegionMatchesBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte) {

@@ -69,7 +69,7 @@ func (ni *NI) buildReliable(rec *rtxRecord) *netsim.Message {
 	m.UserHdr = a.UserHdr
 	m.Length = a.Length
 	m.AckReq = true
-	if !a.NoData && a.MD != nil {
+	if a.MD != nil {
 		copy(m.StageData(a.Length), a.MD.Buf[a.LocalOffset:])
 	}
 	m.ID = ni.C.NextID()

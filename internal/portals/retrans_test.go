@@ -113,7 +113,7 @@ func TestReliablePutGivesUpAfterMaxTries(t *testing.T) {
 
 func TestReliablePutNeedsConfiguration(t *testing.T) {
 	_, nis := pair(t)
-	if _, err := nis[0].ReliablePut(0, PutArgs{Length: 8, Target: 1, NoData: true}); err == nil {
+	if _, err := nis[0].ReliablePut(0, PutArgs{Length: 8, Target: 1}); err == nil {
 		t.Fatal("ReliablePut without ConfigureRetrans must error")
 	}
 }

@@ -168,7 +168,7 @@ func (s *System) setupParity() error {
 			t := cpu.PollMatch(ev.At)
 			t = cpu.KernelPasses(t, ev.Length, 3)
 			if _, err := s.nis[ParityNode].Put(t, portals.PutArgs{
-				Length: 1, NoData: true, Target: ev.Source,
+				Length: 1, Target: ev.Source,
 				PTIndex: parityAckPT, MatchBits: ackBits, HdrData: ev.HdrData,
 			}); err != nil {
 				panic(err)
@@ -220,7 +220,7 @@ func (s *System) setupDataServer(server int) error {
 			t := cpu.PollMatch(ev.At)
 			t = cpu.KernelPasses(t, ev.Length, 4)
 			if _, err := ni.Put(t, portals.PutArgs{
-				Length: ev.Length, NoData: true, Target: ParityNode,
+				Length: ev.Length, Target: ParityNode,
 				PTIndex: diffPT, MatchBits: handlers.ParityTag, HdrData: uint64(ev.Source),
 			}); err != nil {
 				panic(err)
@@ -231,7 +231,7 @@ func (s *System) setupDataServer(server int) error {
 		aeq.OnEvent(func(ev portals.Event) {
 			t := cpu.PollMatch(ev.At)
 			if _, err := ni.Put(t, portals.PutArgs{
-				Length: 1, NoData: true, Target: Client,
+				Length: 1, Target: Client,
 				PTIndex: clientAckPT, MatchBits: ackBits,
 			}); err != nil {
 				panic(err)
@@ -245,7 +245,7 @@ func (s *System) setupDataServer(server int) error {
 			}
 			t := cpu.PollMatch(ev.At)
 			if _, err := ni.Put(t, portals.PutArgs{
-				Length: int(ev.HdrData & 0xffffffff), NoData: true, Target: ev.Source,
+				Length: int(ev.HdrData & 0xffffffff), Target: ev.Source,
 				PTIndex: readReplyPT, MatchBits: readBits,
 			}); err != nil {
 				panic(err)
@@ -311,7 +311,7 @@ func (s *System) Write(start sim.Time, size int) (sim.Time, error) {
 	for i, n := range parts {
 		var err error
 		t, err = s.nis[Client].Put(t, portals.PutArgs{
-			Length: n, NoData: true, Target: DataBase + i,
+			Length: n, Target: DataBase + i,
 			PTIndex: writePT, MatchBits: 1,
 		})
 		if err != nil {

@@ -134,10 +134,20 @@ echo "== timing-only region oracle fuzz (FuzzTimingOnlyRegionMatchesBytes, 5s) =
 # Two single-NI rigs that differ only in their entries' host regions, one
 # timing-only (ME.Length) and one of real bytes (Start), run the same
 # random puts, atomics, gets and payload-handler DMA, PutFromHost and Get
-# calls: the same events (type, time, length, offset) and the same action
-# errors every time, and a read from the timing-only region leaves zeros.
-# Minimization is capped as above.
+# calls at any offset, negative ones included: the same events (type,
+# time, length, offset) and the same action errors every time, and a read
+# from the timing-only region leaves zeros. Minimization is capped as
+# above.
 go test -run '^$' -fuzz 'FuzzTimingOnlyRegionMatchesBytes' -fuzztime 5s -fuzzminimizetime 1x ./internal/portals
+
+echo "== vector-DMA oracle fuzz (FuzzDMAToHostVecMatchesLoop, 5s) =="
+# Random vector scatters into bytes and timing-only regions: DMAToHostVec
+# must leave the handler clock, the bus counters, the completion time and
+# the region's bytes exactly where the per-block loop of Charge +
+# DMAToHostB leaves them, and a scatter with any block outside the region
+# must issue nothing and record the action error. Minimization is capped
+# as above.
+go test -run '^$' -fuzz 'FuzzDMAToHostVecMatchesLoop' -fuzztime 5s -fuzzminimizetime 1x ./internal/core
 
 echo "== assembler fuzz (FuzzAssembleRun, 5s) =="
 # Arbitrary spinasm source: every program isa.Assemble accepts encodes and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/portals"
-	"repro/internal/sim"
 )
 
 // Channel is the connection-oriented sPIN session of the paper's
@@ -118,5 +117,3 @@ func (ch *Channel) Close() { ch.me.Unlink() }
 
 // Peer returns the remote rank.
 func (ch *Channel) Peer() int { return ch.peer }
-
-var _ = sim.Time(0)

@@ -102,10 +102,11 @@ const (
 type (
 	// NI is a logical network interface.
 	NI = portals.NI
-	// ME is a matching entry with optional sPIN handlers. Exactly one of
-	// Start and Length sizes its host region; a Length region is
-	// timing-only: bounded and charged like Start memory, it holds no
-	// bytes, so writes store nothing and reads yield zeros.
+	// ME is a matching entry with optional sPIN handlers. Its host
+	// region is Start's bytes, or else a timing-only region of Length
+	// bytes: bounded and charged like Start memory, it holds no bytes, so
+	// writes store nothing and reads yield zeros. Deposits and gets land
+	// on their intersection with the region; handler DMA must lie inside.
 	ME = portals.ME
 	// MD is a memory descriptor.
 	MD = portals.MD
