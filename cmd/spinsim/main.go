@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -23,18 +25,31 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "pingpong", "pingpong | accumulate | bcast | ddt | raid")
-	variant := flag.String("variant", "spin-stream", "rdma | p4 | spin-store | spin-stream")
-	nic := flag.String("nic", "int", "int | dis")
-	size := flag.Int("size", 8192, "message/transfer size in bytes")
-	blocksize := flag.Int("blocksize", 1024, "datatype blocksize (ddt)")
-	ranks := flag.Int("ranks", 64, "process count (bcast)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the CLI against the given streams and returns the process
+// exit code, so the golden manifest test can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spinsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "pingpong", "pingpong | accumulate | bcast | ddt | raid")
+	variant := fs.String("variant", "spin-stream", "rdma | p4 | spin-store | spin-stream")
+	nic := fs.String("nic", "int", "int | dis")
+	size := fs.Int("size", 8192, "message/transfer size in bytes")
+	blocksize := fs.Int("blocksize", 1024, "datatype blocksize (ddt)")
+	ranks := fs.Int("ranks", 64, "process count (bcast)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	p, err := netsim.ParseNIC(*nic)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spinsim: -nic: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spinsim: -nic: %v\n", err)
+		return 2
 	}
 	variants := map[string]bench.Variant{
 		"rdma": bench.RDMA, "p4": bench.P4,
@@ -42,8 +57,8 @@ func main() {
 	}
 	v, ok := variants[*variant]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "spinsim: unknown variant %q\n", *variant)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spinsim: unknown variant %q\n", *variant)
+		return 2
 	}
 
 	var d sim.Time
@@ -65,12 +80,13 @@ func main() {
 		d, err = bench.RaidUpdateTime(p, v == bench.SpinStore || v == bench.SpinStream, *size)
 		what = fmt.Sprintf("RAID-5 update of %d B", *size)
 	default:
-		fmt.Fprintf(os.Stderr, "spinsim: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spinsim: unknown scenario %q\n", *scenario)
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spinsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "spinsim:", err)
+		return 1
 	}
-	fmt.Printf("%s NIC, %s: %v\n", p.DMA.Name, what, d)
+	fmt.Fprintf(stdout, "%s NIC, %s: %v\n", p.DMA.Name, what, d)
+	return 0
 }

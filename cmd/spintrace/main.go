@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -24,18 +26,31 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "pingpong-stream", "scenario to trace")
-	nic := flag.String("nic", "int", "NIC type: int or dis")
-	size := flag.Int("size", 8192, "message size in bytes")
-	ranks := flag.Int("ranks", 8, "ranks (bcast only)")
-	width := flag.Int("width", 100, "chart width in columns")
-	csv := flag.Bool("csv", false, "emit CSV spans instead of ASCII")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the CLI against the given streams and returns the process
+// exit code, so the golden manifest test can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spintrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "pingpong-stream", "scenario to trace")
+	nic := fs.String("nic", "int", "NIC type: int or dis")
+	size := fs.Int("size", 8192, "message size in bytes")
+	ranks := fs.Int("ranks", 8, "ranks (bcast only)")
+	width := fs.Int("width", 100, "chart width in columns")
+	csv := fs.Bool("csv", false, "emit CSV spans instead of ASCII")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	p, err := netsim.ParseNIC(*nic)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spintrace: -nic: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spintrace: -nic: %v\n", err)
+		return 2
 	}
 	rec := &timeline.Recorder{}
 	switch *scenario {
@@ -54,19 +69,20 @@ func main() {
 	case "raid":
 		err = traceRaid(p, *size, rec)
 	default:
-		fmt.Fprintf(os.Stderr, "spintrace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "spintrace: unknown scenario %q\n", *scenario)
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spintrace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "spintrace:", err)
+		return 1
 	}
 	if *csv {
-		rec.RenderCSV(os.Stdout)
-		return
+		rec.RenderCSV(stdout)
+		return 0
 	}
-	fmt.Printf("scenario %s, %d B, %s NIC\n", *scenario, *size, p.DMA.Name)
-	rec.RenderASCII(os.Stdout, *width)
+	fmt.Fprintf(stdout, "scenario %s, %d B, %s NIC\n", *scenario, *size, p.DMA.Name)
+	rec.RenderASCII(stdout, *width)
+	return 0
 }
 
 func traceRaid(p netsim.Params, size int, rec *timeline.Recorder) error {
