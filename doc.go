@@ -32,11 +32,11 @@
 //     fresh closure; the engine has no closure-taking form.
 //   - Allocation budget. The transport (internal/netsim) injects a
 //     message's packets as a single walking event chain and draws Packet,
-//     walk, and per-message state (core.msgState, portals.recvState)
-//     objects from free lists; receivers keep that state in the message's
-//     own RecvState slot, not in maps keyed by *Message, so a packet finds
-//     its message's state with one type check. This comes to ~0.03
-//     allocations per simulated packet end to end
+//     walk, and per-message state (core.msgState, the one receive state
+//     of every put) objects from free lists; receivers keep that state in
+//     the message's own RecvState slot, not in maps keyed by *Message, so
+//     a packet finds its message's state with one type check. This comes
+//     to ~0.03 allocations per simulated packet end to end
 //     (BenchmarkClusterSendLarge: 7 allocs per 256-packet message).
 //     Receivers must not retain a *Packet past ReceivePacket.
 //   - Tracing. timeline.Recorder label formatting is gated on

@@ -13,7 +13,10 @@
 // exactly as in the paper's gem5+LogGOPSim co-simulation.
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
 
 // HeaderRC is a header handler's return code (Appendix B.3).
 type HeaderRC int
@@ -146,8 +149,10 @@ type HPUMem struct {
 type MessageResult struct {
 	// MsgID is the processed message's wire ID (ack correlation).
 	MsgID uint64
-	// Source, MatchBits, HdrData, Length, and Offset are the header fields
-	// of the processed message, copied at completion time.
+	// Type, Source, MatchBits, HdrData, Length, and Offset are the header
+	// fields of the processed message, copied at completion time. Type is
+	// OpPut or OpAtomic; it picks the completion event.
+	Type      netsim.OpType
 	Source    int
 	MatchBits uint64
 	HdrData   uint64
@@ -155,8 +160,9 @@ type MessageResult struct {
 	Offset    int64
 	// AckReq reports whether the initiator asked for an acknowledgment.
 	AckReq bool
-	// End is when processing finished (completion handler returned, or
-	// last deposit became visible in host memory).
+	// End is when processing finished: the last handler returned, the
+	// last deposit became visible in host memory, or the last packet
+	// arrived, whichever is latest. The result is delivered at End.
 	End sim.Time
 	// DroppedBytes counts payload dropped by handlers or flow control.
 	DroppedBytes int

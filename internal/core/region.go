@@ -93,3 +93,35 @@ func (r Region) PutUint64(off int64, v uint64) {
 		binary.LittleEndian.PutUint64(r.buf[off:], v)
 	}
 }
+
+// AtomicOp enumerates the Portals atomic operations the default action
+// applies to a region.
+type AtomicOp uint8
+
+const (
+	// AtomicSum adds 64-bit little-endian integers elementwise.
+	AtomicSum AtomicOp = iota + 1
+	// AtomicBXOR xors bytes elementwise.
+	AtomicBXOR
+	// AtomicSwap replaces target bytes and returns nothing (put-like).
+	AtomicSwap
+)
+
+// applyAtomic applies op elementwise to dst, reading the operands from
+// src (as long as dst).
+func applyAtomic(op AtomicOp, dst, src []byte) {
+	switch op {
+	case AtomicSum:
+		n := len(dst) &^ 7
+		for i := 0; i < n; i += 8 {
+			v := binary.LittleEndian.Uint64(dst[i:]) + binary.LittleEndian.Uint64(src[i:])
+			binary.LittleEndian.PutUint64(dst[i:], v)
+		}
+	case AtomicBXOR:
+		for i := range dst {
+			dst[i] ^= src[i]
+		}
+	default: // AtomicSwap and unknown ops behave like a plain put
+		copy(dst, src)
+	}
+}

@@ -23,9 +23,10 @@ type MEOwner interface {
 }
 
 // MEContext is everything the runtime needs to process messages matched to
-// one sPIN-enabled matching entry: the handlers, the HPU shared memory, the
-// host memory windows, and the owner that receives upcalls into the layer
-// above (Portals event queues, counters, and get plumbing).
+// one matching entry: the handlers (none for a plain Portals 4 entry), the
+// HPU shared memory, the host memory windows, and the owner that receives
+// upcalls into the layer above (Portals event queues, counters, and get
+// plumbing).
 type MEContext struct {
 	Handlers HandlerSet
 	// State is the HPU shared memory handle (PtlHPUAllocMem); may be nil
@@ -113,7 +114,9 @@ type Runtime struct {
 	HandlerCycles      uint64
 	PacketsDropped     uint64
 	FlowControlEvents  uint64
-	MessagesProcessed  uint64
+	// MessagesProcessed counts every completed put and atomic, handler
+	// entries and plain entries alike.
+	MessagesProcessed uint64
 }
 
 // DefaultHPUMemCapacity is the scratchpad capacity assumed per NIC. The
@@ -202,12 +205,13 @@ func (rt *Runtime) FreeHPUMem(m *HPUMem) {
 // HPUMemUsed reports the currently allocated scratchpad bytes.
 func (rt *Runtime) HPUMemUsed() int { return rt.hpuMemUsed }
 
-// Deliver processes one matched packet for a sPIN-enabled ME. The header
+// Deliver processes one matched packet of a put or atomic. The header
 // packet opens the message's state for me and stores it in the message's
 // RecvState slot; every later packet finds it there, so me is read only at
-// the header. The transport delivers packets of a message in order (header
-// first); Deliver panics on a violation of that invariant because it would
-// indicate a transport bug.
+// the header. An entry without handlers gets the default action, as a
+// header handler's Proceed does. The transport delivers packets of a
+// message in order (header first); Deliver panics on a violation of that
+// invariant because it would indicate a transport bug.
 func (rt *Runtime) Deliver(now sim.Time, pkt *netsim.Packet, me *MEContext) {
 	var ms *msgState
 	if pkt.Header {
@@ -267,16 +271,6 @@ func (rt *Runtime) finishCtx(c *Ctx, ms *msgState, kind string) sim.Time {
 func (rt *Runtime) runHeader(now sim.Time, pkt *netsim.Packet, ms *msgState) {
 	ms.headerDone = true
 	ms.headerDoneAt = now
-	h := Header{
-		Type:      uint8(pkt.Msg.Type),
-		Length:    pkt.Msg.Length,
-		Target:    pkt.Msg.Dst,
-		Source:    pkt.Msg.Src,
-		MatchBits: pkt.Msg.MatchBits,
-		Offset:    pkt.Msg.Offset,
-		HdrData:   pkt.Msg.HdrData,
-		UserHdr:   pkt.Msg.UserHdr,
-	}
 	if ms.me.Handlers.Header == nil {
 		if ms.me.Handlers.Payload != nil {
 			ms.rc = ProcessData
@@ -297,7 +291,16 @@ func (rt *Runtime) runHeader(now sim.Time, pkt *netsim.Packet, ms *msgState) {
 	}
 	c := rt.newCtx(start, hpu, ms)
 	c.Charge(CostHandlerStart)
-	rc := ms.me.Handlers.Header(c, h)
+	rc := ms.me.Handlers.Header(c, Header{
+		Type:      uint8(pkt.Msg.Type),
+		Length:    pkt.Msg.Length,
+		Target:    pkt.Msg.Dst,
+		Source:    pkt.Msg.Src,
+		MatchBits: pkt.Msg.MatchBits,
+		Offset:    pkt.Msg.Offset,
+		HdrData:   pkt.Msg.HdrData,
+		UserHdr:   pkt.Msg.UserHdr,
+	})
 	end := rt.finishCtx(c, ms, "hdr")
 	ms.headerDoneAt = end
 	if rc.IsError() {
@@ -371,13 +374,19 @@ func payloadBytes(pkt *netsim.Packet) []byte {
 	return pkt.Msg.Data[pkt.Offset : pkt.Offset+pkt.Size]
 }
 
-// deposit performs the default action: DMA the packet payload into the ME's
-// host memory at the message offset, truncated at the region's bounds.
+// deposit performs the default action, the only one that applies a put's
+// payload to host memory: DMA the packet into the ME's host region at the
+// message offset, truncated at the region's bounds, as a copy or, for an
+// atomic, as its operation.
 func (rt *Runtime) deposit(start sim.Time, pkt *netsim.Packet, ms *msgState) {
 	_, visible := rt.Node.Bus.Write(start, pkt.Size)
 	rt.C.Rec.Record(rt.Node.Rank, "DMA", start, visible, "deposit")
 	dst, src := ms.me.HostMem.Land(pkt.Msg.Offset+int64(pkt.Offset), payloadBytes(pkt))
-	copy(dst, src)
+	if pkt.Msg.Type == netsim.OpAtomic {
+		applyAtomic(AtomicOp(pkt.Msg.AtomicOp), dst, src)
+	} else {
+		copy(dst, src)
+	}
 	if visible > ms.lastEnd {
 		ms.lastEnd = visible
 	}
@@ -427,6 +436,7 @@ func (rt *Runtime) maybeComplete(ms *msgState) {
 		// event fires instead of here.
 		ms.res = MessageResult{
 			MsgID:        ms.msg.ID,
+			Type:         ms.msg.Type,
 			Source:       ms.msg.Src,
 			MatchBits:    ms.msg.MatchBits,
 			HdrData:      ms.msg.HdrData,

@@ -213,16 +213,16 @@ func (ni *NI) handlerGet(now sim.Time, me *ME, req core.GetRequest) {
 }
 
 // match searches the priority list and then the overflow list.
-func (pte *PTEntry) match(m *netsim.Message) (me *ME, overflow bool) {
+func (pte *PTEntry) match(m *netsim.Message) *ME {
 	for _, e := range pte.priority {
 		if e.matches(m) {
-			return e, false
+			return e
 		}
 	}
 	for _, e := range pte.overflow {
 		if e.matches(m) {
-			return e, true
+			return e
 		}
 	}
-	return nil, false
+	return nil
 }

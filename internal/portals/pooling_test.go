@@ -10,10 +10,10 @@ import (
 )
 
 // poolSizes snapshots every pool an error path could leak from: the
-// cluster message free list and the NI's pendingOp / sendNote / recvState
-// free lists, plus the outstanding-operation table.
+// cluster message free list and the NI's pendingOp / sendNote /
+// triggeredOp free lists, plus the outstanding-operation table.
 type poolSizes struct {
-	msgs, ops, notes, recvs, trigs, outstanding int
+	msgs, ops, notes, trigs, outstanding int
 }
 
 func snapshot(c *netsim.Cluster, ni *NI) poolSizes {
@@ -21,7 +21,6 @@ func snapshot(c *netsim.Cluster, ni *NI) poolSizes {
 		msgs:        c.PooledMessages(),
 		ops:         ni.opFree.Len(),
 		notes:       ni.snFree.Len(),
-		recvs:       ni.rsFree.Len(),
 		trigs:       ni.toFree.Len(),
 		outstanding: len(ni.outstanding),
 	}

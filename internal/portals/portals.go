@@ -55,16 +55,14 @@ type PTEntry struct {
 }
 
 // AtomicOp enumerates the Portals atomic operations this implementation
-// supports.
-type AtomicOp uint8
+// supports; the runtime's default action applies them (core.AtomicOp).
+type AtomicOp = core.AtomicOp
 
+// The atomic operations of NI.Atomic.
 const (
-	// AtomicSum adds 64-bit little-endian integers elementwise.
-	AtomicSum AtomicOp = iota + 1
-	// AtomicBXOR xors bytes elementwise.
-	AtomicBXOR
-	// AtomicSwap replaces target bytes and returns nothing (put-like).
-	AtomicSwap
+	AtomicSum  = core.AtomicSum
+	AtomicBXOR = core.AtomicBXOR
+	AtomicSwap = core.AtomicSwap
 )
 
 // pendingOp tracks a get or ack outstanding at the initiator. Instances are
@@ -113,9 +111,8 @@ type NI struct {
 	pt          map[int]*PTEntry
 	outstanding map[uint64]*pendingOp
 
-	// rsFree, opFree, snFree, and toFree recycle recvState, pendingOp,
-	// sendNote, and triggeredOp objects.
-	rsFree sim.FreeList[recvState]
+	// opFree, snFree, and toFree recycle pendingOp, sendNote, and
+	// triggeredOp objects. A put's receive state is the runtime's (RT).
 	opFree sim.FreeList[pendingOp]
 	snFree sim.FreeList[sendNote]
 	toFree sim.FreeList[triggeredOp]

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/timeline"
 )
 
 // pair builds a 2-node cluster with NIs installed.
@@ -88,9 +90,19 @@ func TestMatchBitsAndIgnoreBits(t *testing.T) {
 	}
 }
 
+// TestPriorityBeforeOverflow checks that the priority list is searched
+// first and that a put matched on the overflow list posts PUT_OVERFLOW,
+// from a plain entry and from a handler entry whose header returns
+// Proceed alike.
 func TestPriorityBeforeOverflow(t *testing.T) {
 	c, nis := pair(t)
 	if _, err := nis[1].PTAlloc(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	hovEQ := NewEQ(c.Eng)
+	hov := &ME{Start: make([]byte, 64), MatchBits: 7, EQ: hovEQ}
+	hov.Handlers.Header = func(*core.Ctx, core.Header) core.HeaderRC { return core.Proceed }
+	if err := nis[1].MEAppend(0, hov, OverflowList); err != nil {
 		t.Fatal(err)
 	}
 	ovEQ := NewEQ(c.Eng)
@@ -103,15 +115,22 @@ func TestPriorityBeforeOverflow(t *testing.T) {
 	if err := nis[1].MEAppend(0, pr, PriorityList); err != nil {
 		t.Fatal(err)
 	}
-	md := nis[0].MDBind(make([]byte, 16), nil, nil)
+	md := nis[0].MDBind(bytes.Repeat([]byte{0x5a}, 16), nil, nil)
 	nis[0].Put(0, PutArgs{MD: md, Length: 16, Target: 1, PTIndex: 0, MatchBits: 5})
 	nis[0].Put(0, PutArgs{MD: md, Length: 16, Target: 1, PTIndex: 0, MatchBits: 99})
+	nis[0].Put(0, PutArgs{MD: md, Length: 16, Target: 1, PTIndex: 0, MatchBits: 7})
 	c.Eng.Run()
 	if len(prEQ.Events()) != 1 || prEQ.Events()[0].Type != EventPut {
 		t.Fatalf("priority events: %+v", prEQ.Events())
 	}
 	if len(ovEQ.Events()) != 1 || ovEQ.Events()[0].Type != EventPutOverflow {
 		t.Fatalf("overflow events: %+v", ovEQ.Events())
+	}
+	if len(hovEQ.Events()) != 1 || hovEQ.Events()[0].Type != EventPutOverflow {
+		t.Fatalf("Proceed handler overflow events: %+v", hovEQ.Events())
+	}
+	if !bytes.Equal(hov.Start[:16], md.Buf) {
+		t.Fatal("Proceed handler overflow entry did not deposit the put")
 	}
 }
 
@@ -274,6 +293,66 @@ func TestAckRequestRoundTrip(t *testing.T) {
 	// CT counts the send completion AND the ack.
 	if ct.Get() != 2 {
 		t.Fatalf("CT = %d, want 2 (send + ack)", ct.Get())
+	}
+}
+
+// TestPlainEntryCompletesAtVisibility pins when a put completes at a plain
+// entry: the counter increment, the full event and the ack all happen at
+// the instant the last deposit is visible in host memory. Node 0 sends a
+// 4096-byte acked put to node 1, and node 1 posts an 8-byte DevicePut to
+// node 0 at 300 ns, after the put's last packet has arrived but before its
+// deposit is visible. The entry's counter must first read 1 at the
+// visibility time, and the DevicePut must reach node 0 exactly when it
+// does with no ack requested: an ack must not hold node 1's egress from
+// the moment the last packet arrives.
+func TestPlainEntryCompletesAtVisibility(t *testing.T) {
+	const posted = 300 * sim.Nanosecond
+	run := func(ackReq bool) (counted, visible, devicePut sim.Time) {
+		c, nis := pair(t)
+		rec := &timeline.Recorder{}
+		c.Rec = rec
+		if _, err := nis[1].PTAlloc(0, nil); err != nil {
+			t.Fatal(err)
+		}
+		ct := NewCT(c.Eng)
+		if err := nis[1].MEAppend(0, &ME{Start: make([]byte, 4096), IgnoreBits: ^uint64(0), CT: ct}, PriorityList); err != nil {
+			t.Fatal(err)
+		}
+		_, eq0 := postME(t, nis[0], 0, 0, 64)
+		if _, err := nis[0].Put(0, PutArgs{MD: nis[0].MDBind(make([]byte, 4096), nil, nil), Length: 4096, Target: 1, AckReq: ackReq}); err != nil {
+			t.Fatal(err)
+		}
+		dp := PutArgs{MD: nis[1].MDBind(make([]byte, 8), nil, nil), Length: 8, Target: 0}
+		c.Eng.ScheduleCall(posted, func(any) {
+			if err := nis[1].DevicePut(c.Eng.Now(), dp); err != nil {
+				t.Error(err)
+			}
+		}, nil)
+		counted = -1
+		for c.Eng.Step() {
+			if counted < 0 && ct.Get() > 0 {
+				counted = c.Eng.Now()
+			}
+		}
+		for _, s := range rec.Spans {
+			if s.Rank == 1 && s.Lane == "DMA" && s.Label == "deposit" && s.End > visible {
+				visible = s.End
+			}
+		}
+		if evs := eq0.Events(); len(evs) != 1 {
+			t.Fatalf("node 0 events: %+v, want the DevicePut's", evs)
+		}
+		return counted, visible, eq0.Events()[0].At
+	}
+	counted, visible, acked := run(true)
+	if counted != visible {
+		t.Errorf("entry counter first read 1 at %v; the deposit was visible at %v", counted, visible)
+	}
+	if visible <= posted {
+		t.Fatalf("deposit visible at %v, before the DevicePut at %v: the rig no longer probes an early ack", visible, posted)
+	}
+	if _, _, unacked := run(false); acked != unacked {
+		t.Errorf("DevicePut posted at %v reached node 0 at %v behind the ack, at %v with no ack", posted, acked, unacked)
 	}
 }
 

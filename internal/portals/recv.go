@@ -1,34 +1,18 @@
 package portals
 
 import (
-	"encoding/binary"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
-// recvState tracks an in-flight message steered by a plain (handler-less)
-// ME: the default deposit path shared by the RDMA and Portals 4 baselines.
-// It rides in the message's RecvState slot from the header packet on, and
-// is recycled through NI.rsFree once the message completes.
-type recvState struct {
-	me       *ME
-	msg      *netsim.Message
-	overflow bool
-	offset   int64 // resolved deposit offset in the ME
-	arrived  int
-	total    int
-	visible  sim.Time
-}
-
 // eventWriteBytes is the size of a full event DMA'd to host memory.
 const eventWriteBytes = 64
 
 // ReceivePacket demultiplexes matched packets: puts and atomics flow
-// through ME matching into the sPIN runtime or the default deposit path;
-// gets are served from ME memory by the NIC; replies and acks resolve
-// operations outstanding at this initiator.
+// through ME matching into the sPIN runtime; gets are served from ME
+// memory by the NIC; replies and acks resolve operations outstanding at
+// this initiator.
 func (ni *NI) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	switch pkt.Msg.Type {
 	case netsim.OpPut, netsim.OpAtomic:
@@ -42,22 +26,21 @@ func (ni *NI) ReceivePacket(now sim.Time, pkt *netsim.Packet) {
 	}
 }
 
-// recvPut steers a put or atomic. The header packet matches and fills the
-// message's RecvState slot — a *recvState for a plain ME, the runtime's
-// message state for a handler ME, nothing when the message is dropped —
-// and every later packet follows the slot.
+// recvPut steers a put or atomic. The header packet matches and hands
+// every matched message to the sPIN runtime, which keeps the message's
+// state in its RecvState slot; an entry without handlers gets the
+// runtime's default action, as a header handler's Proceed does. Every
+// later packet follows the slot, which a message dropped at the header
+// left nil.
 func (ni *NI) recvPut(now sim.Time, pkt *netsim.Packet) {
 	msg := pkt.Msg
 	if !pkt.Header {
-		switch st := msg.RecvState.(type) {
-		case *recvState:
-			ni.depositPacket(now, pkt, st)
-		case nil:
+		if msg.RecvState == nil {
 			// Message was dropped at the header; discard silently.
 			ni.Drops++
-		default:
-			ni.RT.Deliver(now, pkt, nil)
+			return
 		}
+		ni.RT.Deliver(now, pkt, nil)
 		return
 	}
 	pte := ni.pt[msg.PTIndex]
@@ -65,7 +48,7 @@ func (ni *NI) recvPut(now sim.Time, pkt *netsim.Packet) {
 		ni.dropMessage(now, pkt, pte)
 		return
 	}
-	me, overflow := pte.match(msg)
+	me := pte.match(msg)
 	if me == nil {
 		ni.dropMessage(now, pkt, pte)
 		return
@@ -73,23 +56,12 @@ func (ni *NI) recvPut(now sim.Time, pkt *netsim.Packet) {
 	if me.UseOnce {
 		me.unlinked = true
 	}
-	// Resolve the deposit offset: locally-managed MEs pack messages
-	// back-to-back (§3.1).
-	offset := msg.Offset
+	// Locally-managed MEs pack messages back-to-back (§3.1).
 	if me.ManageLocal {
-		offset = me.localOffset
+		msg.Offset = me.localOffset
 		me.localOffset += int64(msg.Length)
-		msg.Offset = offset
 	}
-	if !me.Handlers.Empty() {
-		ni.RT.Deliver(now, pkt, &me.mectx)
-		return
-	}
-	st := ni.rsFree.Get()
-	st.me, st.msg, st.overflow = me, msg, overflow
-	st.offset, st.total = offset, ni.C.P.Packets(msg.Length)
-	msg.RecvState = st
-	ni.depositPacket(now, pkt, st)
+	ni.RT.Deliver(now, pkt, &me.mectx)
 }
 
 // dropMessage handles a header packet with no matching resources: the
@@ -108,66 +80,6 @@ func (ni *NI) dropMessage(now sim.Time, pkt *netsim.Packet, pte *PTEntry) {
 				FlowControl: true,
 			})
 		}
-	}
-}
-
-// depositPacket is the default action: DMA the payload into the ME at the
-// resolved offset, truncated at the region's bounds as Portals does.
-func (ni *NI) depositPacket(now sim.Time, pkt *netsim.Packet, st *recvState) {
-	st.arrived++
-	n := pkt.Size
-	if n > 0 {
-		_, visible := ni.Node.Bus.Write(now, n)
-		ni.C.Rec.Record(ni.Node.Rank, "DMA", now, visible, "deposit")
-		if visible > st.visible {
-			st.visible = visible
-		}
-		if pkt.Msg.Data != nil {
-			dst, src := st.me.mectx.HostMem.Land(st.offset+int64(pkt.Offset), pkt.Msg.Data[pkt.Offset:pkt.Offset+n])
-			if pkt.Msg.Type == netsim.OpAtomic {
-				applyAtomic(AtomicOp(pkt.Msg.AtomicOp), dst, src)
-			} else {
-				copy(dst, src)
-			}
-		}
-	} else if st.visible < now {
-		st.visible = now
-	}
-	if st.arrived == st.total {
-		// Last packet: the transport recycles pooled messages the moment
-		// this dispatch returns (see netsim.deliverMatched), so complete
-		// from the message now and release the record.
-		ni.completeDeposit(st)
-		ni.rsFree.Put(st)
-	}
-}
-
-// completeDeposit fires counters, events, and acks once the whole message
-// is visible in host memory.
-func (ni *NI) completeDeposit(st *recvState) {
-	at := st.visible
-	me := st.me
-	if me.CT != nil {
-		me.CT.Inc(at, 1)
-	}
-	evType := EventPut
-	if st.overflow {
-		evType = EventPutOverflow
-	}
-	if st.msg.Type == netsim.OpAtomic {
-		evType = EventAtomic
-	}
-	ni.postEvent(at, me, Event{
-		Type:      evType,
-		ME:        me,
-		Source:    st.msg.Src,
-		MatchBits: st.msg.MatchBits,
-		HdrData:   st.msg.HdrData,
-		Length:    st.msg.Length,
-		Offset:    st.offset,
-	})
-	if st.msg.AckReq {
-		ni.sendAck(at, st.msg.ID, st.msg.Src)
 	}
 }
 
@@ -201,9 +113,11 @@ func (ni *NI) sendAck(at sim.Time, origID uint64, origSrc int) {
 	ni.C.Send(at, ack)
 }
 
-// finishMessage is the completion path for handler (sPIN) MEs: unless a
-// handler returned a PENDING code, it raises the completion event, bumps
-// the counter, and acknowledges the initiator.
+// finishMessage completes every put and atomic, at the instant the
+// runtime delivers its result (r.End): unless a handler returned a PENDING
+// code, it bumps the counter, raises the completion event and
+// acknowledges the initiator. The event is an error, else an atomic, else
+// an overflow put when the entry sits on the overflow list, else a put.
 func (ni *NI) finishMessage(now sim.Time, me *ME, r core.MessageResult) {
 	if r.Pending {
 		return
@@ -216,8 +130,13 @@ func (ni *NI) finishMessage(now sim.Time, me *ME, r core.MessageResult) {
 		}
 	}
 	evType := EventPut
-	if r.Err != nil {
+	switch {
+	case r.Err != nil:
 		evType = EventError
+	case r.Type == netsim.OpAtomic:
+		evType = EventAtomic
+	case me.list == OverflowList:
+		evType = EventPutOverflow
 	}
 	ni.postEvent(now, me, Event{
 		Type:         evType,
@@ -247,7 +166,7 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 		ni.dropMessage(now, pkt, pte)
 		return
 	}
-	me, _ := pte.match(msg)
+	me := pte.match(msg)
 	if me == nil {
 		ni.dropMessage(now, pkt, pte)
 		return
@@ -355,22 +274,4 @@ func (ni *NI) recvAck(now sim.Time, pkt *netsim.Packet) {
 		}
 	}
 	ni.opFree.Put(op)
-}
-
-// applyAtomic applies a Portals atomic operation elementwise.
-func applyAtomic(op AtomicOp, dst, src []byte) {
-	switch op {
-	case AtomicSum:
-		n := len(dst) &^ 7
-		for i := 0; i < n; i += 8 {
-			v := binary.LittleEndian.Uint64(dst[i:]) + binary.LittleEndian.Uint64(src[i:])
-			binary.LittleEndian.PutUint64(dst[i:], v)
-		}
-	case AtomicBXOR:
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
-	default: // AtomicSwap and unknown ops behave like a plain put
-		copy(dst, src)
-	}
 }

@@ -308,8 +308,11 @@ func FuzzTimingOnlyRegionMatchesBytes(f *testing.F) {
 }
 
 func fmtRecord(r rigRecord) string {
-	if r.what == "eq" || r.what == "md" {
+	switch r.what {
+	case "eq", "md":
 		return fmt.Sprintf("%s %v at %d len %d off %d err %q", r.what, r.typ, r.at, r.length, r.offset, r.err)
+	case "state":
+		return r.err
 	}
 	return fmt.Sprintf("%s [%d,+%d) at %d err %q", r.what, r.offset, r.length, r.at, r.err)
 }

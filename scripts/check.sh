@@ -83,6 +83,14 @@ echo "== golden manifest (every printed spinbench digit) =="
 # same CSV hash.
 go test -count=1 -run 'TestGoldenManifest' ./cmd/spinbench
 
+echo "== golden manifests (every printed spintrace and spinsim byte) =="
+# cmd/spintrace/testdata/golden.sha256 pins the same three fields for each
+# of the 7 scenarios as ASCII and -csv on both NICs (the only output that
+# renders the timeline's DMA deposit spans), and
+# cmd/spinsim/testdata/golden.sha256 for its 5 scenarios x 4 variants x 2
+# NICs; both regenerate with -update like spinbench's.
+go test -count=1 -run 'TestGoldenManifest' ./cmd/spintrace ./cmd/spinsim
+
 echo "== LP equivalence (conservative parallel DES vs serial) =="
 # Randomized scales/seeds/impairments at -lp 2/4/7 must produce CSV and
 # fault counters byte-identical to serial; the lookahead-safety property
@@ -148,6 +156,14 @@ echo "== vector-DMA oracle fuzz (FuzzDMAToHostVecMatchesLoop, 5s) =="
 # must issue nothing and record the action error. Minimization is capped
 # as above.
 go test -run '^$' -fuzz 'FuzzDMAToHostVecMatchesLoop' -fuzztime 5s -fuzzminimizetime 1x ./internal/core
+
+echo "== default-action oracle fuzz (FuzzProceedEntryMatchesPlain, 5s) =="
+# A plain entry and a handler entry whose header handler returns Proceed,
+# on either list, receive the same random puts with and without data,
+# AtomicSum/BXOR/Swap and gets at any offset, acked or not: both must end
+# with the same bytes and post the same events (type, length, offset) and
+# acks in the same order. Minimization is capped as above.
+go test -run '^$' -fuzz 'FuzzProceedEntryMatchesPlain' -fuzztime 5s -fuzzminimizetime 1x ./internal/portals
 
 echo "== assembler fuzz (FuzzAssembleRun, 5s) =="
 # Arbitrary spinasm source: every program isa.Assemble accepts encodes and
