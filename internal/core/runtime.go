@@ -114,8 +114,8 @@ type Runtime struct {
 	HandlerCycles      uint64
 	PacketsDropped     uint64
 	FlowControlEvents  uint64
-	// MessagesProcessed counts every completed put and atomic, handler
-	// entries and plain entries alike.
+	// MessagesProcessed counts the puts and atomics whose last packet has
+	// arrived, at entries with handlers or without.
 	MessagesProcessed uint64
 }
 

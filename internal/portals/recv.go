@@ -102,8 +102,8 @@ func (ni *NI) postEvent(at sim.Time, me *ME, ev Event) {
 }
 
 // sendAck returns an OpAck to the initiator (ack_req semantics). It takes
-// the original message's ID and source as scalars so callers on deferred
-// paths (handler completion) need not retain the message itself.
+// the original message's ID and source as scalars so the deferred
+// completion (finishMessage) need not retain the message itself.
 func (ni *NI) sendAck(at sim.Time, origID uint64, origSrc int) {
 	ack := ni.C.AllocMessage()
 	ack.Type = netsim.OpAck
