@@ -91,6 +91,13 @@ echo "== golden manifests (every printed spintrace and spinsim byte) =="
 # NICs; both regenerate with -update like spinbench's.
 go test -count=1 -run 'TestGoldenManifest' ./cmd/spintrace ./cmd/spinsim
 
+echo "== example outputs (every line the five examples print) =="
+# Each examples/<name>/main_test.go is an Example that runs main and holds
+# its whole stdout in an // Output: block, so a handler cost or a timing
+# rule the CLI manifests never exercise (the KV-store insert's cycles,
+# say) still fails here when a printed digit moves.
+go test -count=1 ./examples/...
+
 echo "== LP equivalence (conservative parallel DES vs serial) =="
 # Randomized scales/seeds/impairments at -lp 2/4/7 must produce CSV and
 # fault counters byte-identical to serial; the lookahead-safety property
