@@ -79,7 +79,8 @@
 //     list (netsim.Cluster.AllocMessage) and are recycled by the transport
 //     itself once their last packet retires (dispatched, dropped, or
 //     discarded); payload staging reuses a message-owned grow-only buffer
-//     (Message.StageData); pendingOps, handler contexts (with a
+//     (Message.SetPayload, which stages nothing for a message without
+//     data); pendingOps, handler contexts (with a
 //     Ctx.Scratch arena), and EQ dispatches are pooled; CT triggers are
 //     stored by value; and the remaining hot-path closures were replaced
 //     by pre-bound func(any)+arg pairs
@@ -127,10 +128,13 @@
 //     ~108k allocations. Timing-only host regions (portals.ME.Length;
 //     core.Region owns both region forms and their one bounds rule) hold
 //     no bytes, so no regeneration allocates or zero-fills host
-//     memory it only times: bytes allocated per regeneration at benchScale
-//     fell from 150.8 to 16.7 MB for Fig 5a (the rest is PutFromDevice
-//     staging), 18.3 to 1.56 MB for Fig 7a, 50.3 to 6.0 MB for SPC, 42.6
-//     to 0.59 MB for Fig 7c and 38.8 to 5.2 MB for the trees ablation.
+//     memory it only times, and a handler forwards or writes a packet
+//     without data as a length (Ctx.PutFromDevice, DMAToHostB and
+//     DMAToHostNB take one), so nothing stages zero stand-ins for it:
+//     bytes allocated per regeneration at benchScale fell from 150.8 to
+//     12.3 MB for Fig 5a, 18.3 to 1.56 MB for Fig 7a, 50.3 to 5.8 MB for
+//     SPC, 42.6 to 0.32 MB for Fig 7c and 38.8 to 3.0 MB for the trees
+//     ablation.
 //   - Pooled program sets. Table 5c rebuilt every rank program per
 //     calibration probe and per replay. apps.App.ProgramsInto builds into a
 //     caller-owned grow-only mpisim.ProgramBuffer cached on bench.Env

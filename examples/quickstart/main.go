@@ -46,7 +46,7 @@ func main() {
 					buf[i] = b
 				}
 				c.ChargePerByteMilli(p.Size, 250) // 4 B/cycle transform
-				c.DMAToHostB(buf, int64(p.Offset), spin.MEHostMem)
+				c.DMAToHostB(buf, p.Size, int64(p.Offset), spin.MEHostMem)
 				return spin.PayloadDrop // we deposited it ourselves
 			},
 		},

@@ -153,6 +153,18 @@ func (c *Ctx) fail(err error) {
 	}
 }
 
+// sized records and returns the action error of op unless local is a
+// transfer of n bytes: nil, which is n bytes without data, or a buffer
+// holding exactly n bytes. Either is charged and reserved as n bytes.
+func (c *Ctx) sized(op string, local []byte, n int) error {
+	if n >= 0 && (local == nil || len(local) == n) {
+		return nil
+	}
+	err := fmt.Errorf("core: %s of %d bytes from a buffer of %d", op, n, len(local))
+	c.fail(err)
+	return err
+}
+
 // hostRange returns the host region of space and, unless [offset,
 // offset+n) lies wholly inside it, records and returns the action error.
 func (c *Ctx) hostRange(space MemSpace, offset int64, n int, op string) (Region, error) {
@@ -167,17 +179,22 @@ func (c *Ctx) hostRange(space MemSpace, offset int64, n int, op string) (Region,
 	return r, err
 }
 
-// DMAToHostB copies local to host memory at offset (blocking write:
-// PtlHandlerDMAToHostB). The HPU blocks only for the initiation of the
-// posted write; the data becomes visible one bus latency later.
-func (c *Ctx) DMAToHostB(local []byte, offset int64, space MemSpace) {
+// DMAToHostB writes the n bytes of local to host memory at offset
+// (blocking write: PtlHandlerDMAToHostB); a nil local writes n bytes
+// without data, and any other must hold exactly n. The HPU blocks only for
+// the initiation of the posted write; the data becomes visible one bus
+// latency later.
+func (c *Ctx) DMAToHostB(local []byte, n int, offset int64, space MemSpace) {
 	c.Charge(CostDMAIssue)
-	r, err := c.hostRange(space, offset, len(local), "DMAToHost")
+	if c.sized("DMAToHost", local, n) != nil {
+		return
+	}
+	r, err := c.hostRange(space, offset, n, "DMAToHost")
 	if err != nil {
 		return
 	}
-	free, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	copy(r.Bytes(offset, len(local)), local)
+	free, visible := c.rt.Node.Bus.Write(c.now, n)
+	copy(r.Bytes(offset, n), local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr")
 	c.now = free
 	if visible > c.lastVisible {
@@ -185,10 +202,10 @@ func (c *Ctx) DMAToHostB(local []byte, offset int64, space MemSpace) {
 	}
 }
 
-// DMAToHostVec scatters the packed bytes local (stream range [streamOff,
-// streamOff+len(local)) of the vector layout v, or a timing-only scatter of
-// n bytes when local is nil) into host memory at base, as a vectorized DMA
-// issue: one descriptor chain whose per-transaction cost — perSegCycles of
+// DMAToHostVec scatters the stream range [streamOff, streamOff+n) of the
+// vector layout v into host memory at base, from the packed bytes local,
+// which hold exactly n bytes, or with no data when local is nil (as
+// DMAToHostB takes its buffer), as a vectorized DMA issue: one descriptor chain whose per-transaction cost — perSegCycles of
 // address arithmetic plus CostDMAIssue of descriptor programming plus the
 // transaction's bus occupancy, per touched block — is charged exactly as a
 // block-at-a-time DMAToHostB loop would charge it. Each transaction is a
@@ -205,8 +222,8 @@ func (c *Ctx) DMAToHostB(local []byte, offset int64, space MemSpace) {
 // action error and issues nothing — unlike a hand-rolled loop, a chain
 // never partially lands.
 func (c *Ctx) DMAToHostVec(local []byte, v datatype.Vector, streamOff, n int, base int64, space MemSpace, perSegCycles int64) {
-	if local != nil {
-		n = len(local)
+	if c.sized("DMAToHostVec", local, n) != nil {
+		return
 	}
 	nsegs, bytes, _, _ := v.SegmentStats(streamOff, n)
 	if nsegs == 0 {
@@ -255,19 +272,22 @@ func (c *Ctx) DMAFromHostB(offset int64, local []byte, space MemSpace) {
 	c.now = ready
 }
 
-// DMAToHostNB is the nonblocking variant of DMAToHostB; the returned handle
-// completes when the data is visible in host memory. Handles are plain
-// values — keep them on the handler's stack (they are only meaningful
-// within the invocation that issued them), so discarding one, as
-// fire-and-forget deposits do, costs nothing.
-func (c *Ctx) DMAToHostNB(local []byte, offset int64, space MemSpace) DMAHandle {
+// DMAToHostNB is the nonblocking variant of DMAToHostB, with the same rule
+// for local and n; the returned handle completes when the data is visible
+// in host memory. Handles are plain values — keep them on the handler's
+// stack (they are only meaningful within the invocation that issued them),
+// so discarding one, as fire-and-forget deposits do, costs nothing.
+func (c *Ctx) DMAToHostNB(local []byte, n int, offset int64, space MemSpace) DMAHandle {
 	c.Charge(CostDMAIssue + CostDMAHandle)
-	r, err := c.hostRange(space, offset, len(local), "DMAToHostNB")
+	if c.sized("DMAToHostNB", local, n) != nil {
+		return DMAHandle{done: c.now}
+	}
+	r, err := c.hostRange(space, offset, n, "DMAToHostNB")
 	if err != nil {
 		return DMAHandle{done: c.now}
 	}
-	_, visible := c.rt.Node.Bus.Write(c.now, len(local))
-	copy(r.Bytes(offset, len(local)), local)
+	_, visible := c.rt.Node.Bus.Write(c.now, n)
+	copy(r.Bytes(offset, n), local)
 	c.rt.C.Rec.Record(c.rt.Node.Rank, "DMA", c.now, visible, "wr-nb")
 	if visible > c.lastVisible {
 		c.lastVisible = visible
@@ -397,27 +417,21 @@ func (c *Ctx) SetU64(offset int64, v uint64) {
 	binary.LittleEndian.PutUint64(st[offset:], v)
 }
 
-// PutFromDevice sends a single-packet message from HPU memory
-// (PtlHandlerPutFromDevice). The HPU blocks until the packet is injected:
-// the NIC uses HPU memory as the outgoing buffer.
-func (c *Ctx) PutFromDevice(data []byte, target, ptIndex int, matchBits uint64, remoteOffset int64, hdrData uint64) error {
+// PutFromDevice sends a single-packet message of the n bytes of data from
+// HPU memory (PtlHandlerPutFromDevice); a nil data sends n bytes without
+// data, and any other must hold exactly n. The HPU blocks until the packet
+// is injected: the NIC uses HPU memory as the outgoing buffer.
+func (c *Ctx) PutFromDevice(data []byte, n int, target, ptIndex int, matchBits uint64, remoteOffset int64, hdrData uint64) error {
 	c.Charge(CostPut)
-	if len(data) > c.rt.C.P.MTU {
-		err := fmt.Errorf("core: PutFromDevice of %d bytes exceeds max_payload_size %d", len(data), c.rt.C.P.MTU)
+	if err := c.sized("PutFromDevice", data, n); err != nil {
+		return err
+	}
+	if n > c.rt.C.P.MTU {
+		err := fmt.Errorf("core: PutFromDevice of %d bytes exceeds max_payload_size %d", n, c.rt.C.P.MTU)
 		c.fail(err)
 		return err
 	}
-	m := c.rt.C.AllocMessage()
-	m.Type = netsim.OpPut
-	m.Src = c.rt.Node.Rank
-	m.Dst = target
-	m.PTIndex = ptIndex
-	m.MatchBits = matchBits
-	m.Offset = remoteOffset
-	m.HdrData = hdrData
-	m.Length = len(data)
-	copy(m.StageData(len(data)), data)
-	c.rt.C.Send(c.now, m)
+	c.put(data, n, target, ptIndex, matchBits, remoteOffset, hdrData)
 	if free := c.rt.Node.Egress.FreeAt(); free > c.now {
 		c.now = free
 	}
@@ -437,6 +451,13 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 	if err != nil {
 		return err
 	}
+	c.put(r.Bytes(offset, length), length, target, ptIndex, matchBits, remoteOffset, hdrData)
+	return nil
+}
+
+// put sends a handler-issued put of n bytes, data or none (see
+// netsim.Message.SetPayload), at the handler's current time.
+func (c *Ctx) put(data []byte, n int, target, ptIndex int, matchBits uint64, remoteOffset int64, hdrData uint64) {
 	m := c.rt.C.AllocMessage()
 	m.Type = netsim.OpPut
 	m.Src = c.rt.Node.Rank
@@ -445,12 +466,8 @@ func (c *Ctx) PutFromHost(space MemSpace, offset int64, length int, target, ptIn
 	m.MatchBits = matchBits
 	m.Offset = remoteOffset
 	m.HdrData = hdrData
-	m.Length = length
-	if src := r.Bytes(offset, length); src != nil {
-		copy(m.StageData(length), src)
-	}
+	m.SetPayload(data, n)
 	c.rt.C.Send(c.now, m)
-	return nil
 }
 
 // Get issues a handler get (PtlHandlerGet): fetch req.Length bytes from the

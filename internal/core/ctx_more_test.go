@@ -211,10 +211,3 @@ func TestReturnCodeHelpers(t *testing.T) {
 		t.Fatal("IsError classification wrong")
 	}
 }
-
-func TestPayloadLengthUsesSize(t *testing.T) {
-	p := Payload{Offset: 0, Size: 100, Data: nil}
-	if p.Length() != 100 {
-		t.Fatalf("Length = %d", p.Length())
-	}
-}

@@ -98,12 +98,10 @@ type Payload struct {
 	// set, even for timing-only messages that carry no Data.
 	Size int
 	// Data is the packet payload (excludes the user header). Data is nil
-	// for timing-only messages; handlers must consult Size for charging.
+	// for a packet without data; handlers must consult Size for charging,
+	// and pass Data and Size on together (Ctx.PutFromDevice, DMAToHostB).
 	Data []byte
 }
-
-// Length returns the number of payload bytes.
-func (p Payload) Length() int { return p.Size }
 
 // HeaderHandler is invoked exactly once per message, before any other
 // handler of that message.

@@ -365,8 +365,8 @@ func (rt *Runtime) handlePayload(now sim.Time, pkt *netsim.Packet, ms *msgState)
 	}
 }
 
-// payloadBytes returns the packet's payload slice, or a zero slice for
-// timing-only messages without data.
+// payloadBytes returns the packet's payload slice, or nil for a message
+// without data.
 func payloadBytes(pkt *netsim.Packet) []byte {
 	if pkt.Msg.Data == nil {
 		return nil

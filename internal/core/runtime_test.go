@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/datatype"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/timeline"
@@ -87,7 +89,7 @@ func TestPayloadHandlerPerPacketWithOffsets(t *testing.T) {
 	me := &MEContext{Handlers: HandlerSet{
 		Payload: func(c *Ctx, p Payload) PayloadRC {
 			offsets = append(offsets, p.Offset)
-			sizes = append(sizes, p.Length())
+			sizes = append(sizes, p.Size)
 			return PayloadSuccess
 		},
 	}}
@@ -335,7 +337,7 @@ func TestEchoViaPutFromDevice(t *testing.T) {
 	rt1 := NewRuntime(c, c.Nodes[1])
 	me1 := &MEContext{Handlers: HandlerSet{
 		Payload: func(ctx *Ctx, pl Payload) PayloadRC {
-			if err := ctx.PutFromDevice(pl.Data, 0, 0, 99, int64(pl.Offset), 0); err != nil {
+			if err := ctx.PutFromDevice(pl.Data, pl.Size, 0, 0, 99, int64(pl.Offset), 0); err != nil {
 				t.Errorf("PutFromDevice: %v", err)
 			}
 			return PayloadSuccess
@@ -363,7 +365,7 @@ func TestPutFromDeviceRejectsOversize(t *testing.T) {
 	var gotErr error
 	me := &MEContext{Handlers: HandlerSet{
 		Header: func(c *Ctx, h Header) HeaderRC {
-			gotErr = c.PutFromDevice(make([]byte, 5000), 0, 0, 0, 0, 0)
+			gotErr = c.PutFromDevice(nil, 5000, 0, 0, 0, 0, 0)
 			return Proceed
 		},
 	}}
@@ -372,6 +374,65 @@ func TestPutFromDeviceRejectsOversize(t *testing.T) {
 	h.c.Eng.Run()
 	if gotErr == nil {
 		t.Fatal("oversize PutFromDevice accepted")
+	}
+}
+
+// TestNilBufferIsALength pins the rule DMAToHostB, DMAToHostNB,
+// DMAToHostVec and PutFromDevice share for their buffer and length: a nil
+// buffer is n bytes without data, taking exactly the time of n bytes and
+// storing nothing, and a buffer that does not hold exactly n bytes records
+// the action error and stores nothing.
+func TestNilBufferIsALength(t *testing.T) {
+	const n = 64
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	vec := datatype.Vector{Blocksize: 16, Stride: 32, Count: 4}
+	ops := []struct {
+		name string
+		call func(c *Ctx, local []byte, n int)
+	}{
+		{"DMAToHost", func(c *Ctx, local []byte, n int) { c.DMAToHostB(local, n, 8, MEHostMem) }},
+		{"DMAToHostNB", func(c *Ctx, local []byte, n int) { h := c.DMAToHostNB(local, n, 8, MEHostMem); c.DMAWait(&h) }},
+		{"DMAToHostVec", func(c *Ctx, local []byte, n int) { c.DMAToHostVec(local, vec, 0, n, 8, MEHostMem, 1) }},
+		{"PutFromDevice", func(c *Ctx, local []byte, n int) { _ = c.PutFromDevice(local, n, 0, 0, 0, 0, 0) }},
+	}
+	// run makes the call from a header handler on a fresh rig whose host
+	// region holds 0xee, and returns the handler clock after it, the
+	// action error and whether the region still holds only 0xee.
+	run := func(call func(c *Ctx, local []byte, n int), local []byte, n int) (sim.Time, string, bool) {
+		host := bytes.Repeat([]byte{0xee}, 256)
+		var now sim.Time
+		var err error
+		me := &MEContext{HostMem: BytesRegion(host), Handlers: HandlerSet{
+			Header: func(c *Ctx, h Header) HeaderRC {
+				call(c, local, n)
+				now, err = c.Now(), c.Err()
+				return Drop
+			},
+		}}
+		h := newHarness(t, netsim.Integrated(), me)
+		h.send(8, nil)
+		h.c.Eng.Run()
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		return now, msg, bytes.Count(host, []byte{0xee}) == len(host)
+	}
+	for _, op := range ops {
+		withData, _, _ := run(op.call, data, n)
+		if now, err, untouched := run(op.call, nil, n); now != withData || err != "" || !untouched {
+			t.Errorf("%s of %d bytes without data: clock %v (%v with data), error %q, region untouched %v",
+				op.name, n, now, withData, err, untouched)
+		}
+		for _, local := range [][]byte{data[:n-1], append(data, 0)} {
+			want := fmt.Sprintf("core: %s of %d bytes from a buffer of %d", op.name, n, len(local))
+			if _, err, untouched := run(op.call, local, n); err != want || !untouched {
+				t.Errorf("%s of %d bytes from %d: error %q, want %q; region untouched %v", op.name, n, len(local), err, want, untouched)
+			}
+		}
 	}
 }
 
@@ -414,7 +475,7 @@ func TestDMAToHostWritesAndBlocksOnlyForInitiation(t *testing.T) {
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
 				before := c.Now()
-				c.DMAToHostB([]byte{9, 8, 7}, 10, MEHostMem)
+				c.DMAToHostB([]byte{9, 8, 7}, 3, 10, MEHostMem)
 				blockTime = c.Now() - before
 				return Proceed
 			},
@@ -437,7 +498,7 @@ func TestDMAOutOfRangeSetsError(t *testing.T) {
 		HostMem: BytesRegion(make([]byte, 16)),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
-				c.DMAToHostB(make([]byte, 64), 0, MEHostMem)
+				c.DMAToHostB(nil, 64, 0, MEHostMem)
 				if c.Err() == nil {
 					t.Error("out-of-range DMA did not set error")
 				}
@@ -460,7 +521,7 @@ func TestNonblockingDMAAndWait(t *testing.T) {
 		HostMem: BytesRegion(host),
 		Handlers: HandlerSet{
 			Header: func(c *Ctx, h Header) HeaderRC {
-				hdl := c.DMAToHostNB([]byte{1, 2, 3, 4}, 0, MEHostMem)
+				hdl := c.DMAToHostNB([]byte{1, 2, 3, 4}, 4, 0, MEHostMem)
 				if c.DMATest(&hdl) {
 					t.Error("write visible immediately; should take L")
 				}

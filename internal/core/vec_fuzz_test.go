@@ -54,7 +54,8 @@ func refSegments(v datatype.Vector, off, n int) []datatype.Segment {
 
 // runVec runs vc's call from a header handler on a fresh rig, as one
 // vectorized DMAToHostVec or, when loop is set, as the reference loop of
-// Charge(perSeg) and DMAToHostB per block. It returns the observation and
+// Charge(perSeg) and DMAToHostB per block, each block's DMAToHostB
+// without data (a nil buffer) when the chain has none. It returns the observation and
 // the bus transaction count just before the call.
 func runVec(t *testing.T, vc vecCase, loop bool) (vecResult, uint64) {
 	t.Helper()
@@ -81,7 +82,7 @@ func runVec(t *testing.T, vc vecCase, loop bool) (vecResult, uint64) {
 	me.Owner = completeFunc(func(now sim.Time, r MessageResult) { res.end = r.End })
 	me.Handlers.Header = func(c *Ctx, h Header) HeaderRC {
 		if vc.pre <= vc.regionLen {
-			c.DMAToHostNB(local[:vc.pre], 0, space)
+			c.DMAToHostNB(local[:vc.pre], vc.pre, 0, space)
 		}
 		before = c.rt.Node.Bus.Transactions
 		if !loop {
@@ -93,8 +94,12 @@ func runVec(t *testing.T, vc vecCase, loop bool) (vecResult, uint64) {
 		} else {
 			pos := 0
 			for _, s := range refSegments(vc.v, vc.streamOff, vc.n) {
+				var blk []byte // a timing-only chain writes without data
+				if !vc.nilLocal {
+					blk = local[pos : pos+s.Length]
+				}
 				c.Charge(vc.perSeg)
-				c.DMAToHostB(local[pos:pos+s.Length], vc.base+s.Offset, space)
+				c.DMAToHostB(blk, s.Length, vc.base+s.Offset, space)
 				pos += s.Length
 			}
 		}

@@ -50,15 +50,17 @@ func Accumulate(cfg AccumulateConfig) core.HandlerSet {
 			base := int64(c.U64(accOffset))
 			buf := c.Scratch(p.Size)
 			c.DMAFromHostB(base+int64(p.Offset), buf, core.MEHostMem)
+			var product []byte // the pong carries data only if the packet did
 			if p.Data != nil {
 				complexMulInto(buf, p.Data)
+				product = buf
 			}
 			// NEON double-complex multiply stream (see costs.go).
 			c.ChargePerByteMilli(p.Size, core.MilliCyclesPerByteCplxMul)
-			c.DMAToHostB(buf, base+int64(p.Offset), core.MEHostMem)
+			c.DMAToHostB(buf, p.Size, base+int64(p.Offset), core.MEHostMem)
 			if c.U64(accPong) != 0 {
 				src := int(c.U64(accSource))
-				if err := c.PutFromDevice(buf, src, cfg.ReplyPT, cfg.ReplyBits, int64(p.Offset), 0); err != nil {
+				if err := c.PutFromDevice(product, p.Size, src, cfg.ReplyPT, cfg.ReplyBits, int64(p.Offset), 0); err != nil {
 					return core.PayloadFail
 				}
 			}

@@ -65,16 +65,15 @@ func Bcast(cfg BcastConfig) core.HandlerSet {
 			// original message offset must travel in the put's remote
 			// offset for deeper tree levels to deposit correctly.
 			off := int64(c.U64(bcOffset))
-			data := dataOrZero(p)
 			var rc core.PayloadRC = core.PayloadSuccess
 			binomialChildren(c, rank, nprocs, func(child int) {
-				if err := c.PutFromDevice(data, child, cfg.PT, cfg.Bits, off+int64(p.Offset), 0); err != nil {
+				if err := c.PutFromDevice(p.Data, p.Size, child, cfg.PT, cfg.Bits, off+int64(p.Offset), 0); err != nil {
 					rc = core.PayloadFail
 				}
 			})
 			// Deliver this rank's copy to host memory, overlapped with
 			// forwarding.
-			c.DMAToHostNB(data, off+int64(p.Offset), core.MEHostMem)
+			c.DMAToHostNB(p.Data, p.Size, off+int64(p.Offset), core.MEHostMem)
 			return rc
 		},
 		Completion: func(c *core.Ctx, dropped int, fc bool) core.CompletionRC {

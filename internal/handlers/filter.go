@@ -87,7 +87,7 @@ func Filter(replyPT int) core.HandlerSet {
 				remaining -= n
 				// Flush matches that no longer fit in one packet.
 				for len(matches) >= c.MTU() {
-					if err := c.PutFromDevice(matches[:c.MTU()], h.Source, replyPT, h.MatchBits, 0, 0); err != nil {
+					if err := c.PutFromDevice(matches[:c.MTU()], c.MTU(), h.Source, replyPT, h.MatchBits, 0, 0); err != nil {
 						return core.HeaderFail
 					}
 					matches = matches[c.MTU():]
@@ -95,7 +95,7 @@ func Filter(replyPT int) core.HandlerSet {
 			}
 			// Final reply: remaining matches (possibly empty) with the
 			// total match count in hdr_data.
-			if err := c.PutFromDevice(matches, h.Source, replyPT, h.MatchBits, 0, uint64(len(matches))); err != nil {
+			if err := c.PutFromDevice(matches, len(matches), h.Source, replyPT, h.MatchBits, 0, uint64(len(matches))); err != nil {
 				return core.HeaderFail
 			}
 			if c.Err() != nil {

@@ -93,17 +93,14 @@ func FTBcast(cfg FTBcastConfig) core.HandlerSet {
 			return core.ProcessData
 		},
 		Payload: func(c *core.Ctx, p core.Payload) core.PayloadRC {
-			data := dataOrZero(p)
 			var rc core.PayloadRC = core.PayloadSuccess
 			for _, n := range neighbors {
 				c.Charge(3)
-				if err := c.PutFromDevice(data, n, cfg.PT, cfg.Bits, int64(p.Offset), c.HdrData()); err != nil {
+				if err := c.PutFromDevice(p.Data, p.Size, n, cfg.PT, cfg.Bits, int64(p.Offset), c.HdrData()); err != nil {
 					rc = core.PayloadFail
 				}
 			}
-			if p.Data != nil {
-				c.DMAToHostNB(p.Data, int64(p.Offset), core.MEHostMem)
-			}
+			c.DMAToHostNB(p.Data, p.Size, int64(p.Offset), core.MEHostMem)
 			return rc
 		},
 	}

@@ -5,21 +5,3 @@
 // logging). Handlers mirror the published C code and charge the calibrated
 // instruction costs of internal/core/costs.go.
 package handlers
-
-import "repro/internal/core"
-
-// zeroBuf backs timing-only packets (Msg.Data == nil) so handlers that
-// forward payloads have bytes to hand to PutFromDevice.
-var zeroBuf = make([]byte, 1<<16)
-
-// dataOrZero returns the packet payload, or a zero-filled stand-in of the
-// right size for timing-only simulations.
-func dataOrZero(p core.Payload) []byte {
-	if p.Data != nil {
-		return p.Data
-	}
-	if p.Size <= len(zeroBuf) {
-		return zeroBuf[:p.Size]
-	}
-	return make([]byte, p.Size)
-}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/portals"
 )
 
@@ -206,20 +205,6 @@ func TestHostXORSelfInverse(t *testing.T) {
 	HostXOR(a, b)
 	if !bytes.Equal(a, orig) {
 		t.Fatal("xor twice is not the identity")
-	}
-}
-
-func TestDataOrZeroFallbacks(t *testing.T) {
-	if got := dataOrZero(core.Payload{Size: 10}); len(got) != 10 {
-		t.Fatalf("zero fallback length %d", len(got))
-	}
-	big := dataOrZero(core.Payload{Size: 1 << 17})
-	if len(big) != 1<<17 {
-		t.Fatal("large fallback wrong length")
-	}
-	real := dataOrZero(core.Payload{Size: 3, Data: []byte{1, 2, 3}})
-	if !bytes.Equal(real, []byte{1, 2, 3}) {
-		t.Fatal("real data not passed through")
 	}
 }
 

@@ -97,7 +97,7 @@ func KVInsert(buckets int) core.HandlerSet {
 				head := c.DMAFetchAdd(bucketOff, 0, core.HandlerHostMem) // atomic read
 				binary.LittleEndian.PutUint64(hdr[:], head)
 				binary.LittleEndian.PutUint64(hdr[8:], uint64(h.Length))
-				c.DMAToHostB(hdr[:], int64(heapOff), core.MEHostMem)
+				c.DMAToHostB(hdr[:], len(hdr), int64(heapOff), core.MEHostMem)
 				if _, swapped := c.DMACAS(bucketOff, head, heapOff, core.HandlerHostMem); swapped {
 					linked = true
 					break

@@ -48,7 +48,7 @@ func PingPong(cfg PingPongConfig) core.HandlerSet {
 		},
 		Payload: func(c *core.Ctx, p core.Payload) core.PayloadRC {
 			src := int(c.U64(ppSource))
-			if err := c.PutFromDevice(dataOrZero(p), src, cfg.ReplyPT, cfg.ReplyBits, int64(p.Offset), 0); err != nil {
+			if err := c.PutFromDevice(p.Data, p.Size, src, cfg.ReplyPT, cfg.ReplyBits, int64(p.Offset), 0); err != nil {
 				return core.PayloadFail
 			}
 			return core.PayloadSuccess

@@ -48,14 +48,15 @@ func RaidPrimaryWrite(cfg RaidPrimaryConfig) core.HandlerSet {
 			parity := int(c.U64(raidParity))
 			buf := c.Scratch(p.Size)
 			c.DMAFromHostB(base+int64(p.Offset), buf, core.MEHostMem)
+			var diff []byte // the diff carries data only if the packet did
 			if p.Data != nil {
 				xorInto(buf, p.Data) // diff = old ^ new
+				diff = buf
 			}
 			c.ChargePerByteMilli(p.Size, core.MilliCyclesPerByteXOR)
 			// The new block is old ^ diff = new; store the new data.
-			newBlock := dataOrZero(p)
-			c.DMAToHostB(newBlock, base+int64(p.Offset), core.MEHostMem)
-			if err := c.PutFromDevice(buf, parity, cfg.ParityPT, ParityTag, base+int64(p.Offset), client); err != nil {
+			c.DMAToHostB(p.Data, p.Size, base+int64(p.Offset), core.MEHostMem)
+			if err := c.PutFromDevice(diff, p.Size, parity, cfg.ParityPT, ParityTag, base+int64(p.Offset), client); err != nil {
 				return core.PayloadFail
 			}
 			if c.Err() != nil {
@@ -89,7 +90,7 @@ func RaidAckForward(ackPT int) core.HandlerSet {
 	return core.HandlerSet{
 		Header: func(c *core.Ctx, h core.Header) core.HeaderRC {
 			client := int(h.HdrData)
-			if err := c.PutFromDevice(reply, client, ackPT, h.MatchBits, 0, 0); err != nil {
+			if err := c.PutFromDevice(reply, len(reply), client, ackPT, h.MatchBits, 0, 0); err != nil {
 				return core.HeaderFail
 			}
 			return core.Proceed
@@ -128,7 +129,7 @@ func RaidParityUpdate(cfg RaidParityConfig) core.HandlerSet {
 				xorInto(buf, p.Data) // p' = p ^ diff
 			}
 			c.ChargePerByteMilli(p.Size, core.MilliCyclesPerByteXOR)
-			c.DMAToHostB(buf, base+int64(p.Offset), core.MEHostMem)
+			c.DMAToHostB(buf, p.Size, base+int64(p.Offset), core.MEHostMem)
 			if c.Err() != nil {
 				return core.PayloadSegv
 			}
@@ -137,7 +138,7 @@ func RaidParityUpdate(cfg RaidParityConfig) core.HandlerSet {
 		Completion: func(c *core.Ctx, dropped int, fc bool) core.CompletionRC {
 			src := int(c.U64(raidSource))
 			client := c.U64(raidClient)
-			if err := c.PutFromDevice(reply, src, cfg.AckPT, cfg.AckBits, 0, client); err != nil {
+			if err := c.PutFromDevice(reply, len(reply), src, cfg.AckPT, cfg.AckBits, 0, client); err != nil {
 				return core.CompletionFail
 			}
 			return core.CompletionSuccess

@@ -60,7 +60,7 @@ func TransLog() core.HandlerSet {
 			binary.LittleEndian.PutUint64(rec[8:], uint64(h.Offset))
 			binary.LittleEndian.PutUint64(rec[16:], uint64(h.Length))
 			binary.LittleEndian.PutUint64(rec[24:], uint64(c.Now()/1000)) // ps -> ns
-			c.DMAToHostB(rec[:], int64(slot), core.HandlerHostMem)
+			c.DMAToHostB(rec[:], len(rec), int64(slot), core.HandlerHostMem)
 			if c.Err() != nil {
 				return core.HeaderSegv
 			}

@@ -55,15 +55,14 @@ func BcastTree(cfg BcastConfig, tree Tree) core.HandlerSet {
 			rank := int(c.U64(bcMyRank))
 			nprocs := int(c.U64(bcNProcs))
 			off := int64(c.U64(bcOffset))
-			data := dataOrZero(p)
 			var rc core.PayloadRC = core.PayloadSuccess
 			for _, child := range tree(rank, nprocs) {
 				c.Charge(3)
-				if err := c.PutFromDevice(data, child, cfg.PT, cfg.Bits, off+int64(p.Offset), 0); err != nil {
+				if err := c.PutFromDevice(p.Data, p.Size, child, cfg.PT, cfg.Bits, off+int64(p.Offset), 0); err != nil {
 					rc = core.PayloadFail
 				}
 			}
-			c.DMAToHostNB(data, off+int64(p.Offset), core.MEHostMem)
+			c.DMAToHostNB(p.Data, p.Size, off+int64(p.Offset), core.MEHostMem)
 			return rc
 		},
 		Completion: func(c *core.Ctx, dropped int, fc bool) core.CompletionRC {

@@ -27,7 +27,7 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 		m.Src = r.id
 		m.Dst = op.Peer
 		m.MatchBits = op.Tag
-		m.Length = op.Size
+		m.SetPayload(nil, op.Size)
 		return e.C.HostSend(now, m)
 	}
 	id := r.nc.NextID()
@@ -209,7 +209,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		data.Type = netsim.OpGetResponse
 		data.Src = r.id
 		data.Dst = m.Src
-		data.Length = m.GetLength
+		data.SetPayload(nil, m.GetLength)
 		data.HdrData = m.HdrData
 		e.C.Send(ready, data)
 		if sr != nil {

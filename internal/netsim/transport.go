@@ -48,7 +48,7 @@ type Message struct {
 	HdrData   uint64
 	UserHdr   []byte // user-defined header (first bytes of payload, §3.2.1)
 	Length    int    // payload length in bytes (excluding UserHdr)
-	Data      []byte // optional payload bytes, len == Length when non-nil
+	Data      []byte // payload bytes, len == Length, or nil (see SetPayload)
 
 	// GetLength is the number of bytes requested by an OpGet.
 	GetLength int
@@ -82,7 +82,7 @@ type Message struct {
 	// storing anything else boxes per message.
 	RecvState any
 
-	// buf is the message-owned payload staging buffer (see StageData).
+	// buf is the message-owned payload staging buffer (see SetPayload).
 	// Pooled messages keep its capacity across recycling, so steady-state
 	// payload staging allocates nothing.
 	buf []byte
@@ -95,18 +95,24 @@ type Message struct {
 	track int
 }
 
-// StageData returns an n-byte payload buffer owned by the message and
-// installs it as the message's Data. The buffer is grow-only scratch: its
-// contents are unspecified, so callers must overwrite all n bytes. For
-// pooled messages the capacity survives recycling, which is what makes
-// payload staging on the hot path allocation-free in steady state.
-func (m *Message) StageData(n int) []byte {
+// SetPayload makes the message's payload n bytes long. A nil data sends n
+// bytes without data: Data stays nil and nothing is copied. Any other data
+// holds the n bytes, which are copied into a staging buffer the message
+// owns, so the sender may reuse data at once. For pooled messages the
+// buffer's capacity survives recycling, which is what makes payload staging
+// on the hot path allocation-free in steady state.
+func (m *Message) SetPayload(data []byte, n int) {
+	m.Length = n
+	if data == nil {
+		m.Data = nil
+		return
+	}
 	if cap(m.buf) < n || m.buf == nil {
 		m.buf = make([]byte, n) // non-nil even for n == 0: staged Data is
 		// never nil, and nil Data marks a message without data.
 	}
 	m.Data = m.buf[:n:n]
-	return m.Data
+	copy(m.Data, data)
 }
 
 // Packet is one MTU-sized piece of a message.
@@ -346,7 +352,7 @@ func (c *Cluster) PooledMessages() int { return len(c.msgFree) }
 // vanished at a node with no Receiver. When the send's last packet retires,
 // a pooled message is zeroed — its RecvState slot, which holds any partial
 // receive state, included — and returned to the free list, keeping the
-// staging buffer's capacity for the next StageData. A pending Delivered
+// staging buffer's capacity for the next SetPayload. A pending Delivered
 // event carries DeliveredArg, not the message, so it never holds one.
 func (c *Cluster) retire(m *Message) {
 	m.track--

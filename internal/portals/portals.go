@@ -387,21 +387,7 @@ func (ni *NI) buildPut(a PutArgs) (*netsim.Message, error) {
 	if err := ni.validatePut(a); err != nil {
 		return nil, err
 	}
-	m := ni.C.AllocMessage()
-	m.Type = netsim.OpPut
-	m.Src = ni.Node.Rank
-	m.Dst = a.Target
-	m.PTIndex = a.PTIndex
-	m.MatchBits = a.MatchBits
-	m.Offset = a.RemoteOffset
-	m.HdrData = a.HdrData
-	m.UserHdr = a.UserHdr
-	m.Length = a.Length
-	m.AckReq = a.AckReq
-	if a.MD != nil {
-		copy(m.StageData(a.Length), a.MD.Buf[a.LocalOffset:])
-	}
-	m.ID = ni.C.NextID()
+	m := ni.putMessage(&a)
 	if a.AckReq {
 		op := ni.opFree.Get()
 		op.md = a.MD
@@ -415,6 +401,28 @@ func (ni *NI) buildPut(a PutArgs) (*netsim.Message, error) {
 		m.DeliveredArg = sn
 	}
 	return m, nil
+}
+
+// putMessage draws a put message for a from the cluster's free list with a
+// fresh ID, its payload read from the MD, or without data when a has none.
+func (ni *NI) putMessage(a *PutArgs) *netsim.Message {
+	m := ni.C.AllocMessage()
+	m.Type = netsim.OpPut
+	m.Src = ni.Node.Rank
+	m.Dst = a.Target
+	m.PTIndex = a.PTIndex
+	m.MatchBits = a.MatchBits
+	m.Offset = a.RemoteOffset
+	m.HdrData = a.HdrData
+	m.UserHdr = a.UserHdr
+	m.AckReq = a.AckReq
+	var data []byte
+	if a.MD != nil {
+		data = a.MD.Buf[a.LocalOffset : a.LocalOffset+int64(a.Length)]
+	}
+	m.SetPayload(data, a.Length)
+	m.ID = ni.C.NextID()
+	return m
 }
 
 // Put posts a put operation from the host at time now: the host core is

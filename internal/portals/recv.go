@@ -182,13 +182,12 @@ func (ni *NI) serveGet(now sim.Time, pkt *netsim.Packet) {
 	reply.Type = netsim.OpGetResponse
 	reply.Src = ni.Node.Rank
 	reply.Dst = msg.Src
-	reply.Length = length
 	reply.ReplyTo = msg.ID
-	if length > 0 {
-		if src := region.Bytes(offset, length); src != nil {
-			copy(reply.StageData(length), src)
-		}
+	var data []byte
+	if length > 0 { // a clipped-away get may start past the region's end
+		data = region.Bytes(offset, length)
 	}
+	reply.SetPayload(data, length)
 	ni.C.Send(ready, reply)
 	if me.CT != nil {
 		me.CT.Inc(ready, 1)

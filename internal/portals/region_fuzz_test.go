@@ -19,9 +19,11 @@ const (
 
 // rigAction is one call of the handler script, decoded from the fuzz
 // input: kind selects the Ctx call, off is its host offset and n its
-// length; for a DMAToHostVec, block is the vector's block size and
-// nilLocal makes it a timing-only scatter, and for an atomic nilLocal picks
-// DMACAS over DMAFetchAdd.
+// length; for a DMAToHostVec, block is the vector's block size. nilLocal
+// makes a DMAToHostB, DMAToHostNB or DMAToHostVec a write without data (a
+// nil buffer), turns a PutFromHost into a PutFromDevice of the packet as
+// it came (its Data and Size) to remote offset off, and picks DMACAS over
+// DMAFetchAdd for an atomic.
 type rigAction struct {
 	kind     byte
 	off      int64
@@ -108,22 +110,22 @@ func newRegionRig(t *testing.T, n int, timingOnly bool) *regionRig {
 func (r *regionRig) payload(c *core.Ctx, p core.Payload) core.PayloadRC {
 	for _, a := range r.script {
 		name := ""
+		var src []byte // a write's buffer, nil for one without data
+		if !a.nilLocal {
+			src = r.pattern[:a.n]
+		}
 		switch a.kind {
 		case 0:
 			name = "DMAToHostB"
-			c.DMAToHostB(r.pattern[:a.n], a.off, core.MEHostMem)
+			c.DMAToHostB(src, a.n, a.off, core.MEHostMem)
 		case 1:
 			name = "DMAToHostNB"
-			h := c.DMAToHostNB(r.pattern[:a.n], a.off, core.MEHostMem)
+			h := c.DMAToHostNB(src, a.n, a.off, core.MEHostMem)
 			c.DMAWait(&h)
 		case 2:
 			name = "DMAToHostVec"
-			var local []byte
-			if !a.nilLocal {
-				local = r.pattern[:a.n]
-			}
 			v := datatype.Vector{Blocksize: a.block, Stride: 2 * a.block, Count: (a.n + a.block - 1) / a.block}
-			c.DMAToHostVec(local, v, 0, a.n, a.off, core.MEHostMem, 1)
+			c.DMAToHostVec(src, v, 0, a.n, a.off, core.MEHostMem, 1)
 		case 3, 4:
 			local := r.readBuf[:a.n]
 			for i := range local {
@@ -151,8 +153,14 @@ func (r *regionRig) payload(c *core.Ctx, p core.Payload) core.PayloadRC {
 				}
 			}
 		case 5:
-			name = "PutFromHost"
-			_ = c.PutFromHost(core.MEHostMem, a.off, a.n, 0, rigPlainPT, 0, 0, 0) // the error is c.Err, recorded below
+			// Either error is c.Err, recorded below.
+			if a.nilLocal {
+				name = "PutFromDevice"
+				_ = c.PutFromDevice(p.Data, p.Size, 0, rigPlainPT, 0, a.off, 0)
+			} else {
+				name = "PutFromHost"
+				_ = c.PutFromHost(core.MEHostMem, a.off, a.n, 0, rigPlainPT, 0, 0, 0)
+			}
 		case 6:
 			var prev uint64
 			if a.nilLocal {
@@ -235,9 +243,11 @@ func (in *oracleInput) i16() int64 { return int64(int16(in.u16())) }
 //	  data), then a script of (count mod 5) actions, each an action byte
 //	  (bits 0-2 pick DMAToHostB, DMAToHostNB, DMAToHostVec, DMAFromHostB,
 //	  DMAFromHostNB, PutFromHost, an atomic or a handler Get; bit 3 makes
-//	  a DMAToHostVec timing-only and an atomic a DMACAS rather than a
-//	  DMAFetchAdd; bits 4-6 set the vector's block size, 8 << k), a signed
-//	  i16 host offset and a u16 length (mod 8192)
+//	  a DMAToHostB, DMAToHostNB or DMAToHostVec write without data, a
+//	  PutFromHost a PutFromDevice of the packet's own Data and Size to
+//	  the plain entry at the host offset, and an atomic a DMACAS rather
+//	  than a DMAFetchAdd; bits 4-6 set the vector's block size, 8 << k),
+//	  a signed i16 host offset and a u16 length (mod 8192)
 //
 // The bounds on handler messages and action lengths keep a script's DMA
 // reservations in the thousands, so an execution stays fast.
@@ -286,8 +296,9 @@ func runRegionProgram(t *testing.T, program []byte, timingOnly bool) []rigRecord
 // run the same program of puts with and without data (in range,
 // straddling either end of the region, outside it, atomic, and under
 // ManageLocal), gets (truncated or not, at negative offsets too), and
-// payload-handler DMAToHostB/NB/Vec, DMAFromHostB/NB, DMACAS, DMAFetchAdd,
-// PutFromHost and Get calls, at any local offset. Both must post the same
+// payload-handler DMAToHostB/NB/Vec (with and without data),
+// DMAFromHostB/NB, DMACAS, DMAFetchAdd, PutFromHost, PutFromDevice and Get
+// calls, at any local offset. Both must post the same
 // events (type, time, length, offset) and the same action errors at the
 // same handler times, and every read from the timing-only region, an
 // atomic's old value included, must yield zeros.

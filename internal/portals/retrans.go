@@ -57,22 +57,8 @@ func (ni *NI) ConfigureRetrans(cfg RetransConfig) { ni.Retrans = cfg }
 // payload re-staged from the MD, ack always requested, and no send-side
 // completion note — delivery is confirmed by the ack, not by injection.
 func (ni *NI) buildReliable(rec *rtxRecord) *netsim.Message {
-	a := &rec.a
-	m := ni.C.AllocMessage()
-	m.Type = netsim.OpPut
-	m.Src = ni.Node.Rank
-	m.Dst = a.Target
-	m.PTIndex = a.PTIndex
-	m.MatchBits = a.MatchBits
-	m.Offset = a.RemoteOffset
-	m.HdrData = a.HdrData
-	m.UserHdr = a.UserHdr
-	m.Length = a.Length
+	m := ni.putMessage(&rec.a)
 	m.AckReq = true
-	if a.MD != nil {
-		copy(m.StageData(a.Length), a.MD.Buf[a.LocalOffset:])
-	}
-	m.ID = ni.C.NextID()
 	rec.id = m.ID
 	ni.rtx[m.ID] = rec
 	return m

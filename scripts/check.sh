@@ -148,8 +148,9 @@ go test -run '^$' -fuzz 'FuzzQueryFields' -fuzztime 5s -fuzzminimizetime 1x ./in
 echo "== timing-only region oracle fuzz (FuzzTimingOnlyRegionMatchesBytes, 5s) =="
 # Two single-NI rigs that differ only in their entries' host regions, one
 # timing-only (ME.Length) and one of real bytes (Start), run the same
-# random puts, atomics, gets and payload-handler DMA, PutFromHost and Get
-# calls at any offset, negative ones included: the same events (type,
+# random puts, atomics, gets and payload-handler DMA (from buffers and
+# without data), PutFromHost, PutFromDevice of the packet as it came and
+# Get calls at any offset, negative ones included: the same events (type,
 # time, length, offset) and the same action errors every time, and a read
 # from the timing-only region leaves zeros. Minimization is capped as
 # above.
@@ -159,7 +160,8 @@ echo "== vector-DMA oracle fuzz (FuzzDMAToHostVecMatchesLoop, 5s) =="
 # Random vector scatters into bytes and timing-only regions: DMAToHostVec
 # must leave the handler clock, the bus counters, the completion time and
 # the region's bytes exactly where the per-block loop of Charge +
-# DMAToHostB leaves them, and a scatter with any block outside the region
+# DMAToHostB leaves them (a nil buffer per block for a scatter without
+# data), and a scatter with any block outside the region
 # must issue nothing and record the action error. Minimization is capped
 # as above.
 go test -run '^$' -fuzz 'FuzzDMAToHostVecMatchesLoop' -fuzztime 5s -fuzzminimizetime 1x ./internal/core
