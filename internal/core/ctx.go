@@ -203,12 +203,12 @@ func (c *Ctx) DMAToHostB(local []byte, n int, offset int64, space MemSpace) {
 }
 
 // DMAToHostVec scatters the stream range [streamOff, streamOff+n) of the
-// vector layout v into host memory at base, from the packed bytes local,
-// which hold exactly n bytes, or with no data when local is nil (as
-// DMAToHostB takes its buffer), as a vectorized DMA issue: one descriptor chain whose per-transaction cost — perSegCycles of
-// address arithmetic plus CostDMAIssue of descriptor programming plus the
-// transaction's bus occupancy, per touched block — is charged exactly as a
-// block-at-a-time DMAToHostB loop would charge it. Each transaction is a
+// vector layout v into host memory at base, from the packed bytes local
+// under DMAToHostB's rule for local and n, as a vectorized DMA issue: one
+// descriptor chain whose per-transaction cost — perSegCycles of address
+// arithmetic plus CostDMAIssue of descriptor programming plus the
+// transaction's bus occupancy, per touched block — is charged exactly as
+// a block-at-a-time DMAToHostB loop would charge it. Each transaction is a
 // separate bus reservation, so concurrent initiators interleave with the
 // chain precisely as they would with discrete writes: the determinism
 // contract (ARCHITECTURE.md) requires the vectorized path to be

@@ -62,10 +62,10 @@ func runDataRig(t *testing.T, rig dataRig, data bool) []rankEvent {
 }
 
 // bcastRig returns a broadcast row over ranks nodes: every rank but the
-// root appends an entry of size bytes running handlers(rank, state) on
+// root appends an entry of size bytes running build(rank, state) on
 // stateBytes of HPU memory, and the root sends size bytes, sequence
 // number 1, to each of its children.
-func bcastRig(name string, ranks, size int, children []int, stateBytes int, handlers func(rank int, state []byte) core.HandlerSet) dataRig {
+func bcastRig(name string, ranks, size int, children []int, stateBytes int, build func(rank int, state []byte) core.HandlerSet) dataRig {
 	return dataRig{name: name, ranks: ranks, setup: func(t *testing.T, nis []*portals.NI, eqs []*portals.EQ) []portals.PutArgs {
 		for r, ni := range nis {
 			mustPT(t, ni, 0)
@@ -75,7 +75,7 @@ func bcastRig(name string, ranks, size int, children []int, stateBytes int, hand
 			hm := hpuMem(t, ni, stateBytes)
 			mustAppend(t, ni, 0, &portals.ME{
 				Start: make([]byte, size), IgnoreBits: ^uint64(0), EQ: eqs[r],
-				HPUMem: hm, Handlers: handlers(r, hm.Buf),
+				HPUMem: hm, Handlers: build(r, hm.Buf),
 			})
 		}
 		var puts []portals.PutArgs
