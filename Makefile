@@ -35,6 +35,7 @@ race:
 	$(GO) test -race -count=1 -run 'TestOverlappingScalesReusePoints' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestOneContentAddressPerResult' ./internal/serve
 	$(GO) test -race -count=1 -run 'TestLPEquivalenceRandomized' ./internal/bench
+	$(GO) test -race -count=10 -run 'TestRunAppOverlapMatchesFresh' ./internal/bench
 
 build:
 	$(GO) build $(LDFLAGS) ./...

@@ -22,8 +22,11 @@
 // run concurrently, and every experiment's measurement points are queued
 // as tasks on one shared bench.Pool of N persistent workers — the
 // experiment goroutines only orchestrate (build sweeps, render tables);
-// simulation engines execute exclusively on pool workers, so a wide run is
-// bounded at N executing engines by construction. Output stays
+// measurement points execute exclusively on pool workers, so a wide run is
+// bounded at N executing points by construction. A point is one engine,
+// except that a table5c point replays its corrected program set with host
+// and sPIN matching at once on two engines (at any -parallel, 1 included),
+// and each -lp K replay runs K engines. Output stays
 // byte-identical to a serial run: each experiment renders into its own
 // buffer and the buffers are flushed in selection order, and rows merge in
 // point order regardless of which worker simulated them (each point is
@@ -44,7 +47,8 @@
 // lookahead windows. Output is byte-identical to -lp 1 — only wall-clock
 // changes. LP parallelism is within one simulation point, -parallel across
 // points; when both are set the pool's worker count is divided by K so the
-// machine-wide engine budget stays at -parallel.
+// machine-wide engine budget stays at -parallel (twice that while table5c
+// points run their two replays at once).
 package main
 
 import (
@@ -154,15 +158,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Parallel: ONE shared persistent pool of N workers executes every
 	// simulation point of every selected experiment as a queued task, so a
-	// wide run is bounded at N executing engines by construction. Up to N
-	// experiment goroutines only orchestrate — build sweeps, render tables —
-	// into per-experiment buffers, and the flush below reproduces the
-	// serial byte stream regardless of completion order. Note -wall alloc
-	// counts and bytes include concurrently running
-	// experiments in this mode (runtime.MemStats is process-global).
-	// LP parallelism multiplies the engine count per executing point, so the
-	// pool's worker budget is divided by K to keep machine-wide concurrency
-	// at the -parallel target.
+	// wide run is bounded at N executing points by construction (a table5c
+	// point runs its host and sPIN replays at once, so up to 2N engines).
+	// Up to N experiment goroutines only orchestrate — build sweeps, render
+	// tables — into per-experiment buffers, and the flush below reproduces
+	// the serial byte stream regardless of completion order. Note -wall
+	// alloc counts and bytes include concurrently running experiments in
+	// this mode (runtime.MemStats is process-global).
+	// LP parallelism multiplies the engine count per executing point (2K
+	// for a table5c point), so the pool's worker budget is divided by K to
+	// keep machine-wide concurrency near the -parallel target.
 	poolWorkers := workers / *lp
 	if poolWorkers < 1 {
 		poolWorkers = 1

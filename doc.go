@@ -152,7 +152,7 @@
 //     buffering, preserving the serial byte stream — both levels pinned by
 //     golden tests that `make check` runs, and exposed as
 //     `spinbench -parallel`. The two levels share the one pool, so a wide
-//     run executes at most N engines instead of composing to N^2; queuing
+//     run executes at most N points instead of composing to N^2; queuing
 //     order never reaches output order (points are hermetic and rows merge
 //     in registration order), so output bytes are unaffected.
 //   - Conservative parallel DES. Where parallel sweeps shard independent

@@ -11,9 +11,9 @@ import (
 // Pool is a persistent queued-task worker pool: n workers, each owning one
 // long-lived Env, draining a shared task queue. Sweeps enqueue their points
 // and the fixed set of workers executes them, so concurrent sweeps are
-// bounded structurally (at most n engines ever execute) and worker Envs
-// amortize cluster construction across every run the pool ever serves, not
-// just one sweep.
+// bounded structurally (at most n points ever execute; a Table 5c point
+// runs up to two replays at once) and worker Envs amortize cluster
+// construction across every run the pool ever serves, not just one sweep.
 //
 // Determinism is unaffected by which worker dequeues a point: points are
 // hermetic under the reset-equals-fresh contract, Env caches key on

@@ -29,9 +29,13 @@ import (
 // the determinism goldens compare against — and the exported single-point
 // helpers (PingPongHalfRTT, BroadcastTime, ...).
 //
-// An Env must only ever be used from one goroutine: the engine is
+// An Env must only ever be used from one goroutine: every engine is
 // single-threaded by design (determinism), and the sweep runner gives each
-// worker its own Env.
+// worker its own Env. An engine the Env has handed out may run on a
+// goroutine the point starts, if the point joins it before it uses the
+// Env again: RunApp fetches and Resets both of a program set's engines,
+// replays one on a goroutine of its own while the caller replays the
+// other, and joins before it returns.
 type Env struct {
 	clusters map[envKey]*envCluster
 	// mpis and raids extend the same caching to the two trace-replay

@@ -9,11 +9,13 @@ package mpisim
 // program set without allocating.
 //
 // Ownership: the builder (apps.App.ProgramsInto) writes into the buffer and
-// hands the result to an engine (New or Engine.Reset), which references the
-// slices until its next Reset. A buffer must therefore not be rebuilt while
-// an engine bound to its previous contents may still Run — the bench
-// sweeps' strictly sequential build→run→build cycle satisfies this by
-// construction. The zero value is ready for use.
+// hands the result to engines (New or Engine.Reset), which reference the
+// slices until their next Reset. Engines only read a program set, so
+// several may Run on one set at once, each on its own goroutine. A buffer
+// must not be rebuilt while an engine bound to its previous contents may
+// still Run: the bench sweeps build, run every replay of the set (Table
+// 5c's host and sPIN replays at once), join them, and only then build
+// again. The zero value is ready for use.
 type ProgramBuffer struct {
 	progs [][]Op
 }

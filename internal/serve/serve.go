@@ -11,8 +11,9 @@
 //
 // Concurrency contract (normative, see ARCHITECTURE.md "Serving"): HTTP
 // goroutines never touch a simulation engine. They validate, enqueue
-// points onto the pool, wait, and read caches; engines execute exclusively
-// on pool workers, each single-threaded over its own Env. The package
+// points onto the pool, wait, and read caches; points execute exclusively
+// on pool workers, each over its own Env, and an engine runs either on the
+// worker or on a goroutine the worker's point starts and joins. The package
 // reads no wall clocks — job ids are sequence numbers and progress is
 // point counts — so simlint's nowallclock holds here with no annotations.
 package serve

@@ -2,7 +2,11 @@ package sim
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -280,14 +284,20 @@ func TestFirstEndAfterMatchesSortSearch(t *testing.T) {
 
 // poolOracleMaxWork bounds one pool program's cost: the sum, over its
 // requests, of the spans held on all servers, each of which a naive
-// acquire may scan. A program stops when it is spent, so bursts of
-// disjoint spans cannot stall the fuzzer.
+// acquire may scan. A program stops when it is spent. The committed seeds
+// and the unit tests run at this cap.
 const poolOracleMaxWork = 1 << 26
+
+// poolFuzzMaxWork is the smaller cap for fuzzed programs, so that bursts of
+// disjoint spans cannot stall the fuzzer on a few deep inputs. It still
+// admits prune on one server: laying its first 4,097 spans scans about
+// 2^23 spans.
+const poolFuzzMaxWork = 1 << 24
 
 // runPoolOracle interprets program as a stream of IntervalPool requests,
 // issues each to the optimized pool and to naivePool, fails t at the first
 // server or start that differs, and returns the optimized pool. It stops
-// after the last op or once poolOracleMaxWork is spent. Byte 0
+// after the last op or once maxWork is spent. Byte 0
 // sets the server count (1–8); each op is then a kind byte and two
 // argument bytes a, b (missing bytes read as zero). A kind whose low four
 // bits are all set lays down 1–512 disjoint spans past the frontier, one
@@ -297,7 +307,7 @@ const poolOracleMaxWork = 1 << 26
 // a chain continuation of one of 16 handlers (the end of its previous
 // reservation, handler b), a lag of up to 2,000 behind the frontier, b
 // beyond the tail, or 0.
-func runPoolOracle(t testing.TB, program []byte) *IntervalPool {
+func runPoolOracle(t testing.TB, program []byte, maxWork int) *IntervalPool {
 	t.Helper()
 	next := func() byte {
 		if len(program) == 0 {
@@ -328,13 +338,13 @@ func runPoolOracle(t testing.TB, program []byte) *IntervalPool {
 		}
 		return gs
 	}
-	for op := 0; len(program) > 0 && work < poolOracleMaxWork; op++ {
+	for op := 0; len(program) > 0 && work < maxWork; op++ {
 		kind, a, b := next(), next(), next()
 		if kind&15 == 15 {
 			n := 1 + (int(a)<<8|int(b))%512
 			width, gap := Time(1+kind>>4&7), Time(1+kind>>7)
 			at := frontier + gap
-			for j := 0; j < n && work < poolOracleMaxWork; j++ {
+			for j := 0; j < n && work < maxWork; j++ {
 				if j > 0 && j%k == 0 {
 					at += width + gap
 				}
@@ -379,11 +389,41 @@ func runPoolOracle(t testing.TB, program []byte) *IntervalPool {
 // max-gap fast path — against naivePool on random request streams shaped
 // like the HPU issue pool's: per-handler chains, lagging, leading and stale
 // requests, and bursts of disjoint spans that push lists past maxSpans.
-// The seed corpus lives in testdata/fuzz/FuzzIntervalPoolMatchesNaive.
+// Every program runs at poolFuzzMaxWork; the seed corpus in
+// testdata/fuzz/FuzzIntervalPoolMatchesNaive also runs at the full cap in
+// TestIntervalPoolSeedsAtFullCap.
 func FuzzIntervalPoolMatchesNaive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte) {
-		runPoolOracle(t, program)
+		runPoolOracle(t, program, poolFuzzMaxWork)
 	})
+}
+
+// TestIntervalPoolSeedsAtFullCap replays every committed
+// FuzzIntervalPoolMatchesNaive seed at poolOracleMaxWork, so no committed
+// program loses depth to the fuzz target's smaller cap.
+func TestIntervalPoolSeedsAtFullCap(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzIntervalPoolMatchesNaive")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A corpus file is the version line and one []byte("...") value.
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-[]byte corpus file", ent.Name())
+		}
+		program, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", ent.Name(), err)
+		}
+		t.Run(ent.Name(), func(t *testing.T) { runPoolOracle(t, []byte(program), poolOracleMaxWork) })
+	}
 }
 
 // TestIntervalPoolOracleReachesPrune pins that the pool oracle's decoder
@@ -398,7 +438,7 @@ func TestIntervalPoolOracleReachesPrune(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		program = append(program, 1<<3|4<<5, 1, byte(17*i)) // width 2, lagging
 	}
-	if s := runPoolOracle(t, program).Server(0); s.floor == 0 {
+	if s := runPoolOracle(t, program, poolOracleMaxWork).Server(0); s.floor == 0 {
 		t.Fatalf("program left %d spans and never pruned", len(s.busy))
 	}
 }

@@ -83,13 +83,16 @@ echo "== golden manifest (every printed spinbench digit) =="
 # same CSV hash.
 go test -count=1 -run 'TestGoldenManifest' ./cmd/spinbench
 
-echo "== golden manifests (every printed spintrace and spinsim byte) =="
+echo "== golden manifests (every printed spintrace, spinsim and spinserve JSON byte) =="
 # cmd/spintrace/testdata/golden.sha256 pins the same three fields for each
 # of the 7 scenarios as ASCII and -csv on both NICs (the only output that
 # renders the timeline's DMA deposit spans), and
 # cmd/spinsim/testdata/golden.sha256 for its 5 scenarios x 4 variants x 2
-# NICs; both regenerate with -update like spinbench's.
-go test -count=1 -run 'TestGoldenManifest' ./cmd/spintrace ./cmd/spinsim
+# NICs. internal/serve/testdata/golden.sha256 pins the SHA-256 and HTTP
+# status of every experiment's POST /run JSON body at scale=4 (scale=1 for
+# fixed-size sweeps), served through ServeHTTP on a two-worker pool. All
+# three regenerate with -update like spinbench's.
+go test -count=1 -run 'TestGoldenManifest' ./cmd/spintrace ./cmd/spinsim ./internal/serve
 
 echo "== example outputs (every line the five examples print) =="
 # Each examples/<name>/main_test.go is an Example that runs main and holds
@@ -126,7 +129,10 @@ echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) 
 # past maxSpans — must get exactly the server and start of the naive pool
 # (every server scanned front to back, first minimum taken), and end with
 # the same FreeAt and Busy on every server. Minimization is capped as
-# above: a naive acquire scans every server.
+# above: a naive acquire scans every server. A fuzzed program stops after
+# 2^24 naive span scans, so the step explores new inputs instead of
+# replaying a few deep ones; the committed seeds run at the full 2^26 in
+# TestIntervalPoolSeedsAtFullCap under go test.
 go test -run '^$' -fuzz 'FuzzIntervalPoolMatchesNaive' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
 
 echo "== serve request fuzz (FuzzServeRequest, 5s) =="

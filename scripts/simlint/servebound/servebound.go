@@ -2,12 +2,13 @@
 // clause: HTTP goroutines never touch an engine. No function reachable
 // from an internal/serve HTTP handler may call into the sim, netsim,
 // mpisim, or raidsim engine or cluster entry points — engines are
-// single-threaded and execute only on bench.Pool workers, so the one
-// sanctioned handoff is pool task submission, which the analyzer models
-// as a cut edge in the call graph. Reachability follows calls (static,
-// interface-resolved) and closures but not bare function-value
-// references: a registry holding experiment constructors does not run
-// them on the request goroutine. Reviewed exceptions carry
+// single-threaded and execute only on bench.Pool workers, or on a
+// goroutine that a worker's point starts and joins (table5c's overlapped
+// sPIN replay), so the one sanctioned handoff is pool task submission,
+// which the analyzer models as a cut edge in the call graph. Reachability
+// follows calls (static, interface-resolved) and closures but not bare
+// function-value references: a registry holding experiment constructors
+// does not run them on the request goroutine. Reviewed exceptions carry
 // //simlint:servebound-ok <reason>.
 package servebound
 
