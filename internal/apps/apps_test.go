@@ -178,3 +178,41 @@ func TestProgramsIntoReusesBufferWithoutAllocating(t *testing.T) {
 		t.Fatalf("regrown ProgramsInto = %.1f allocs, want 0", allocs)
 	}
 }
+
+// TestHostReplayBusesForgetDeadSpans pins that a node's DMA bus holds what
+// is in flight, not what it has carried: after a host-matching replay of
+// MILC-64 at Table 5c's scale-2 length (60 iterations), serially and on
+// two logical processes, no bus holds more than the 8 spans at which its
+// timeline forgets those that ended before its engine's clock. A timeline
+// that keeps every span until 4,096 pile up leaves about 540 per bus.
+func TestHostReplayBusesForgetDeadSpans(t *testing.T) {
+	milc := Suite()[0]
+	cfg := mpisim.DefaultConfig(mpisim.HostMatching)
+	compute, err := milc.Calibrate(Replay(cfg), 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := milc.Programs(60, compute)
+	for _, lp := range []int{1, 2} {
+		cfg.LP = lp
+		e, err := mpisim.New(cfg, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.C.LPCount() != lp {
+			t.Fatalf("asked for %d logical processes, got %d", lp, e.C.LPCount())
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		held, most := 0, 0
+		for _, n := range e.C.Nodes {
+			held += n.Bus.Held()
+			most = max(most, n.Bus.Held())
+		}
+		t.Logf("LP %d: buses hold %.1f spans on average, at most %d", lp, float64(held)/float64(len(e.C.Nodes)), most)
+		if most > 8 {
+			t.Errorf("LP %d: a bus holds %d spans, more than 8", lp, most)
+		}
+	}
+}

@@ -135,7 +135,7 @@ func NewRuntime(c *netsim.Cluster, node *netsim.Node) *Runtime {
 		C:              c,
 		Node:           node,
 		HPUs:           sim.NewPool(fmt.Sprintf("hpuctx-%d", node.Rank), c.P.NumHPUs*threads),
-		issue:          sim.NewIntervalPool(fmt.Sprintf("hpu-%d", node.Rank), c.P.NumHPUs),
+		issue:          sim.NewIntervalPool(fmt.Sprintf("hpu-%d", node.Rank), c.P.NumHPUs, c.Eng),
 		HPUMemCapacity: DefaultHPUMemCapacity,
 	}
 }

@@ -76,9 +76,11 @@ type Bus struct {
 	BytesMoved uint64
 }
 
-// New returns an idle bus with the given configuration.
-func New(cfg Config) *Bus {
-	return &Bus{Config: cfg, res: sim.NewIntervals("membus-" + cfg.Name)}
+// New returns an idle bus with the given configuration. clock is the
+// engine that runs the host's events: no transaction starts before its
+// Now, so the bus's timeline forgets the transactions that ended before it.
+func New(cfg Config, clock *sim.Engine) *Bus {
+	return &Bus{Config: cfg, res: sim.NewIntervals("membus-"+cfg.Name, clock)}
 }
 
 // Reset returns the bus to its post-construction (idle) state.
@@ -120,6 +122,9 @@ func (b *Bus) Atomic(now sim.Time, n int) (done sim.Time) {
 	b.BytesMoved += uint64(2 * n)
 	return start + occ + b.L
 }
+
+// Held returns the number of reserved spans the bus's timeline holds.
+func (b *Bus) Held() int { return b.res.Held() }
 
 // FreeAt returns when the bus next goes idle.
 func (b *Bus) FreeAt() sim.Time { return b.res.FreeAt() }

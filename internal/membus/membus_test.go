@@ -26,7 +26,7 @@ func TestConfigsMatchPaper(t *testing.T) {
 }
 
 func TestWriteTimesAndVisibility(t *testing.T) {
-	b := New(Discrete())
+	b := New(Discrete(), sim.NewEngine())
 	free, visible := b.Write(0, 4096)
 	occ := b.Occupancy(4096)
 	if free != occ {
@@ -38,7 +38,7 @@ func TestWriteTimesAndVisibility(t *testing.T) {
 }
 
 func TestReadPaysTwoLatencies(t *testing.T) {
-	b := New(Integrated())
+	b := New(Integrated(), sim.NewEngine())
 	ready := b.Read(0, 1024)
 	want := 2*b.L + b.Occupancy(1024)
 	if ready != want {
@@ -47,7 +47,7 @@ func TestReadPaysTwoLatencies(t *testing.T) {
 }
 
 func TestSmallTransactionsPayMinimum(t *testing.T) {
-	b := New(Integrated())
+	b := New(Integrated(), sim.NewEngine())
 	if got := b.Occupancy(1); got != b.MinTransaction {
 		t.Errorf("Occupancy(1) = %v, want MinTransaction %v", got, b.MinTransaction)
 	}
@@ -58,7 +58,7 @@ func TestSmallTransactionsPayMinimum(t *testing.T) {
 }
 
 func TestBusContentionSerializesOccupancy(t *testing.T) {
-	b := New(Integrated())
+	b := New(Integrated(), sim.NewEngine())
 	// Two simultaneous writes: the second's data occupies the bus after the
 	// first's.
 	_, v1 := b.Write(0, 4096)
@@ -72,7 +72,7 @@ func TestBusContentionSerializesOccupancy(t *testing.T) {
 }
 
 func TestAtomicCostsRoundTripPlusTwoTransfers(t *testing.T) {
-	b := New(Discrete())
+	b := New(Discrete(), sim.NewEngine())
 	done := b.Atomic(0, 8)
 	want := 2*b.L + 2*b.Occupancy(8)
 	if done != want {
@@ -84,7 +84,7 @@ func TestAtomicCostsRoundTripPlusTwoTransfers(t *testing.T) {
 // read is never faster than its intrinsic minimum.
 func TestBusMonotoneProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		b := New(Discrete())
+		b := New(Discrete(), sim.NewEngine())
 		prev := sim.Time(0)
 		for _, s := range sizes {
 			ready := b.Read(0, int(s))
@@ -104,7 +104,7 @@ func TestBusMonotoneProperty(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	b := New(Integrated())
+	b := New(Integrated(), sim.NewEngine())
 	b.Write(0, 1<<20) // ~7us of occupancy
 	occ := b.Occupancy(1 << 20)
 	u := b.Utilization(2 * occ)

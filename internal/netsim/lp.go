@@ -43,13 +43,25 @@ type crossSend struct {
 // strictly positive, the plain serial cluster is returned — Run then drains
 // the single engine exactly as NewCluster's would.
 func NewClusterLP(n int, p Params, lp int) (*Cluster, error) {
-	root, err := NewCluster(n, p)
-	if err != nil || lp <= 1 {
-		return root, err
+	c, err := newCluster(n, p)
+	if err != nil {
+		return nil, err
 	}
+	c.partition(lp)
+	c.attachBuses()
+	return c, nil
+}
+
+// partition cuts the cluster's nodes into up to lp shards, each owning a
+// private engine, or leaves the cluster serial when it cannot cut it.
+func (c *Cluster) partition(lp int) {
+	if lp <= 1 {
+		return
+	}
+	n, p := len(c.Nodes), c.P
 	starts := partitionStarts(n, lp, p.Topo.HostsPerEdge())
 	if len(starts) < 2 {
-		return root, nil
+		return
 	}
 	owner := make([]int, n)
 	for s := range starts {
@@ -63,27 +75,26 @@ func NewClusterLP(n int, p Params, lp int) (*Cluster, error) {
 	}
 	la := minCrossLatency(p.Topo, owner)
 	if la <= 0 {
-		return root, nil
+		return
 	}
-	root.lookahead = la
-	root.shards = make([]*Cluster, len(starts))
+	c.lookahead = la
+	c.shards = make([]*Cluster, len(starts))
 	engines := make([]*sim.Engine, len(starts))
-	for s := range root.shards {
+	for s := range c.shards {
 		sh := &Cluster{
 			Eng:    sim.NewEngine(),
 			P:      p,
-			Nodes:  root.Nodes,
-			root:   root,
+			Nodes:  c.Nodes,
+			root:   c,
 			idBase: uint64(s+1) << 48,
 		}
-		root.shards[s] = sh
+		c.shards[s] = sh
 		engines[s] = sh.Eng
 	}
 	for i, s := range owner {
-		root.Nodes[i].cluster = root.shards[s]
+		c.Nodes[i].cluster = c.shards[s]
 	}
-	root.group = &sim.Windows{Engines: engines, Lookahead: la, Flush: root.flush}
-	return root, nil
+	c.group = &sim.Windows{Engines: engines, Lookahead: la, Flush: c.flush}
 }
 
 // partitionStarts cuts 0..n-1 into up to k contiguous ranges and returns

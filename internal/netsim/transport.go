@@ -218,6 +218,16 @@ type Cluster struct {
 
 // NewCluster builds n nodes with the given parameters on a fresh engine.
 func NewCluster(n int, p Params) (*Cluster, error) {
+	c, err := newCluster(n, p)
+	if err != nil {
+		return nil, err
+	}
+	c.attachBuses()
+	return c, nil
+}
+
+// newCluster builds n nodes on a fresh engine, without their memory buses.
+func newCluster(n int, p Params) (*Cluster, error) {
 	if err := p.Topo.Validate(n); err != nil {
 		return nil, err
 	}
@@ -228,12 +238,19 @@ func NewCluster(n int, p Params) (*Cluster, error) {
 			Rank:    i,
 			Egress:  sim.NewResource(fmt.Sprintf("egress-%d", i)),
 			MatchHW: sim.NewResource(fmt.Sprintf("match-%d", i)),
-			Bus:     membus.New(p.DMA),
 			Cores:   sim.NewPool(fmt.Sprintf("cpu-%d", i), p.HostCores),
 			cluster: c,
 		}
 	}
 	return c, nil
+}
+
+// attachBuses gives every node a memory bus on its owner's engine (its
+// shard's under LP), whose clock none of the bus's transactions precedes.
+func (c *Cluster) attachBuses() {
+	for _, n := range c.Nodes {
+		n.Bus = membus.New(c.P.DMA, n.cluster.Eng)
+	}
 }
 
 // Reset returns the transport to its post-construction state so one

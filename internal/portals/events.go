@@ -70,9 +70,12 @@ type Event struct {
 	Err          error
 }
 
-// EQ is an event queue. Events become visible at their At time; OnEvent
-// callbacks (used by simulation drivers) run through the engine so ordering
-// is consistent.
+// EQ is an event queue. Events become visible at their At time. Without an
+// OnEvent handler the queue stores each event for Events and PollUpTo. With
+// one, the handler is the host consuming the queue (sPIN, arXiv
+// 1709.05483): each event is dispatched to it through the engine, so
+// ordering is consistent, and nothing is stored, so Events and PollUpTo see
+// only the events appended while no handler was set.
 type EQ struct {
 	eng     *sim.Engine
 	events  []Event
@@ -103,21 +106,24 @@ func runEQNote(a any) {
 // NewEQ allocates an event queue on the engine.
 func NewEQ(eng *sim.Engine) *EQ { return &EQ{eng: eng} }
 
-// Append adds an event and dispatches the OnEvent callback at ev.At.
+// Append stores an event, or, with an OnEvent handler installed,
+// dispatches the handler at ev.At and stores nothing.
 func (q *EQ) Append(ev Event) {
-	q.events = append(q.events, ev)
-	if q.handler != nil {
-		n := q.noteFree.Get()
-		n.q, n.h, n.ev = q, q.handler, ev
-		at := ev.At
-		if now := q.eng.Now(); at < now {
-			at = now
-		}
-		q.eng.ScheduleCall(at, runEQNote, n)
+	if q.handler == nil {
+		q.events = append(q.events, ev)
+		return
 	}
+	n := q.noteFree.Get()
+	n.q, n.h, n.ev = q, q.handler, ev
+	at := ev.At
+	if now := q.eng.Now(); at < now {
+		at = now
+	}
+	q.eng.ScheduleCall(at, runEQNote, n)
 }
 
-// OnEvent installs the callback invoked for each appended event.
+// OnEvent installs the callback invoked for each appended event; from then
+// on the queue stores no events.
 func (q *EQ) OnEvent(fn func(Event)) { q.handler = fn }
 
 // Reset discards all queued events while retaining the OnEvent handler and
@@ -137,10 +143,12 @@ func (q *EQ) recycle() {
 	q.handler = nil
 }
 
-// Events returns all events appended so far (test/diagnostic use).
+// Events returns the events appended so far while no OnEvent handler was
+// set (test/diagnostic use).
 func (q *EQ) Events() []Event { return q.events }
 
-// PollUpTo returns events visible at or before now, in visibility order.
+// PollUpTo returns the stored events visible at or before now, in
+// visibility order: those appended while no OnEvent handler was set.
 func (q *EQ) PollUpTo(now sim.Time) []Event {
 	var out []Event
 	for _, ev := range q.events {

@@ -567,6 +567,40 @@ func TestEQPollUpTo(t *testing.T) {
 	}
 }
 
+// TestHandledEQStoresNothing pins that an EQ with an OnEvent handler keeps
+// no history: puts into its entry each reach the handler once, in order,
+// while Events and PollUpTo stay empty and the queue's backing array is
+// never allocated.
+func TestHandledEQStoresNothing(t *testing.T) {
+	const puts = 50
+	c, nis := pair(t)
+	_, eq := postME(t, nis[1], 0, 1, 64)
+	var seen []uint64
+	eq.OnEvent(func(ev Event) { seen = append(seen, ev.HdrData) })
+	md := nis[0].MDBind(make([]byte, 8), nil, nil)
+	for i := range puts {
+		a := PutArgs{MD: md, Length: 8, Target: 1, PTIndex: 0, MatchBits: 1, HdrData: uint64(i)}
+		if _, err := nis[0].Put(c.Eng.Now(), a); err != nil {
+			t.Fatal(err)
+		}
+		c.Eng.Run()
+		if evs := eq.Events(); len(evs) != 0 || cap(evs) != 0 {
+			t.Fatalf("after put %d the queue holds %d events (capacity %d)", i, len(evs), cap(evs))
+		}
+	}
+	if len(seen) != puts {
+		t.Fatalf("handler saw %d events, want %d", len(seen), puts)
+	}
+	for i, h := range seen {
+		if h != uint64(i) {
+			t.Fatalf("event %d carries header data %d", i, h)
+		}
+	}
+	if evs := eq.PollUpTo(c.Eng.Now()); len(evs) != 0 {
+		t.Fatalf("PollUpTo = %+v, want nothing", evs)
+	}
+}
+
 func TestCTSetAndFailures(t *testing.T) {
 	c, _ := pair(t)
 	ct := NewCT(c.Eng)

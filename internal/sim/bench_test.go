@@ -126,7 +126,7 @@ func (s *backfillStream) step() {
 // pool in Fig 7a's regime (see backfillStream); every second op also
 // places one bus write.
 func BenchmarkIntervalPoolBackfill(b *testing.B) {
-	s := &backfillStream{pool: NewIntervalPool("hpu", 4), bus: NewIntervals("bus")}
+	s := &backfillStream{pool: NewIntervalPool("hpu", 4, NewEngine()), bus: NewIntervals("bus", NewEngine())}
 	for i := 0; i < 1<<18; i++ { // fill the lists past their first prune
 		s.step()
 	}

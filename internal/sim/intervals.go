@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Intervals is a unit-capacity resource that accepts reservations in any
 // time order: Acquire finds the earliest gap of the requested width at or
 // after the requested time. The DMA bus needs this: a handler computes for
@@ -25,15 +27,35 @@ package sim
 //   - IntervalPool.AcquireAny stops at the first server that can start at
 //     the requested time (none starts sooner, and ties go to the lower
 //     index) and commits that server's placement as found, instead of
-//     placing on every server and then placing the winner again.
+//     placing on every server and then placing the winner again;
+//   - the list forgets spans that ended before its engine's clock (see
+//     forget), so it holds what is in flight rather than everything ever
+//     reserved.
+//
+// The clock is the contract that makes forgetting exact: no request may
+// start before the engine's Now, and Acquire panics with the resource's
+// name if one does, as the engine does for an event scheduled in the past.
 type Intervals struct {
 	Name string
+	// clock is the engine whose Now no request precedes.
+	clock *Engine
 	// busy holds disjoint reserved intervals sorted by start.
 	busy []ivSpan
-	// floor truncates history: times before it count as busy. It advances
-	// when the interval list is pruned, keeping memory bounded on long
-	// simulations at the cost of slightly conservative early placement.
+	// floor truncates history: times before it count as busy. Prune raises
+	// it into the history, keeping memory bounded on long simulations at
+	// the cost of slightly conservative early placement; forget raises it
+	// to the end of the last span it drops, which precedes every request
+	// and so moves no placement.
 	floor Time
+	// forgotten counts the spans forget dropped that the full history
+	// still holds (prune has not yet halved them away), so that prune
+	// halves that history at the same moment and at the same span as it
+	// would if nothing were forgotten.
+	forgotten int
+	// kept is the clock at which forget last found too little to drop.
+	// Until the clock moves nothing more can end before it (every later
+	// reservation starts at or after it), so forget skips the look.
+	kept Time
 	// Busy accumulates reserved time.
 	Busy Time
 	// maxGapUB bounds every free gap inside [floor, last span end) from
@@ -49,18 +71,31 @@ type Intervals struct {
 
 type ivSpan struct{ start, end Time }
 
-// maxSpans bounds the interval list; beyond it the oldest half collapses
-// into the floor.
+// maxSpans bounds the history, forgotten spans included; beyond it the
+// oldest half collapses into the floor.
 const maxSpans = 4096
 
-// NewIntervals returns an idle interval resource.
-func NewIntervals(name string) *Intervals { return &Intervals{Name: name} }
+// forgetAt is the number of held spans at which a reservation looks for
+// spans behind the clock: once the first half of them ended before it,
+// forget drops every span that did. Dropping at least half of the list at
+// a time keeps the copy amortized O(1) per span. A timeline with little in
+// flight thus holds at most 8 spans; at 64, a Fig 5a regeneration
+// allocated 24% more bytes, and at 2 only 5% fewer.
+const forgetAt = 8
+
+// NewIntervals returns an idle interval resource whose requests never
+// precede clock's Now.
+func NewIntervals(name string, clock *Engine) *Intervals {
+	return &Intervals{Name: name, clock: clock}
+}
 
 // Reset returns the resource to its post-construction (idle) state, keeping
 // the interval slice's capacity for reuse.
 func (iv *Intervals) Reset() {
 	iv.busy = iv.busy[:0]
 	iv.floor = 0
+	iv.forgotten = 0
+	iv.kept = 0
 	iv.Busy = 0
 	iv.maxGapUB = 0
 	iv.hint = 0
@@ -165,11 +200,64 @@ func (iv *Intervals) firstEndAfter(t Time) int {
 	return hi
 }
 
+// clockAt returns clock's Now after checking that a request at earliest
+// does not precede it. A request in the past is a model bug, as an event
+// scheduled in the past is (Engine.checkAt), and it would make forget
+// inexact, so it panics with the resource's name.
+func clockAt(clock *Engine, name string, earliest Time) Time {
+	now := clock.Now()
+	if earliest < now {
+		panicBeforeClock(name, earliest, now)
+	}
+	return now
+}
+
+// panicBeforeClock is clockAt's failure, kept out of line so that clockAt
+// inlines on the request path.
+//
+//go:noinline
+func panicBeforeClock(name string, earliest, now Time) {
+	panic(fmt.Sprintf("sim: %s: request at %v before now %v", name, earliest, now))
+}
+
+// forget drops the prefix of spans that ended before now, once forgetAt
+// spans are held and the first half of them has ended. It is exact: every
+// later request starts at or after now, so a span that ended strictly
+// before it can neither collide with the request, nor end its scan, nor
+// touch (and so merge with) its reservation; the floor rises to the last
+// dropped end, which precedes every request too. The checks that usually
+// end it inline on the request path.
+func (iv *Intervals) forget(now Time) {
+	if len(iv.busy) >= forgetAt && now != iv.kept {
+		iv.dropBehind(now)
+	}
+}
+
+// dropBehind is forget's look at the list and its drop.
+func (iv *Intervals) dropBehind(now Time) {
+	if iv.busy[len(iv.busy)/2-1].end >= now {
+		iv.kept = now
+		return
+	}
+	k := iv.firstEndAfter(now - 1) // the first span that ends at or after now
+	iv.floor = iv.busy[k-1].end
+	iv.busy = append(iv.busy[:0], iv.busy[k:]...)
+	iv.forgotten += k
+	iv.hint = 0
+}
+
+// Held returns the number of spans the resource holds: what it keeps in
+// memory, for tests and diagnostics.
+func (iv *Intervals) Held() int { return len(iv.busy) }
+
 // Acquire reserves occupancy at the earliest instant >= earliest with a
-// free gap of that width, and returns the reservation start.
+// free gap of that width, and returns the reservation start. earliest must
+// not precede the clock.
 func (iv *Intervals) Acquire(earliest, occupancy Time) (start Time) {
+	now := clockAt(iv.clock, iv.Name, earliest)
 	start, i := iv.place(earliest, occupancy)
 	iv.commit(i, ivSpan{start, start + occupancy})
+	iv.forget(now)
 	return start
 }
 
@@ -215,14 +303,25 @@ func (iv *Intervals) commit(i int, sp ivSpan) {
 	iv.prune()
 }
 
+// prune halves the history once it outgrows maxSpans: its older half
+// collapses into the floor. Forgotten spans are the oldest of the history,
+// so when forget already dropped that half only the count moves (the floor
+// it would set is behind the one forget set).
 func (iv *Intervals) prune() {
-	if len(iv.busy) <= maxSpans {
+	total := len(iv.busy) + iv.forgotten
+	if total <= maxSpans {
 		return
 	}
-	half := len(iv.busy) / 2
-	iv.floor = iv.busy[half-1].end
-	iv.busy = append(iv.busy[:0], iv.busy[half:]...)
-	iv.hint = max(iv.hint-half, 0)
+	half := total / 2
+	if half <= iv.forgotten {
+		iv.forgotten -= half
+		return
+	}
+	k := half - iv.forgotten
+	iv.floor = iv.busy[k-1].end
+	iv.busy = append(iv.busy[:0], iv.busy[k:]...)
+	iv.forgotten = 0
+	iv.hint = max(iv.hint-k, 0)
 }
 
 // FreeAt returns the end of the last reservation (the time after which the
@@ -248,17 +347,19 @@ func (iv *Intervals) Utilization(now Time) float64 {
 // reservations.
 type IntervalPool struct {
 	Name    string
+	clock   *Engine
 	servers []*Intervals
 }
 
-// NewIntervalPool returns a pool of k idle interval servers.
-func NewIntervalPool(name string, k int) *IntervalPool {
+// NewIntervalPool returns a pool of k idle interval servers whose requests
+// never precede clock's Now.
+func NewIntervalPool(name string, k int, clock *Engine) *IntervalPool {
 	if k <= 0 {
 		panic("sim: interval pool size must be positive")
 	}
-	p := &IntervalPool{Name: name, servers: make([]*Intervals, k)}
+	p := &IntervalPool{Name: name, clock: clock, servers: make([]*Intervals, k)}
 	for i := range p.servers {
-		p.servers[i] = NewIntervals(name)
+		p.servers[i] = NewIntervals(name, clock)
 	}
 	return p
 }
@@ -277,8 +378,9 @@ func (p *IntervalPool) Reset() {
 // (ties toward lower indices) and returns the server index and start time.
 // No server can start before earliest, so the scan stops at the first
 // server that starts there, and the winner's placement is committed as
-// found rather than searched again.
+// found rather than searched again. earliest must not precede the clock.
 func (p *IntervalPool) AcquireAny(earliest, occupancy Time) (idx int, start Time) {
+	now := clockAt(p.clock, p.Name, earliest)
 	at := 0
 	for i, s := range p.servers {
 		st, j := s.place(earliest, occupancy)
@@ -289,7 +391,9 @@ func (p *IntervalPool) AcquireAny(earliest, occupancy Time) (idx int, start Time
 			}
 		}
 	}
-	p.servers[idx].commit(at, ivSpan{start, start + occupancy})
+	s := p.servers[idx]
+	s.commit(at, ivSpan{start, start + occupancy})
+	s.forget(now)
 	return idx, start
 }
 

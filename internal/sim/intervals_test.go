@@ -12,7 +12,7 @@ import (
 )
 
 func TestIntervalsInOrder(t *testing.T) {
-	iv := NewIntervals("bus")
+	iv := NewIntervals("bus", NewEngine())
 	if s := iv.Acquire(0, 100); s != 0 {
 		t.Fatalf("first = %v", s)
 	}
@@ -28,7 +28,7 @@ func TestIntervalsInOrder(t *testing.T) {
 }
 
 func TestIntervalsBackfillGap(t *testing.T) {
-	iv := NewIntervals("bus")
+	iv := NewIntervals("bus", NewEngine())
 	iv.Acquire(0, 100)    // [0,100)
 	iv.Acquire(1000, 100) // [1000,1100)
 	// A later request for an earlier time slots into the gap — the fix
@@ -43,7 +43,7 @@ func TestIntervalsBackfillGap(t *testing.T) {
 }
 
 func TestIntervalsExactGapFit(t *testing.T) {
-	iv := NewIntervals("bus")
+	iv := NewIntervals("bus", NewEngine())
 	iv.Acquire(0, 100)
 	iv.Acquire(200, 100)
 	if s := iv.Acquire(0, 100); s != 100 {
@@ -56,7 +56,7 @@ func TestIntervalsExactGapFit(t *testing.T) {
 }
 
 func TestIntervalsZeroOccupancy(t *testing.T) {
-	iv := NewIntervals("bus")
+	iv := NewIntervals("bus", NewEngine())
 	iv.Acquire(0, 100)
 	if s := iv.Acquire(50, 0); s != 100 {
 		t.Fatalf("zero-occ inside busy = %v, want 100", s)
@@ -67,7 +67,7 @@ func TestIntervalsZeroOccupancy(t *testing.T) {
 }
 
 func TestIntervalsPruneBoundsMemory(t *testing.T) {
-	iv := NewIntervals("bus")
+	iv := NewIntervals("bus", NewEngine())
 	// Disjoint reservations (gap 1 between them) never merge.
 	for i := 0; i < 3*maxSpans; i++ {
 		iv.Acquire(Time(i*3), 2)
@@ -80,11 +80,68 @@ func TestIntervalsPruneBoundsMemory(t *testing.T) {
 	}
 }
 
+// TestIntervalsForgetBehindClock pins that a timeline holds what is in
+// flight, not what it has served: with the clock one span behind a stream
+// of disjoint reservations, the list never holds more than forgetAt spans,
+// while the naive reference holds the whole history.
+func TestIntervalsForgetBehindClock(t *testing.T) {
+	eng := NewEngine()
+	iv := NewIntervals("bus", eng)
+	ref := &naiveIntervals{}
+	for i := 0; i < 2*maxSpans; i++ {
+		at := Time(3 * i)
+		eng.RunUntil(max(at-3, 0)) // the previous span is still in flight
+		if got, want := iv.Acquire(at, 2), ref.acquire(at, 2); got != want {
+			t.Fatalf("request %d: Acquire = %d, reference = %d", i, got, want)
+		}
+		if iv.Held() > forgetAt {
+			t.Fatalf("request %d: %d spans held, more than %d", i, iv.Held(), forgetAt)
+		}
+	}
+	if len(ref.busy) <= forgetAt {
+		t.Fatalf("the reference holds only %d spans", len(ref.busy))
+	}
+}
+
+// TestRequestBeforeClockPanics pins the contract forgetting rests on: a
+// request before the engine's Now is a model bug, and Acquire and
+// AcquireAny panic naming the resource, as the engine does for an event
+// scheduled in the past. A request at the clock is served.
+func TestRequestBeforeClockPanics(t *testing.T) {
+	eng := NewEngine()
+	eng.RunUntil(100)
+	iv := NewIntervals("membus-dis", eng)
+	pool := NewIntervalPool("hpu-3", 2, eng)
+	for _, c := range []struct {
+		name    string
+		acquire func()
+	}{
+		{"membus-dis", func() { iv.Acquire(99, 8) }},
+		{"hpu-3", func() { pool.AcquireAny(99, 8) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "sim: " + c.name + ": request at 99ps before now 100ps"; msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+			}()
+			c.acquire()
+		}()
+	}
+	if s := iv.Acquire(100, 8); s != 100 {
+		t.Fatalf("Acquire at the clock = %d, want 100", s)
+	}
+	if _, s := pool.AcquireAny(100, 8); s != 100 {
+		t.Fatalf("AcquireAny at the clock = %d, want 100", s)
+	}
+}
+
 // Property: no two reservations overlap.
 func TestIntervalsNoOverlapProperty(t *testing.T) {
 	type req struct{ At, Occ uint16 }
 	f := func(reqs []req) bool {
-		iv := NewIntervals("bus")
+		iv := NewIntervals("bus", NewEngine())
 		var got []ivSpan
 		for _, r := range reqs {
 			occ := Time(r.Occ%500) + 1
@@ -117,6 +174,7 @@ type naiveIntervals struct {
 	busy     []ivSpan
 	floor    Time
 	reserved Time
+	prunes   int
 }
 
 // place returns the start and insertion index of a reservation, without
@@ -165,6 +223,7 @@ func (iv *naiveIntervals) commit(i int, sp ivSpan) {
 		half := len(iv.busy) / 2
 		iv.floor = iv.busy[half-1].end
 		iv.busy = append(iv.busy[:0], iv.busy[half:]...)
+		iv.prunes++
 	}
 }
 
@@ -209,7 +268,7 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 		if dense {
 			ops = 20000
 		}
-		iv := NewIntervals("t")
+		iv := NewIntervals("t", NewEngine())
 		ref := &naiveIntervals{}
 		var frontier Time
 		for op := 0; op < ops; op++ {
@@ -266,7 +325,7 @@ func TestIntervalsFastPathsMatchNaiveScan(t *testing.T) {
 // tail (a stale finger after a merge shrank the list), it returns
 // sort.Search's index and leaves the finger there.
 func TestFirstEndAfterMatchesSortSearch(t *testing.T) {
-	iv := NewIntervals("t")
+	iv := NewIntervals("t", NewEngine())
 	for n := 0; n <= 40; n++ {
 		for q := Time(0); q <= Time(10*n+11); q++ {
 			want := sort.Search(n, func(j int) bool { return iv.busy[j].end > q })
@@ -294,20 +353,36 @@ const poolOracleMaxWork = 1 << 26
 // 2^23 spans.
 const poolFuzzMaxWork = 1 << 24
 
+// poolRun is what runPoolOracle reports: the optimized pool, the number of
+// requests after which the servers together had forgotten more of the
+// history than before, and the number of times the naive pool pruned.
+type poolRun struct {
+	pool    *IntervalPool
+	forgets int
+	prunes  int
+}
+
 // runPoolOracle interprets program as a stream of IntervalPool requests,
 // issues each to the optimized pool and to naivePool, fails t at the first
-// server or start that differs, and returns the optimized pool. It stops
-// after the last op or once maxWork is spent. Byte 0
-// sets the server count (1–8); each op is then a kind byte and two
-// argument bytes a, b (missing bytes read as zero). A kind whose low four
-// bits are all set lays down 1–512 disjoint spans past the frontier, one
-// round of equal requests at a time so each server takes one; any other
-// kind is one AcquireAny whose occupancy class is kind bits 3–4 (0, 1–3,
-// 8–15, or 50–250, sized by a) and whose earliest is picked by bits 5–7:
-// a chain continuation of one of 16 handlers (the end of its previous
-// reservation, handler b), a lag of up to 2,000 behind the frontier, b
-// beyond the tail, or 0.
-func runPoolOracle(t testing.TB, program []byte, maxWork int) *IntervalPool {
+// server or start that differs, and reports the run. It stops after the
+// last op or once maxWork is spent. Byte 0 sets the server count (1–8);
+// each op is then a kind byte and two argument bytes a, b (missing bytes
+// read as zero). A kind whose low four bits are all set lays down 1–512
+// disjoint spans past the frontier, one round of equal requests at a time
+// so each server takes one; any other kind is one AcquireAny whose
+// occupancy class is kind bits 3–4 (0, 1–3, 8–15, or 50–250, sized by a)
+// and whose earliest is picked by bits 5–7: a chain continuation of one of
+// 16 handlers (the end of its previous reservation, handler b), a lag of
+// up to 2,000 behind the frontier, b beyond the tail, or 0.
+//
+// The pool runs on an engine whose clock the program advances: when such
+// a kind's low three bits c are not all clear, the clock first moves up to
+// the frontier less (7-c)*300, and every request's earliest is raised to
+// the clock, as a model's requests never precede its engine's. The naive
+// pool keeps the whole history, less only what prune halves away, so the
+// oracle checks that what the optimized pool forgets behind the clock moves
+// no placement and no prune.
+func runPoolOracle(t testing.TB, program []byte, maxWork int) poolRun {
 	t.Helper()
 	next := func() byte {
 		if len(program) == 0 {
@@ -318,21 +393,36 @@ func runPoolOracle(t testing.TB, program []byte, maxWork int) *IntervalPool {
 		return b
 	}
 	k := 1 + int(next()%8)
-	pool := NewIntervalPool("fuzz", k)
+	eng := NewEngine()
+	run := poolRun{pool: NewIntervalPool("fuzz", k, eng)}
 	ref := make(naivePool, k)
 	var frontier Time
 	var chain [16]Time
-	work := 0
+	work, gone := 0, 0
 	acquire := func(op int, earliest, occ Time) Time {
+		earliest = max(earliest, eng.Now())
 		for i := range ref {
 			work += len(ref[i].busy)
 		}
-		gi, gs := pool.AcquireAny(earliest, occ)
+		gi, gs := run.pool.AcquireAny(earliest, occ)
 		wi, ws := ref.acquireAny(earliest, occ)
 		if gi != wi || gs != ws {
-			t.Fatalf("op %d: AcquireAny(%d, %d) = server %d at %d, reference = server %d at %d",
-				op, earliest, occ, gi, gs, wi, ws)
+			t.Fatalf("op %d: AcquireAny(%d, %d) at clock %d = server %d at %d, reference = server %d at %d",
+				op, earliest, occ, eng.Now(), gi, gs, wi, ws)
 		}
+		forgotten := 0
+		for i := range ref {
+			s := run.pool.Server(i)
+			if len(s.busy)+s.forgotten != len(ref[i].busy) {
+				t.Fatalf("op %d: server %d holds %d spans and has forgotten %d; the reference holds %d",
+					op, i, len(s.busy), s.forgotten, len(ref[i].busy))
+			}
+			forgotten += s.forgotten
+		}
+		if forgotten > gone {
+			run.forgets++
+		}
+		gone = forgotten
 		if end := gs + occ; occ > 0 && end > frontier {
 			frontier = end
 		}
@@ -351,6 +441,9 @@ func runPoolOracle(t testing.TB, program []byte, maxWork int) *IntervalPool {
 				acquire(op, at, width)
 			}
 			continue
+		}
+		if c := kind & 7; c != 0 {
+			eng.RunUntil(max(frontier-Time(7-c)*300, eng.Now()))
 		}
 		var occ Time
 		switch kind >> 3 & 3 {
@@ -375,20 +468,22 @@ func runPoolOracle(t testing.TB, program []byte, maxWork int) *IntervalPool {
 		}
 	}
 	for i := range ref {
-		s := pool.Server(i)
+		s := run.pool.Server(i)
 		if s.FreeAt() != ref[i].freeAt() || s.Busy != ref[i].reserved {
 			t.Fatalf("server %d: FreeAt %d, Busy %d; reference FreeAt %d, Busy %d",
 				i, s.FreeAt(), s.Busy, ref[i].freeAt(), ref[i].reserved)
 		}
+		run.prunes += ref[i].prunes
 	}
-	return pool
+	return run
 }
 
 // FuzzIntervalPoolMatchesNaive checks IntervalPool — early exit at the
 // first server free at earliest, one placement per server, finger search,
-// max-gap fast path — against naivePool on random request streams shaped
-// like the HPU issue pool's: per-handler chains, lagging, leading and stale
-// requests, and bursts of disjoint spans that push lists past maxSpans.
+// max-gap fast path, forgetting spans behind the clock — against naivePool
+// on random request streams shaped like the HPU issue pool's: per-handler
+// chains, lagging, leading and stale requests, bursts of disjoint spans
+// that push lists past maxSpans, and a clock that advances under them.
 // Every program runs at poolFuzzMaxWork; the seed corpus in
 // testdata/fuzz/FuzzIntervalPoolMatchesNaive also runs at the full cap in
 // TestIntervalPoolSeedsAtFullCap.
@@ -438,7 +533,47 @@ func TestIntervalPoolOracleReachesPrune(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		program = append(program, 1<<3|4<<5, 1, byte(17*i)) // width 2, lagging
 	}
-	if s := runPoolOracle(t, program, poolOracleMaxWork).Server(0); s.floor == 0 {
-		t.Fatalf("program left %d spans and never pruned", len(s.busy))
+	if run := runPoolOracle(t, program, poolOracleMaxWork); run.prunes == 0 {
+		t.Fatalf("program left %d spans and never pruned", len(run.pool.Server(0).busy))
+	}
+}
+
+// clockProgram builds a pool program for the given server count (1–8) that
+// forgets many times and prunes: rounds of a 512-span burst, each followed
+// by a request that first moves the clock to the frontier, so the next
+// burst's first request on each server forgets the last; then cut bursts
+// with the clock held, which push the history past maxSpans while less
+// than half of it is forgotten, so prune cuts into spans that have not
+// ended; and last, zero-width requests at the clock, which the floor prune
+// raised past it pushes up, mixed with lagging ones.
+func clockProgram(servers, rounds, cuts int) []byte {
+	p := []byte{byte(servers - 1)}
+	for r := 0; r < rounds; r++ {
+		p = append(p, 0x1f, 1, 255)          // 512 spans of width 2, gap 1
+		p = append(p, 2<<3|7, 0, byte(r%16)) // clock to the frontier; width 8 chained
+	}
+	for i := 0; i < cuts; i++ {
+		p = append(p, 0x1f, 1, 255)
+	}
+	for i := 0; i < 64; i++ {
+		p = append(p, 7<<5, 0, 0)               // zero width at 0, raised to the clock
+		p = append(p, 1<<3|4<<5, 1, byte(17*i)) // width 2, lagging
+	}
+	return p
+}
+
+// TestIntervalPoolOracleForgetsAndPrunes pins that the oracle's clock
+// reaches both of prune's cases, as the clock-prune-1 corpus entry does:
+// one server forgets after every round, prune first halves a history whose
+// older half is all forgotten and then one that is mostly held, and the
+// floor it sets lies past the clock, where the zero-width requests find
+// it. Forgetting spans by the held count alone, or pruning only the held
+// spans, fails here.
+func TestIntervalPoolOracleForgetsAndPrunes(t *testing.T) {
+	run := runPoolOracle(t, clockProgram(1, 12, 9), poolOracleMaxWork)
+	s, now := run.pool.Server(0), run.pool.clock.Now()
+	if run.forgets < 11 || run.prunes < 2 || s.floor <= now {
+		t.Fatalf("forgot after %d requests and pruned %d times, floor %d at clock %d; want at least 11 forgets, 2 prunes and the floor past the clock",
+			run.forgets, run.prunes, s.floor, now)
 	}
 }

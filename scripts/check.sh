@@ -126,9 +126,11 @@ go test -run '^$' -fuzz 'FuzzEngineMatchesReference' -fuzztime 5s -fuzzminimizet
 echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) =="
 # Random request streams on 1-8 servers — per-handler chains, lagging,
 # leading and stale requests, and bursts of disjoint spans that push lists
-# past maxSpans — must get exactly the server and start of the naive pool
-# (every server scanned front to back, first minimum taken), and end with
-# the same FreeAt and Busy on every server. Minimization is capped as
+# past maxSpans, under an engine clock the stream advances and no request
+# precedes — must get exactly the server and start of the naive pool
+# (every server scanned front to back over the whole history, nothing
+# forgotten behind the clock, first minimum taken), and end with the same
+# FreeAt and Busy on every server. Minimization is capped as
 # above: a naive acquire scans every server. A fuzzed program stops after
 # 2^24 naive span scans, so the step explores new inputs instead of
 # replaying a few deep ones; the committed seeds run at the full 2^26 in
@@ -206,15 +208,17 @@ echo "== nested benchmark module (golden hashes) =="
 # benchmark run.
 go -C benchmark test -count=1 ./...
 
-echo "== alloc budgets (engine schedule / transport / serve hit / healthz / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Fig5a / SPC / Fig7a / Fig7c / Trees) =="
+echo "== alloc budgets (engine schedule / transport / serve hit / healthz / retransmit / Table5c / Table5cLP / Fig5a / SPC; bytes: Table5c / Table5cLP / Fig5a / SPC / Fig7a / Fig7c / Trees) =="
 # Ceilings from BENCH_core.json: 0 allocs per schedule+dispatch, <= 7 per
 # 256-packet message, <= 1 per warm spinserve cache hit through
 # ServeHTTP (0 measured) and 0 per registry lookup, <= 1 per GET /healthz
 # (0 measured), 0 per lossy reliable put in steady state, the
 # post-program-pooling Table 5c budget, the post-triggered-op-pooling Fig
 # 5a budget, and the post-portals-pooling SPC budget; plus bytes per
-# regeneration for Fig 5a, SPC, Fig 7a, Fig 7c and the trees ablation,
-# which fail if timing-only host regions go back to holding bytes.
+# regeneration for Table 5c (serial and LP4), Fig 5a, SPC, Fig 7a, Fig 7c
+# and the trees ablation, which fail if timing-only host regions go back
+# to holding bytes, or timelines and handled event queues to keeping
+# their history.
 go test -count=1 -run 'TestAllocBudgets' .
 
 echo "== perf smoke (BenchmarkFig3b, 1x) =="

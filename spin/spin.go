@@ -110,7 +110,10 @@ type (
 	ME = portals.ME
 	// MD is a memory descriptor.
 	MD = portals.MD
-	// EQ is an event queue.
+	// EQ is an event queue. Without an OnEvent handler it stores every
+	// event for Events and PollUpTo; with one, each event goes to the
+	// handler and is not stored, so those see only the events appended
+	// while no handler was set.
 	EQ = portals.EQ
 	// CT is a counting event (triggered-operation source).
 	CT = portals.CT
