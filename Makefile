@@ -57,4 +57,4 @@ bench:
 
 # bench-micro runs the hot-path microbenchmarks tracked in BENCH_core.json.
 bench-micro:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/fattree ./internal/hostsim ./internal/datatype ./internal/serve
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/fattree ./internal/hostsim ./internal/mpisim ./internal/datatype ./internal/serve

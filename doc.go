@@ -135,13 +135,17 @@
 //     12.3 MB for Fig 5a, 18.3 to 1.56 MB for Fig 7a, 50.3 to 5.8 MB for
 //     SPC, 42.6 to 0.32 MB for Fig 7c and 38.8 to 3.0 MB for the trees
 //     ablation.
-//   - Pooled program sets. Table 5c rebuilt every rank program per
-//     calibration probe and per replay. apps.App.ProgramsInto builds into a
-//     caller-owned grow-only mpisim.ProgramBuffer cached on bench.Env
-//     (contents identical to a fresh build; zero allocations once warm),
-//     and apps.neighbor computes halo partners without materializing
-//     coordinate vectors — together a Table 5c regeneration fell from ~439k
-//     to ~74k allocations.
+//   - Pooled, periodic program sets. Table 5c rebuilt every rank program
+//     per calibration probe and per replay. apps.App.ProgramsInto builds
+//     into a caller-owned grow-only mpisim.ProgramBuffer cached on
+//     bench.Env (contents identical to a fresh build; zero allocations
+//     once warm), and apps.neighbor computes halo partners without
+//     materializing coordinate vectors — together a Table 5c regeneration
+//     fell from ~439k to ~74k allocations. Each rank's program stores one
+//     halo iteration and a trailing mpisim.OpRepeat that replays it once
+//     per iteration, adding a tag stride per pass, so a program set no
+//     longer grows with the iteration count: bytes allocated per Table 5c
+//     regeneration at benchScale fell from 24.4 to 9.4 MB.
 //   - Parallel sweeps. The engine stays single-threaded by design, so
 //     bench.Sweep parallelizes across measurement points instead: with
 //     RunOptions.Pool set, every point queues as a task on a persistent

@@ -109,7 +109,9 @@ func neighbor(rank int, dims []int, dim, delta int) int {
 
 // Programs builds per-rank programs: iterations of halo exchange (post
 // receives, send faces, compute, wait) — the standard overlap structure.
-// computePerIter sets the per-iteration compute phase.
+// computePerIter sets the per-iteration compute phase. Each rank's program
+// holds one iteration and an mpisim.OpRepeat that replays it iterations
+// times, so its length does not grow with iterations.
 func (a App) Programs(iterations int, computePerIter sim.Time) [][]mpisim.Op {
 	return a.ProgramsInto(nil, iterations, computePerIter)
 }
@@ -121,38 +123,41 @@ func (a App) Programs(iterations int, computePerIter sim.Time) [][]mpisim.Op {
 // calibration probe and per replay). A nil buffer builds fresh storage. The
 // buffer's ownership rules (no rebuild while an engine bound to the
 // previous contents may still run) are documented on
-// mpisim.ProgramBuffer.
+// mpisim.ProgramBuffer. Fewer than one iteration builds empty programs.
 func (a App) ProgramsInto(buf *mpisim.ProgramBuffer, iterations int, computePerIter sim.Time) [][]mpisim.Op {
 	if buf == nil {
 		buf = new(mpisim.ProgramBuffer)
 	}
 	progs := buf.Ranks(a.Ranks)
+	if iterations < 1 {
+		return progs
+	}
 	for r := 0; r < a.Ranks; r++ {
 		ops := progs[r]
-		for it := 0; it < iterations; it++ {
-			// Tags must uniquely pair each send with its receive:
-			// iteration, dimension, direction.
-			for d := range a.Dims {
-				if a.Dims[d] < 2 {
-					continue
-				}
-				up := neighbor(r, a.Dims, d, +1)
-				down := neighbor(r, a.Dims, d, -1)
-				tagUp := uint64(it)<<16 | uint64(d)<<2 | 1
-				tagDown := uint64(it)<<16 | uint64(d)<<2 | 2
-				ops = append(ops,
-					mpisim.Op{Kind: mpisim.OpIrecv, Peer: down, Tag: tagUp, Size: a.HaloBytes[d]},
-					mpisim.Op{Kind: mpisim.OpIrecv, Peer: up, Tag: tagDown, Size: a.HaloBytes[d]},
-					mpisim.Op{Kind: mpisim.OpIsend, Peer: up, Tag: tagUp, Size: a.HaloBytes[d]},
-					mpisim.Op{Kind: mpisim.OpIsend, Peer: down, Tag: tagDown, Size: a.HaloBytes[d]},
-				)
+		// Tags must uniquely pair each send with its receive: iteration,
+		// dimension, direction. Iteration it's tags are it<<16 | d<<2 |
+		// dir, and d<<2 | dir < 1<<16, so the repeat's stride of 1<<16
+		// per pass adds the iteration field.
+		for d := range a.Dims {
+			if a.Dims[d] < 2 {
+				continue
 			}
+			up := neighbor(r, a.Dims, d, +1)
+			down := neighbor(r, a.Dims, d, -1)
+			tagUp := uint64(d)<<2 | 1
+			tagDown := uint64(d)<<2 | 2
 			ops = append(ops,
-				mpisim.Op{Kind: mpisim.OpCompute, Dur: computePerIter},
-				mpisim.Op{Kind: mpisim.OpWaitAll},
+				mpisim.Op{Kind: mpisim.OpIrecv, Peer: down, Tag: tagUp, Size: a.HaloBytes[d]},
+				mpisim.Op{Kind: mpisim.OpIrecv, Peer: up, Tag: tagDown, Size: a.HaloBytes[d]},
+				mpisim.Op{Kind: mpisim.OpIsend, Peer: up, Tag: tagUp, Size: a.HaloBytes[d]},
+				mpisim.Op{Kind: mpisim.OpIsend, Peer: down, Tag: tagDown, Size: a.HaloBytes[d]},
 			)
 		}
-		progs[r] = ops
+		progs[r] = append(ops,
+			mpisim.Op{Kind: mpisim.OpCompute, Dur: computePerIter},
+			mpisim.Op{Kind: mpisim.OpWaitAll},
+			mpisim.Op{Kind: mpisim.OpRepeat, Size: iterations, Tag: 1 << 16},
+		)
 	}
 	return progs
 }

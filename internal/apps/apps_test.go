@@ -46,13 +46,84 @@ func TestCoordsRoundTrip(t *testing.T) {
 	}
 }
 
+// unroll expands a program's trailing OpRepeat into the passes it stands
+// for, adding pass×stride to every send and receive tag.
+func unroll(prog []mpisim.Op) []mpisim.Op {
+	n := len(prog)
+	if n == 0 || prog[n-1].Kind != mpisim.OpRepeat {
+		return prog
+	}
+	rep, body := prog[n-1], prog[:n-1]
+	var out []mpisim.Op
+	for pass := 0; pass < rep.Size; pass++ {
+		for _, op := range body {
+			if op.Kind == mpisim.OpIsend || op.Kind == mpisim.OpIrecv {
+				op.Tag += uint64(pass) * rep.Tag
+			}
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestProgramsUnrollToHaloIterations pins the looped program against the
+// form that stored every iteration: iteration it's tags are it<<16 | d<<2
+// | dir, each iteration posts its receives, sends its faces, computes and
+// waits.
+func TestProgramsUnrollToHaloIterations(t *testing.T) {
+	const iters, compute = 7, 3 * sim.Microsecond
+	for _, a := range Suite() {
+		for r, prog := range a.Programs(iters, compute) {
+			var want []mpisim.Op
+			for it := 0; it < iters; it++ {
+				for d := range a.Dims {
+					up, down := neighbor(r, a.Dims, d, +1), neighbor(r, a.Dims, d, -1)
+					tagUp := uint64(it)<<16 | uint64(d)<<2 | 1
+					tagDown := uint64(it)<<16 | uint64(d)<<2 | 2
+					want = append(want,
+						mpisim.Op{Kind: mpisim.OpIrecv, Peer: down, Tag: tagUp, Size: a.HaloBytes[d]},
+						mpisim.Op{Kind: mpisim.OpIrecv, Peer: up, Tag: tagDown, Size: a.HaloBytes[d]},
+						mpisim.Op{Kind: mpisim.OpIsend, Peer: up, Tag: tagUp, Size: a.HaloBytes[d]},
+						mpisim.Op{Kind: mpisim.OpIsend, Peer: down, Tag: tagDown, Size: a.HaloBytes[d]},
+					)
+				}
+				want = append(want, mpisim.Op{Kind: mpisim.OpCompute, Dur: compute}, mpisim.Op{Kind: mpisim.OpWaitAll})
+			}
+			got := unroll(prog)
+			if len(got) != len(want) {
+				t.Fatalf("%s-%d rank %d: %d ops unrolled, want %d", a.Name, a.Ranks, r, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s-%d rank %d op %d: %+v, want %+v", a.Name, a.Ranks, r, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestProgramLengthIndependentOfIterations pins that a rank's program
+// stores its halo iteration once: a 120-iteration program is as long as a
+// 10-iteration one.
+func TestProgramLengthIndependentOfIterations(t *testing.T) {
+	for _, a := range Suite() {
+		short, long := a.Programs(10, sim.Microsecond), a.Programs(120, sim.Microsecond)
+		for r := range short {
+			if len(long[r]) != len(short[r]) {
+				t.Fatalf("%s-%d rank %d: %d ops at 120 iterations, %d at 10", a.Name, a.Ranks, r, len(long[r]), len(short[r]))
+			}
+		}
+	}
+}
+
 func TestProgramsPairSendsAndReceives(t *testing.T) {
 	a := App{Name: "t", Ranks: 8, Dims: []int{2, 4}, HaloBytes: []int{512, 512}, TargetP2PFraction: 0.05}
 	progs := a.Programs(3, sim.Microsecond)
 	if len(progs) != 8 {
 		t.Fatalf("%d programs", len(progs))
 	}
-	// Globally, sends and receives must pair exactly by (src,dst,tag).
+	// Globally, sends and receives of every pass must pair exactly by
+	// (src,dst,tag).
 	type key struct {
 		src, dst int
 		tag      uint64
@@ -60,7 +131,7 @@ func TestProgramsPairSendsAndReceives(t *testing.T) {
 	sends := map[key]int{}
 	recvs := map[key]int{}
 	for r, prog := range progs {
-		for _, op := range prog {
+		for _, op := range unroll(prog) {
 			switch op.Kind {
 			case mpisim.OpIsend:
 				sends[key{r, op.Peer, op.Tag}]++
@@ -69,8 +140,8 @@ func TestProgramsPairSendsAndReceives(t *testing.T) {
 			}
 		}
 	}
-	if len(sends) == 0 {
-		t.Fatal("no sends generated")
+	if want := int(a.MessagesPerIteration()) * 3; len(sends) != want {
+		t.Fatalf("%d distinct sends over 3 iterations, want %d", len(sends), want)
 	}
 	for k, n := range sends {
 		if recvs[k] != n {
@@ -165,15 +236,16 @@ func TestProgramsIntoReusesBufferWithoutAllocating(t *testing.T) {
 	}); allocs > 0 {
 		t.Fatalf("warm ProgramsInto = %.1f allocs, want 0", allocs)
 	}
-	// A shorter build truncates; a longer one grows once and is then again
-	// allocation-free.
-	short := a.ProgramsInto(buf, 2, sim.Microsecond)
+	// Fewer dimensions truncate each program; more ranks grow the set
+	// once, and it is then again allocation-free.
+	pop, clover := Suite()[1], Suite()[5]
+	short := pop.ProgramsInto(buf, 6, sim.Microsecond)
 	if len(short[0]) >= len(fresh[0]) {
 		t.Fatal("shorter build did not truncate")
 	}
-	a.ProgramsInto(buf, 9, sim.Microsecond)
+	clover.ProgramsInto(buf, 9, sim.Microsecond)
 	if allocs := testing.AllocsPerRun(10, func() {
-		a.ProgramsInto(buf, 9, sim.Microsecond)
+		clover.ProgramsInto(buf, 9, sim.Microsecond)
 	}); allocs > 0 {
 		t.Fatalf("regrown ProgramsInto = %.1f allocs, want 0", allocs)
 	}

@@ -57,6 +57,12 @@ const (
 	OpIsend
 	OpIrecv
 	OpWaitAll
+	// OpRepeat ends a periodic program: the ops before it run Size times
+	// in all, and pass i (from 0) adds i×Tag to every OpIsend and OpIrecv
+	// tag, so a program replays exactly as its unrolled form would. It may
+	// only be a program's last op, with Size at least 1 (New and Reset
+	// reject anything else).
+	OpRepeat
 )
 
 // Op is one step of a rank program.
@@ -64,8 +70,25 @@ type Op struct {
 	Kind OpKind
 	Dur  sim.Time // OpCompute
 	Peer int      // OpIsend / OpIrecv
-	Tag  uint64
-	Size int
+	Tag  uint64   // OpIsend / OpIrecv; OpRepeat: the tag stride per pass
+	Size int      // OpIsend / OpIrecv: bytes; OpRepeat: passes
+}
+
+// checkPrograms reports the first OpRepeat of a program set that is not
+// its program's last op or has fewer than one pass.
+func checkPrograms(programs [][]Op) error {
+	for rank, ops := range programs {
+		for i, op := range ops {
+			switch {
+			case op.Kind != OpRepeat:
+			case i != len(ops)-1:
+				return fmt.Errorf("mpisim: rank %d: OpRepeat at op %d is not the last of %d", rank, i, len(ops))
+			case op.Size < 1:
+				return fmt.Errorf("mpisim: rank %d: OpRepeat with %d passes, want at least 1", rank, op.Size)
+			}
+		}
+	}
+	return nil
 }
 
 // Config parameterizes a replay.
@@ -202,8 +225,14 @@ type rank struct {
 	// per compute phase) and shared with the CPU.
 	nz *noise.Model
 
-	ops []Op
-	pc  int
+	// ops is the rank's program, shared read-only with every engine that
+	// replays it; pc, pass and tagOff are this rank's position in it: the
+	// op, the pass of a trailing OpRepeat, and pass×stride, the offset
+	// that pass adds to send and receive tags.
+	ops    []Op
+	pc     int
+	pass   int
+	tagOff uint64
 
 	posted     []*recvReq
 	unexpected []*pendingArrival
@@ -262,6 +291,9 @@ type Engine struct {
 
 // New builds a replay engine for the given per-rank programs.
 func New(cfg Config, programs [][]Op) (*Engine, error) {
+	if err := checkPrograms(programs); err != nil {
+		return nil, err
+	}
 	c, err := netsim.NewClusterLP(len(programs), cfg.Params, cfg.LP)
 	if err != nil {
 		return nil, err
@@ -315,6 +347,9 @@ func (e *Engine) Reset(programs [][]Op) error {
 	if len(programs) != len(e.rank) {
 		return fmt.Errorf("mpisim: Reset with %d programs on a %d-rank engine", len(programs), len(e.rank))
 	}
+	if err := checkPrograms(programs); err != nil {
+		return err
+	}
 	e.C.Reset()
 	e.Res = Result{}
 	for i, r := range e.rank {
@@ -339,6 +374,8 @@ func (e *Engine) Reset(programs [][]Op) error {
 		}
 		r.ops = programs[i]
 		r.pc = 0
+		r.pass = 0
+		r.tagOff = 0
 		r.posted = r.posted[:0] // entries are owned by (and freed via) recvs
 		r.unexpected = r.unexpected[:0]
 		r.sends = r.sends[:0]
@@ -440,7 +477,13 @@ func (e *Engine) Run() (Result, error) {
 	var end sim.Time
 	for _, r := range e.rank {
 		if !r.finished {
-			return Result{}, fmt.Errorf("mpisim: rank %d deadlocked at op %d/%d", r.id, r.pc, len(r.ops))
+			// The position counts ops as if a trailing OpRepeat were
+			// unrolled.
+			at, of := r.pc, len(r.ops)
+			if n := len(r.ops); n > 0 && r.ops[n-1].Kind == OpRepeat {
+				at, of = r.pass*(n-1)+r.pc, r.ops[n-1].Size*(n-1)
+			}
+			return Result{}, fmt.Errorf("mpisim: rank %d deadlocked at op %d/%d", r.id, at, of)
 		}
 		if r.endTime > end {
 			end = r.endTime
@@ -480,10 +523,20 @@ func (r *rank) step(now sim.Time) {
 			return
 		case OpIsend:
 			r.pc++
+			op.Tag += r.tagOff
 			now = r.isend(now, op)
 		case OpIrecv:
 			r.pc++
+			op.Tag += r.tagOff
 			now = r.irecv(now, op)
+		case OpRepeat:
+			r.pass++
+			if r.pass < op.Size {
+				r.pc = 0
+				r.tagOff += op.Tag
+				continue
+			}
+			r.pc++
 		case OpWaitAll:
 			if r.allDone() {
 				r.pc++

@@ -6,12 +6,15 @@ package mpisim
 // slices from scratch dominated the sweep's remaining allocations once the
 // engines themselves became reusable. A ProgramBuffer keeps the [][]Op
 // spine and every per-rank []Op across builds, so a warm buffer rebuilds a
-// program set without allocating.
+// program set without allocating. A periodic program is stored once: its
+// first pass, then OpRepeat with the pass count, so a set's size does not
+// grow with the number of passes.
 //
 // Ownership: the builder (apps.App.ProgramsInto) writes into the buffer and
 // hands the result to engines (New or Engine.Reset), which reference the
-// slices until their next Reset. Engines only read a program set, so
-// several may Run on one set at once, each on its own goroutine. A buffer
+// slices until their next Reset. Engines only read a program set (a rank's
+// position in it, its pass and tag offset included, lives on the engine),
+// so several may Run on one set at once, each on its own goroutine. A buffer
 // must not be rebuilt while an engine bound to its previous contents may
 // still Run: the bench sweeps build, run every replay of the set (Table
 // 5c's host and sPIN replays at once), join them, and only then build

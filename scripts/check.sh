@@ -4,6 +4,23 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# fuzz_cold PKG TARGET fuzzes TARGET in PKG for 5 s from a fuzz cache of
+# its own: the test binary runs from the package directory (so it reads the
+# committed seeds in testdata/fuzz and writes a failing input there, as go
+# test does), with minimization capped at one attempt, and the cache
+# starts empty, as in CI, so the step always explores new inputs instead
+# of replaying what earlier local runs cached.
+fuzz_cold() {
+	fuzzdir=$(mktemp -d)
+	status=0
+	go test -c -fuzz "^$2\$" -o "$fuzzdir/fuzz.test" "$1" &&
+		(cd "$1" && "$fuzzdir/fuzz.test" -test.run '^$' -test.fuzz "^$2\$" \
+			-test.fuzztime 5s -test.fuzzminimizetime 1x \
+			-test.fuzzcachedir "$fuzzdir/cache") || status=$?
+	rm -rf "$fuzzdir"
+	return "$status"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -134,8 +151,22 @@ echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) 
 # above: a naive acquire scans every server. A fuzzed program stops after
 # 2^24 naive span scans, so the step explores new inputs instead of
 # replaying a few deep ones; the committed seeds run at the full 2^26 in
-# TestIntervalPoolSeedsAtFullCap under go test.
-go test -run '^$' -fuzz 'FuzzIntervalPoolMatchesNaive' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
+# TestIntervalPoolSeedsAtFullCap under go test. The step fuzzes from a
+# private cold cache (fuzz_cold), because each cached input replays at up
+# to 2^24 scans and a developer's warm cache of a few hundred inputs would
+# spend the whole 5 s replaying them.
+fuzz_cold ./internal/sim FuzzIntervalPoolMatchesNaive
+
+echo "== repeat-op oracle fuzz (FuzzRepeatMatchesUnrolled, 5s) =="
+# Random periodic rank programs (halo-style receive/send pairs of eager
+# and rendezvous sizes, compute phases, waits, 1-8 passes, a tag stride,
+# sometimes a receive nobody sends) under host or sPIN matching, lossy or
+# jittered, on one or two logical processes: a program that stores one
+# pass and a trailing OpRepeat must replay exactly as its unrolled twin
+# (every Result field, the error text of a deadlock, the fault counters),
+# and a Reset replay of it must match too. Fuzzed from a private cold cache
+# and minimization capped, as above.
+fuzz_cold ./internal/mpisim FuzzRepeatMatchesUnrolled
 
 echo "== serve request fuzz (FuzzServeRequest, 5s) =="
 # Fuzzed JSON bodies and query values through parseRequest and validate,
