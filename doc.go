@@ -29,7 +29,10 @@
 //     short walk from the finger instead of a long one from the tail. Every
 //     event is scheduled with Engine.ScheduleCall, which stores a
 //     pre-bound (func(any), pointer-arg) pair in the event instead of a
-//     fresh closure; the engine has no closure-taking form.
+//     fresh closure; the engine has no closure-taking form. It returns a
+//     Handle, and Engine.Cancel unlinks the event in O(1): a retry timeout
+//     whose exchange finished leaves the queue at once instead of holding
+//     a node until it fires for nothing.
 //   - Allocation budget. The transport (internal/netsim) injects a
 //     message's packets as a single walking event chain and draws Packet,
 //     walk, and per-message state (core.msgState, the one receive state

@@ -9,6 +9,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 	"repro/internal/timeline"
 )
 
@@ -711,5 +712,19 @@ func TestTimelineRecordsHPUSpans(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "HPU 0") {
 		t.Fatalf("timeline missing HPU lane:\n%s", out)
+	}
+}
+
+// TestPooledRecordsComeBackZeroed checks each of a runtime's free lists: a
+// record that was dirtied in every field and put back comes back zero.
+func TestPooledRecordsComeBackZeroed(t *testing.T) {
+	var rt Runtime
+	for _, err := range []error{
+		simtest.RecycledZero(&rt.msFree),
+		simtest.RecycledZero(&rt.ctxFree),
+	} {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -197,3 +197,54 @@ func TestLPReset(t *testing.T) {
 		t.Fatalf("LP reset fault schedule diverged: %+v vs %+v", e.C.Faults, wantFaults)
 	}
 }
+
+// TestFinishedExchangesCancelTheirTimers replays a jittered rendezvous
+// exchange whose retry timeout is a whole second, far beyond any exchange:
+// every RTS and pull timer is cancelled when its exchange ends, so no
+// timeout is left in the queue, and each engine's clock (each shard's under
+// LP) stops at the last real event instead of running on to the last timer
+// a second later. Nothing is retransmitted, and LP 2 replays exactly as
+// serially, in either matching mode.
+func TestFinishedExchangesCancelTheirTimers(t *testing.T) {
+	progs := exchange(16*1024, sim.Microsecond, 3)
+	var serial Result
+	for _, c := range []struct {
+		mode MatchMode
+		lp   int
+	}{{HostMatching, 1}, {HostMatching, 2}, {SpinMatching, 1}, {SpinMatching, 2}} {
+		mode, lp := c.mode, c.lp
+		cfg := impairedConfig(mode, &netsim.Impairment{Seed: 5, Jitter: sim.Microsecond})
+		cfg.RetryTimeout = sim.Second
+		cfg.LP = lp
+		e, err := New(cfg, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.C.Faults.Delayed == 0 {
+			t.Fatalf("%v LP %d: no packet delayed at jitter=1us", mode, lp)
+		}
+		if res.Retransmits != 0 {
+			t.Fatalf("%v LP %d: %d retransmits with a 1 s timeout", mode, lp, res.Retransmits)
+		}
+		var last sim.Time
+		for i := range progs {
+			now := e.C.NodeCluster(i).Eng.Now()
+			if now >= cfg.RetryTimeout {
+				t.Fatalf("%v LP %d: rank %d's engine clock ends at %v, want below the %v timeout", mode, lp, i, now, cfg.RetryTimeout)
+			}
+			last = max(last, now)
+		}
+		if last < res.Runtime {
+			t.Fatalf("%v LP %d: the engine clocks end at %v, before the runtime %v", mode, lp, last, res.Runtime)
+		}
+		if lp == 1 {
+			serial = res
+		} else if res != serial {
+			t.Fatalf("%v: LP 2 replay diverged from serial:\nserial %+v\nlp     %+v", mode, serial, res)
+		}
+	}
+}

@@ -169,15 +169,21 @@ func (r Result) OverheadFraction(ranks int) float64 {
 	return float64(r.MPITime) / (float64(r.Runtime) * float64(ranks))
 }
 
+// recvReq and sendReq are posted receives and sends. ctl is the retry
+// record of the request's open rendezvous exchange (a receive's pull, a
+// send's RTS), nil when retry is off, the exchange is over or its timer
+// gave up.
 type recvReq struct {
 	peer int
 	tag  uint64
 	size int
 	done bool
+	ctl  *ctlRetry
 }
 
 type sendReq struct {
 	done bool
+	ctl  *ctlRetry
 }
 
 // inflight assembles a multi-packet wire message at the receiver; it rides
@@ -354,16 +360,19 @@ func (e *Engine) Reset(programs [][]Op) error {
 	e.Res = Result{}
 	for i, r := range e.rank {
 		// The maps' values are owned by the rank-side lists below, so free
-		// exactly once from the owner. Assembly records of messages still
-		// in flight ride in those messages' receive slots and are abandoned
-		// to the GC with them.
+		// exactly once from the owner; so are the retry records of open
+		// exchanges, whose timers the cluster reset dropped. Assembly
+		// records of messages still in flight ride in those messages'
+		// receive slots and are abandoned to the GC with them.
 		clear(r.rdvPull)
 		clear(r.pullWait)
 		clear(r.rtsSeen)
 		for _, rr := range r.recvs {
+			r.endRetry(&rr.ctl)
 			r.recvFree.Put(rr)
 		}
 		for _, sr := range r.sends {
+			r.endRetry(&sr.ctl)
 			r.sendFree.Put(sr)
 		}
 		for _, pa := range r.unexpected {
@@ -395,11 +404,15 @@ func (e *Engine) Reset(programs [][]Op) error {
 }
 
 // ctlRetry tracks one rendezvous control message (RTS or pull) awaiting
-// progress under impairment. The retry timer owns the record: it recycles
-// records whose exchange progressed (the id left its map) and resends and
-// re-arms the rest. Records are engine-owned and closure-free like every
-// other pooled object here; records still referenced by timers dropped in a
-// Reset are abandoned to the GC, matching the engine's dropped-event rule.
+// progress under impairment, and timer is its pending timeout. The
+// exchange's request points to the record (sendReq.ctl for an RTS,
+// recvReq.ctl for a pull) from arming until the exchange ends: the end
+// (the pull reaching the sender, the data reaching the receiver, or a
+// Reset) cancels the timer and recycles the record, so a timer that fires
+// always finds its exchange open and resends. A timer that spends the
+// retry budget clears the request's pointer and recycles the record
+// itself. Records are engine-owned and closure-free like every other
+// pooled object here.
 type ctlRetry struct {
 	e     *Engine
 	isRTS bool
@@ -409,44 +422,52 @@ type ctlRetry struct {
 	tag   uint64
 	size  int
 	tries int
+	timer sim.Handle
 }
 
 // retryOn reports whether rendezvous-control retry is active.
 func (e *Engine) retryOn() bool { return e.Cfg.RetryTimeout > 0 && e.C.Impaired() }
 
 // armCtlRetry schedules the retry timer for a control exchange on the
-// arming rank's own engine.
-func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) {
+// arming rank's own engine and returns its record, for the exchange's
+// request to hold.
+func (e *Engine) armCtlRetry(now sim.Time, isRTS bool, id uint64, r *rank, peer int, tag uint64, size int) *ctlRetry {
 	cr := r.ctlFree.Get()
 	cr.e, cr.isRTS, cr.id, cr.rnk, cr.peer, cr.tag, cr.size = r.eng, isRTS, id, r, peer, tag, size
-	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
+	cr.timer = r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
+	return cr
+}
+
+// endRetry ends a request's control retry when its exchange ends: it
+// cancels the pending timer (a no-op after a Reset dropped it), recycles
+// the record and clears the request's pointer, which is nil already when
+// retry is off or the timer gave up.
+func (r *rank) endRetry(ctl **ctlRetry) {
+	if cr := *ctl; cr != nil {
+		r.nc.Eng.Cancel(cr.timer)
+		r.ctlFree.Put(cr)
+		*ctl = nil
+	}
 }
 
 // runCtlRetry is the ScheduleCall entry point for a control-retry timeout.
-// It fires on the arming rank's engine and touches only that rank's maps
-// and its shard's fault counters.
+// It fires on the arming rank's engine, only while the exchange is open
+// (its end cancels the timer), and touches only that rank's maps and its
+// shard's fault counters.
 func runCtlRetry(a any) {
 	cr := a.(*ctlRetry)
 	e := cr.e
 	r := cr.rnk
-	// Progress check: an RTS exchange is live while its id is in rdvPull
-	// (the pull's arrival deletes it); a pull is live while its id is in
-	// pullWait (the data's arrival deletes it).
-	var live bool
-	if cr.isRTS {
-		_, live = r.rdvPull[cr.id]
-	} else {
-		_, live = r.pullWait[cr.id]
-	}
-	if !live {
-		r.ctlFree.Put(cr)
-		return
-	}
 	if cr.tries >= e.Cfg.MaxRetries {
 		// Budget spent: stop resending. The unfinished exchange surfaces as
 		// a deadlock from Run, which is the honest outcome of a partitioned
 		// network.
 		r.nc.Faults.RetransFails++
+		if cr.isRTS {
+			r.rdvPull[cr.id].ctl = nil
+		} else {
+			r.pullWait[cr.id].rr.ctl = nil
+		}
 		r.ctlFree.Put(cr)
 		return
 	}
@@ -465,7 +486,7 @@ func runCtlRetry(a any) {
 	m.HdrData = cr.id
 	m.GetLength = cr.size
 	e.C.Send(now, m)
-	r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
+	cr.timer = r.nc.Eng.ScheduleCall(now+e.Cfg.RetryTimeout, runCtlRetry, cr)
 }
 
 // Run replays the programs to completion and returns the result.

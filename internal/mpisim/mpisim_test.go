@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/noise"
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // exchange builds a 2-rank program: both ranks post a receive, send to
@@ -252,5 +253,22 @@ func TestDeterministicReplay(t *testing.T) {
 	b := run(t, SpinMatching, progs)
 	if a.Runtime != b.Runtime || a.Messages != b.Messages {
 		t.Fatalf("nondeterministic replay: %v/%v vs %v/%v", a.Runtime, a.Messages, b.Runtime, b.Messages)
+	}
+}
+
+// TestPooledRecordsComeBackZeroed checks each of a rank's free lists: a
+// record that was dirtied in every field and put back comes back zero.
+func TestPooledRecordsComeBackZeroed(t *testing.T) {
+	var r rank
+	for _, err := range []error{
+		simtest.RecycledZero(&r.recvFree),
+		simtest.RecycledZero(&r.sendFree),
+		simtest.RecycledZero(&r.paFree),
+		simtest.RecycledZero(&r.inflFree),
+		simtest.RecycledZero(&r.ctlFree),
+	} {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

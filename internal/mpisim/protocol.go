@@ -41,7 +41,7 @@ func (r *rank) isend(now sim.Time, op Op) sim.Time {
 	rts.GetLength = op.Size
 	coreFree := e.C.HostSend(now, rts)
 	if e.retryOn() {
-		e.armCtlRetry(now, true, id, r, op.Peer, op.Tag, op.Size)
+		sr.ctl = e.armCtlRetry(now, true, id, r, op.Peer, op.Tag, op.Size)
 	}
 	return coreFree
 }
@@ -118,10 +118,10 @@ func (e *Engine) issuePull(now sim.Time, r *rank, rr *recvReq, src int, tag, pul
 	r.pullWait[pullID] = pullDest{r: r, rr: rr}
 	e.C.Send(now, pull)
 	// The pull timer also covers a lost (or partially lost) data response:
-	// the id stays in pullWait until the response completes, so the timer
+	// the exchange stays open until the response completes, so the timer
 	// re-issues the pull and the sender streams the data again.
 	if e.retryOn() {
-		e.armCtlRetry(now, false, pullID, r, src, tag, rr.size)
+		rr.ctl = e.armCtlRetry(now, false, pullID, r, src, tag, rr.size)
 	}
 }
 
@@ -213,6 +213,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		data.HdrData = m.HdrData
 		e.C.Send(ready, data)
 		if sr != nil {
+			r.endRetry(&sr.ctl)
 			sr.done = true
 			r.nc.Eng.ScheduleCall(ready, rankResume, r)
 		}
@@ -222,6 +223,7 @@ func (nr *nodeRecv) dispatch(at sim.Time, m *netsim.Message) {
 		pd, ok := r.pullWait[m.HdrData]
 		if ok {
 			delete(r.pullWait, m.HdrData)
+			r.endRetry(&pd.rr.ctl)
 			pd.r.completeRecv(at, pd.rr)
 		}
 	case m.GetLength > 0:

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/sim/simtest"
 )
 
 // collector records packet deliveries for assertions. It copies each packet:
@@ -311,6 +312,20 @@ func TestOpTypeStrings(t *testing.T) {
 	} {
 		if op.String() != want {
 			t.Errorf("OpType(%d).String() = %q, want %q", op, op.String(), want)
+		}
+	}
+}
+
+// TestPooledRecordsComeBackZeroed checks each of a cluster's free lists: a
+// record that was dirtied in every field and put back comes back zero.
+func TestPooledRecordsComeBackZeroed(t *testing.T) {
+	var c Cluster
+	for _, err := range []error{
+		simtest.RecycledZero(&c.pktFree),
+		simtest.RecycledZero(&c.walkFree),
+	} {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

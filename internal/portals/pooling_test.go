@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim/simtest"
 )
 
 // poolSizes snapshots every pool an error path could leak from: the
@@ -282,5 +283,24 @@ func TestLiteralMessageResentAfterMidFlightReset(t *testing.T) {
 				t.Fatalf("after reset: handler offsets %v, drops %d; fresh: %v, %d", got.calls, got.drops, want.calls, want.drops)
 			}
 		})
+	}
+}
+
+// TestPooledRecordsComeBackZeroed checks each of an NI's and an EQ's free
+// lists: a record that was dirtied in every field and put back comes back
+// zero.
+func TestPooledRecordsComeBackZeroed(t *testing.T) {
+	var ni NI
+	var q EQ
+	for _, err := range []error{
+		simtest.RecycledZero(&ni.opFree),
+		simtest.RecycledZero(&ni.snFree),
+		simtest.RecycledZero(&ni.toFree),
+		simtest.RecycledZero(&ni.rtxFree),
+		simtest.RecycledZero(&q.noteFree),
+	} {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -236,10 +236,9 @@ func (ni *NI) releaseInFlight() {
 		ni.opFree.Put(op)
 	}
 	clear(ni.outstanding)
-	// Records still in rtx each have exactly one pending timer, and the
-	// engine reset that precedes an NI reset dropped those events, so the
-	// records can be recycled here. (Acked records awaiting their timer are
-	// abandoned to the GC, like any state captured only by dropped events.)
+	// rtx holds every record of a put still open, each with exactly one
+	// pending timer, and the engine reset that precedes an NI reset dropped
+	// those events, so the records can be recycled here.
 	for _, rec := range ni.rtx { //simlint:unordered-ok recycle order changes allocation behaviour only; records are zeroed when recycled
 		ni.rtxFree.Put(rec)
 	}

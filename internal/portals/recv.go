@@ -242,13 +242,13 @@ func (ni *NI) recvReply(now sim.Time, pkt *netsim.Packet) {
 }
 
 // recvAck resolves a put acknowledgment at the initiator. Reliable puts are
-// checked first: their ack marks the retransmit record (the pending timer
-// recycles it) and fires the MD's completion. Acks of superseded attempts
-// miss both maps and are ignored.
+// checked first: their ack cancels the retransmit timer, fires the MD's
+// completion and recycles the record. Acks of superseded attempts miss both
+// maps and are ignored.
 func (ni *NI) recvAck(now sim.Time, pkt *netsim.Packet) {
 	if rec, ok := ni.rtx[pkt.Msg.ReplyTo]; ok {
 		delete(ni.rtx, pkt.Msg.ReplyTo)
-		rec.acked = true
+		ni.C.Eng.Cancel(rec.timer)
 		if md := rec.a.MD; md != nil {
 			if md.CT != nil {
 				md.CT.Inc(now, 1)
@@ -257,6 +257,7 @@ func (ni *NI) recvAck(now sim.Time, pkt *netsim.Packet) {
 				md.EQ.Append(Event{Type: EventAck, At: now, Length: rec.a.Length})
 			}
 		}
+		ni.rtxFree.Put(rec)
 		return
 	}
 	op := ni.outstanding[pkt.Msg.ReplyTo]

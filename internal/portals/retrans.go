@@ -23,11 +23,13 @@ import (
 // attempt that loses a non-header packet has already claimed the receiver's
 // dedup slot.
 //
-// Ownership: the retransmit timer owns its record. Exactly one timer is in
-// flight per record; an arriving ack only marks the record acked (and drops
-// it from the id map), and the timer recycles it on its next firing. Records
-// are pooled on NI-owned free lists — no closures, no sync.Pool — per the
-// rules in ARCHITECTURE.md.
+// Ownership: a record lives from ReliablePut until its put ends. Exactly
+// one timer is pending per record, and the record keeps its handle: the
+// ack cancels the timer and recycles the record, so a timer that fires
+// always finds its put unacked; a timer that spends the retry budget
+// recycles the record itself, and NI.Reset recycles the records of puts
+// still open. Records are pooled on NI-owned free lists — no closures, no
+// sync.Pool — per the rules in ARCHITECTURE.md.
 
 // RetransConfig configures reliable puts on an NI.
 type RetransConfig struct {
@@ -40,13 +42,14 @@ type RetransConfig struct {
 	MaxTries int
 }
 
-// rtxRecord tracks one reliable put awaiting its ack.
+// rtxRecord tracks one reliable put awaiting its ack; timer is the
+// pending timeout.
 type rtxRecord struct {
 	ni    *NI
 	a     PutArgs
 	id    uint64 // message ID of the current attempt
 	tries int
-	acked bool
+	timer sim.Handle
 }
 
 // ConfigureRetrans installs the NI's reliable-put configuration.
@@ -84,20 +87,17 @@ func (ni *NI) ReliablePut(now sim.Time, a PutArgs) (sim.Time, error) {
 	rec.tries = 1
 	m := ni.buildReliable(rec)
 	coreFree := ni.C.HostSend(now, m)
-	ni.C.Eng.ScheduleCall(now+ni.Retrans.Timeout, runRtxTimer, rec)
+	rec.timer = ni.C.Eng.ScheduleCall(now+ni.Retrans.Timeout, runRtxTimer, rec)
 	return coreFree, nil
 }
 
 // runRtxTimer is the ScheduleCall entry point for a reliable put's timeout.
-// The timer is the record's owner: it recycles acked records, resends and
-// re-arms unacked ones, and reports failure when the budget is spent.
+// It runs only for an unacked put (the ack cancels it): it resends and
+// re-arms, or reports failure and recycles the record when the budget is
+// spent.
 func runRtxTimer(arg any) {
 	rec := arg.(*rtxRecord)
 	ni := rec.ni
-	if rec.acked {
-		ni.rtxFree.Put(rec)
-		return
-	}
 	now := ni.C.Eng.Now()
 	if ni.Retrans.MaxTries > 0 && rec.tries >= ni.Retrans.MaxTries {
 		delete(ni.rtx, rec.id)
@@ -128,5 +128,5 @@ func runRtxTimer(arg any) {
 	}
 	m := ni.buildReliable(rec)
 	ni.C.Send(now, m)
-	ni.C.Eng.ScheduleCall(now+ni.Retrans.Timeout, runRtxTimer, rec)
+	rec.timer = ni.C.Eng.ScheduleCall(now+ni.Retrans.Timeout, runRtxTimer, rec)
 }

@@ -153,3 +153,28 @@ func TestReliablePutDeterministicAfterReset(t *testing.T) {
 		t.Fatalf("reset run diverged: %d/%+v/%v vs %d/%+v/%v", got1, faults1, end1, got2, faults2, end2)
 	}
 }
+
+// TestAckCancelsRetransmitTimer pins that an acknowledged reliable put
+// leaves nothing behind: the ack cancels the pending timeout and recycles
+// the record, so the run ends at the ack, well before the timeout would
+// have fired, with the record back on the NI's free list.
+func TestAckCancelsRetransmitTimer(t *testing.T) {
+	c, nis := pair(t)
+	postME(t, nis[1], 0, 0x11, 64)
+	nis[0].ConfigureRetrans(RetransConfig{Timeout: sim.Second})
+	ct := NewCT(c.Eng)
+	md := nis[0].MDBind([]byte{1, 2, 3, 4, 5, 6, 7, 8}, ct, nil)
+	if _, err := nis[0].ReliablePut(0, PutArgs{MD: md, Length: 8, Target: 1, PTIndex: 0, MatchBits: 0x11}); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.Run()
+	if ct.Get() != 1 || nis[0].Retransmits != 0 {
+		t.Fatalf("CT = %d, retransmits = %d; want one ack and no resend", ct.Get(), nis[0].Retransmits)
+	}
+	if now := c.Eng.Now(); now >= nis[0].Retrans.Timeout {
+		t.Fatalf("run ended at %v, want the ack's time, below the %v timeout", now, nis[0].Retrans.Timeout)
+	}
+	if len(nis[0].rtx) != 0 || nis[0].rtxFree.Len() != 1 {
+		t.Fatalf("%d records in the id map and %d on the free list, want 0 and 1", len(nis[0].rtx), nis[0].rtxFree.Len())
+	}
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -10,16 +12,24 @@ import (
 // possible discrete-event engine — closures on a container/heap priority
 // queue ordered by (at, stamp, pri, seq) — against which the calendar
 // queue of pre-bound events is fuzzed. It mirrors Engine's method set
-// so one program can drive both.
+// so one program can drive both. A cancelled event stays in the heap,
+// marked, and is skipped when it reaches the top.
 type refEngine struct {
 	now Time
 	seq uint64
 	q   refQueue
+	// queued[h] reports whether the event with handle h is still waiting
+	// to run; handles index it over the engine's whole life, so one from
+	// before a Reset never names a later event. dead counts the cancelled
+	// events still in q.
+	queued []bool
+	dead   int
 }
 
 type refEvent struct {
 	at, stamp Time
 	pri, seq  uint64
+	h         int
 	fn        func()
 }
 
@@ -49,12 +59,13 @@ func (q *refQueue) Pop() any {
 }
 
 func (r *refEngine) Now() Time    { return r.now }
-func (r *refEngine) Pending() int { return len(r.q) }
+func (r *refEngine) Pending() int { return len(r.q) - r.dead }
 
-// Schedule is the closure form of ScheduleCall.
-func (r *refEngine) Schedule(at Time, fn func()) {
+// Schedule is the closure form of ScheduleCall; it returns the event's
+// handle.
+func (r *refEngine) Schedule(at Time, fn func()) int {
 	r.seq++
-	r.ScheduleSeq(at, r.now, 0, r.seq, fn)
+	return r.ScheduleSeq(at, r.now, 0, r.seq, fn)
 }
 
 func (r *refEngine) ReserveSeq(n int) uint64 {
@@ -63,19 +74,44 @@ func (r *refEngine) ReserveSeq(n int) uint64 {
 	return first
 }
 
-// ScheduleSeq is the closure form of ScheduleCallSeq.
-func (r *refEngine) ScheduleSeq(at, stamp Time, pri, seq uint64, fn func()) {
+// ScheduleSeq is the closure form of ScheduleCallSeq; it returns the
+// event's handle.
+func (r *refEngine) ScheduleSeq(at, stamp Time, pri, seq uint64, fn func()) int {
 	if at < r.now {
 		panic(fmt.Sprintf("ref: schedule at %v before now %v", at, r.now))
 	}
-	heap.Push(&r.q, refEvent{at: at, stamp: stamp, pri: pri, seq: seq, fn: fn})
+	h := len(r.queued)
+	r.queued = append(r.queued, true)
+	heap.Push(&r.q, refEvent{at: at, stamp: stamp, pri: pri, seq: seq, h: h, fn: fn})
+	return h
+}
+
+// Cancel marks a queued event cancelled and reports whether it was queued.
+func (r *refEngine) Cancel(h int) bool {
+	if !r.queued[h] {
+		return false
+	}
+	r.queued[h] = false
+	r.dead++
+	return true
+}
+
+// live pops cancelled events off the top of the heap and reports whether
+// an event remains; if so, it is r.q[0].
+func (r *refEngine) live() bool {
+	for len(r.q) > 0 && !r.queued[r.q[0].h] {
+		heap.Pop(&r.q)
+		r.dead--
+	}
+	return len(r.q) > 0
 }
 
 func (r *refEngine) Step() bool {
-	if len(r.q) == 0 {
+	if !r.live() {
 		return false
 	}
 	ev := heap.Pop(&r.q).(refEvent)
+	r.queued[ev.h] = false
 	r.now = ev.at
 	ev.fn()
 	return true
@@ -88,7 +124,7 @@ func (r *refEngine) Run() Time {
 }
 
 func (r *refEngine) RunUntil(t Time) {
-	for len(r.q) > 0 && r.q[0].at <= t {
+	for r.live() && r.q[0].at <= t {
 		r.Step()
 	}
 	if t > r.now {
@@ -97,16 +133,19 @@ func (r *refEngine) RunUntil(t Time) {
 }
 
 func (r *refEngine) RunBefore(bound Time) {
-	for len(r.q) > 0 && r.q[0].at < bound {
+	for r.live() && r.q[0].at < bound {
 		r.Step()
 	}
 }
 
-func (r *refEngine) Reset() { *r = refEngine{} }
+func (r *refEngine) Reset() {
+	clear(r.queued)
+	*r = refEngine{queued: r.queued}
+}
 
 // oracleEngine is the method set the oracle runner shares between Engine
-// and refEngine; the two scheduling calls differ in callback shape and are
-// bound separately (oracleRunner.sched/schedSeq).
+// and refEngine; the two scheduling calls differ in callback shape and
+// handle type and are bound separately (oracleRunner.sched/schedSeq).
 type oracleEngine interface {
 	Now() Time
 	Pending() int
@@ -123,13 +162,18 @@ type oracleEngine interface {
 // nested scheduling from inside event dispatch — so two engines that
 // dispatch in the same order consume the input identically, and the first
 // divergent dispatch shows up in the trace.
+//
+// sched returns a function that cancels the event it scheduled, and the
+// runner keeps every one, through Reset too, so a cancel may name a queued
+// event, one already dispatched or cancelled, or one a Reset dropped.
 type oracleRunner struct {
 	in       []byte
 	pos      int
 	eng      oracleEngine
-	sched    func(at Time, fn func())
+	sched    func(at Time, fn func()) (cancel func() bool)
 	schedSeq func(at, stamp Time, pri, seq uint64, fn func())
 	nextID   int
+	cancels  []func() bool
 	resv     []reservation
 	trace    []traceRec
 }
@@ -143,13 +187,20 @@ type reservation struct {
 	next, end uint64
 }
 
-// traceRec is one dispatch (id >= 0) or one post-operation checkpoint
-// (id == -1).
+// traceRec is one dispatch (id >= 0), one post-operation checkpoint
+// (id == checkpointRec) or one Cancel and its result (cancelHit or
+// cancelMiss).
 type traceRec struct {
 	id      int
 	now     Time
 	pending int
 }
+
+const (
+	checkpointRec = -1
+	cancelHit     = -2
+	cancelMiss    = -3
+)
 
 const (
 	oracleMaxInput  = 2048 // bytes interpreted per program
@@ -186,8 +237,22 @@ func (d *oracleRunner) event() func() {
 
 func (d *oracleRunner) schedule(at Time) {
 	if d.nextID < oracleMaxEvents {
-		d.sched(at, d.event())
+		d.cancels = append(d.cancels, d.sched(at, d.event()))
 	}
+}
+
+// cancel cancels the event of one kept handle, counting back from the
+// newest (which is the likeliest still queued), and records the result.
+func (d *oracleRunner) cancel() {
+	k := int(d.byte())
+	if len(d.cancels) == 0 {
+		return
+	}
+	id := cancelMiss
+	if d.cancels[len(d.cancels)-1-k%len(d.cancels)]() {
+		id = cancelHit
+	}
+	d.trace = append(d.trace, traceRec{id: id, now: d.eng.Now(), pending: d.eng.Pending()})
 }
 
 // reserve claims a block of 1..4 sequence numbers at the current clock.
@@ -215,11 +280,12 @@ func (d *oracleRunner) scheduleDeferred() {
 	}
 }
 
-// fire records one dispatch and lets the event schedule more events.
+// fire records one dispatch and lets the event schedule or cancel more
+// events.
 func (d *oracleRunner) fire(id int) {
 	now := d.eng.Now()
 	d.trace = append(d.trace, traceRec{id: id, now: now, pending: d.eng.Pending()})
-	switch d.byte() % 5 {
+	switch d.byte() % 6 {
 	case 1:
 		d.schedule(now + d.delta(8))
 	case 2:
@@ -230,11 +296,13 @@ func (d *oracleRunner) fire(id int) {
 	case 4:
 		d.schedule(now + d.delta(4))
 		d.schedule(now + d.delta(4))
+	case 5:
+		d.cancel()
 	}
 }
 
 func (d *oracleRunner) checkpoint() {
-	d.trace = append(d.trace, traceRec{id: -1, now: d.eng.Now(), pending: d.eng.Pending()})
+	d.trace = append(d.trace, traceRec{id: checkpointRec, now: d.eng.Now(), pending: d.eng.Pending()})
 }
 
 // run interprets the whole program and returns the trace.
@@ -244,7 +312,7 @@ func (d *oracleRunner) run() []traceRec {
 	}
 	for d.pos < len(d.in) {
 		now := d.eng.Now()
-		switch d.byte() % 9 {
+		switch d.byte() % 10 {
 		case 0, 1:
 			d.schedule(now + d.delta(16))
 		case 8:
@@ -264,6 +332,8 @@ func (d *oracleRunner) run() []traceRec {
 			// so open reservations die with it.
 			d.eng.Reset()
 			d.resv = d.resv[:0]
+		case 9:
+			d.cancel()
 		}
 		d.checkpoint()
 	}
@@ -273,11 +343,20 @@ func (d *oracleRunner) run() []traceRec {
 }
 
 // runEngine runs program on a new Engine and returns the engine and its
-// trace.
-func runEngine(program []byte) (*Engine, []traceRec) {
+// trace. A non-nil onCancel sees the engine and each handle just before
+// Cancel is called with it.
+func runEngine(program []byte, onCancel func(*Engine, Handle)) (*Engine, []traceRec) {
 	e := NewEngine()
 	fast := &oracleRunner{in: program, eng: e,
-		sched: func(at Time, fn func()) { e.ScheduleCall(at, runFunc, fn) },
+		sched: func(at Time, fn func()) func() bool {
+			h := e.ScheduleCall(at, runFunc, fn)
+			return func() bool {
+				if onCancel != nil {
+					onCancel(e, h)
+				}
+				return e.Cancel(h)
+			}
+		},
 		schedSeq: func(at, stamp Time, pri, seq uint64, fn func()) {
 			e.ScheduleCallSeq(at, stamp, pri, seq, runFunc, fn)
 		},
@@ -288,13 +367,19 @@ func runEngine(program []byte) (*Engine, []traceRec) {
 // runReference runs program on a new refEngine and returns its trace.
 func runReference(program []byte) []traceRec {
 	r := &refEngine{}
-	ref := &oracleRunner{in: program, eng: r, sched: r.Schedule, schedSeq: r.ScheduleSeq}
+	ref := &oracleRunner{in: program, eng: r,
+		sched: func(at Time, fn func()) func() bool {
+			h := r.Schedule(at, fn)
+			return func() bool { return r.Cancel(h) }
+		},
+		schedSeq: func(at, stamp Time, pri, seq uint64, fn func()) { r.ScheduleSeq(at, stamp, pri, seq, fn) },
+	}
 	return ref.run()
 }
 
 // runOracle runs program on Engine and on refEngine and returns both traces.
 func runOracle(program []byte) (got, want []traceRec) {
-	_, got = runEngine(program)
+	_, got = runEngine(program, nil)
 	return got, runReference(program)
 }
 
@@ -315,12 +400,14 @@ func checkTraces(t testing.TB, got, want []traceRec) {
 // FuzzEngineMatchesReference checks the optimized engine against the
 // closure reference model on random programs of ScheduleCall, ReserveSeq
 // plus deferred ScheduleCallSeq (reservation-time stamp, random priority),
-// events that schedule more events from inside their dispatch,
-// RunUntil/RunBefore/Step, and Reset, with deadlines both a few picoseconds
-// and many calendar years apart. Every dispatch (event id, Now,
-// Pending) and every post-operation checkpoint must match exactly — the
-// full (at, stamp, pri, seq) tie-break order, not just sorted times. The
-// seed corpus lives in testdata/fuzz/FuzzEngineMatchesReference.
+// Cancel of any handle ScheduleCall returned (queued, dispatched, already
+// cancelled, or from before a Reset), events that schedule and cancel more
+// events from inside their dispatch, RunUntil/RunBefore/Step, and Reset,
+// with deadlines both a few picoseconds and many calendar years apart.
+// Every dispatch (event id, Now, Pending), every Cancel result and every
+// post-operation checkpoint must match exactly — the full (at, stamp, pri,
+// seq) tie-break order, not just sorted times. The seed corpus lives in
+// testdata/fuzz/FuzzEngineMatchesReference.
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte) {
 		got, want := runOracle(program)
@@ -372,7 +459,7 @@ func TestReferenceOracleExercisesCalendar(t *testing.T) {
 	for i := byte(0); i < 20; i++ {
 		program = append(program, 0, i%16, 8, 3+7*i, 10+i) // narrow, then wide
 	}
-	e, got := runEngine(program)
+	e, got := runEngine(program, nil)
 	checkTraces(t, got, runReference(program))
 	if e.grows == 0 || e.shrinks == 0 || e.widths == 0 || e.searches == 0 {
 		t.Fatalf("program reached grows=%d shrinks=%d width changes=%d direct searches=%d; want each > 0",
@@ -381,5 +468,71 @@ func TestReferenceOracleExercisesCalendar(t *testing.T) {
 	if e.fingerFwd == 0 || e.fingerBack == 0 || e.fingerClears == 0 {
 		t.Fatalf("program reached finger forward walks=%d back walks=%d dispatch clears=%d; want each > 0",
 			e.fingerFwd, e.fingerBack, e.fingerClears)
+	}
+}
+
+// unlinkCase names where the event h names sits as Cancel is about to
+// unlink it: "reset" for a handle from before a Reset, "gone" for an event
+// already dispatched or cancelled, else its place in its bucket's list:
+// "finger", "only", "head", "tail", "tail after finger" (the cancel leaves
+// the finger at the tail) or "middle".
+func unlinkCase(e *Engine, h Handle) string {
+	if h.gen != e.gen {
+		return "reset"
+	}
+	n := &e.nodes[h.node]
+	if n.call == nil || n.seq != h.seq {
+		return "gone"
+	}
+	b := e.buckets[uint64(n.at)>>e.shift&uint64(len(e.buckets)-1)]
+	switch {
+	case b.last == h.node:
+		return "finger"
+	case b.head == h.node && b.tail == h.node:
+		return "only"
+	case b.head == h.node:
+		return "head"
+	case b.tail == h.node && n.prev == b.last:
+		return "tail after finger"
+	case b.tail == h.node:
+		return "tail"
+	}
+	return "middle"
+}
+
+// TestReferenceOracleExercisesCancel pins that the oracle reaches every way
+// Cancel can unlink a node, and every way it can find nothing to cancel. A
+// fixed program builds one bucket in the order 10, 5, 7, 6, 12 ps (list 5,
+// 6, 7, 10, 12 with the finger on 6) and cancels the finger, the middle
+// node 7, the tail 12 and then the tail 10, whose predecessor 5 is the
+// finger by then; it schedules 3 and 4 (4 becomes the finger) and cancels
+// the head 3, then 3 again, steps past 4 and cancels it; after a Reset it
+// schedules one event, which reuses the first event's node and sequence
+// number, cancels two handles from before the Reset (the first names that
+// node) and then the new event, the bucket's only node.
+func TestReferenceOracleExercisesCancel(t *testing.T) {
+	program := []byte{
+		0, 10, 0, 5, 0, 7, 0, 6, 0, 12, // five events in one bucket
+		9, 1, 9, 2, 9, 0, 9, 4, // finger, middle, tail, tail after finger
+		0, 3, 0, 4, 9, 1, 9, 1, // head, then the same handle again
+		6, 0, 9, 0, // step (its dispatch does nothing), cancel what it ran
+		7, 0, 2, 9, 7, 9, 6, 9, 0, // reset, schedule, two stale handles, only
+	}
+	cases := map[string]int{}
+	_, got := runEngine(program, func(e *Engine, h Handle) { cases[unlinkCase(e, h)]++ })
+	checkTraces(t, got, runReference(program))
+	want := map[string]int{"finger": 1, "middle": 1, "tail": 1, "tail after finger": 1,
+		"head": 1, "gone": 2, "reset": 2, "only": 1}
+	if !maps.Equal(cases, want) {
+		t.Fatalf("cancel cases = %v, want %v", cases, want)
+	}
+	var results []bool
+	for _, rec := range got {
+		if rec.id == cancelHit || rec.id == cancelMiss {
+			results = append(results, rec.id == cancelHit)
+		}
+	}
+	if wantRes := []bool{true, true, true, true, true, false, false, false, false, true}; !slices.Equal(results, wantRes) {
+		t.Fatalf("cancel results = %v, want %v", results, wantRes)
 	}
 }

@@ -19,6 +19,11 @@
 // allocating a closure — and ReserveSeq/ScheduleCallSeq let a caller claim
 // a block of sequence numbers up front so deferred scheduling preserves the
 // exact tie-break order of eager scheduling.
+//
+// ScheduleCall returns a Handle, and Cancel unlinks the event it names in
+// O(1), so a timeout whose work finished early stops holding a queue node.
+// A Handle is valid until its event runs, is cancelled, or the engine is
+// Reset; from then on Cancel reports false for it.
 package sim
 
 import (
@@ -68,7 +73,8 @@ func (t Time) String() string {
 // (ScheduleCall time, or ReserveSeq time for deferred scheduling); pri is
 // the caller-supplied priority key of ScheduleCallSeq events (0 for
 // everything else). next and prev link the node into its bucket's sorted
-// list (a free node's next links the free list); -1 is the nil link.
+// list (a free node's next links the free list, and its call is nil); -1 is
+// the nil link.
 type node struct {
 	at         Time
 	stamp      Time
@@ -104,10 +110,12 @@ func (a *node) less(b *node) bool {
 }
 
 // bucket is one slot of the calendar: the ends of a list of nodes sorted by
-// less, -1 when empty, and last, the insertion finger: the node most
-// recently linked in before the tail, or -1. Events of one burst tend to
-// land next to each other, so an insert that sorts before the tail starts
-// its walk at the finger rather than at the tail.
+// less, -1 when empty, and last, the insertion finger: a node of the list,
+// the one most recently linked in before the tail unless a Cancel moved it
+// back to its predecessor, or -1. Events of one burst tend to land next to
+// each other, so an insert that sorts before the tail starts its walk at
+// the finger rather than at the tail (a finger that is the tail itself
+// sorts after such an insert, so the walk goes back from it).
 type bucket struct{ head, tail, last int32 }
 
 const (
@@ -131,10 +139,15 @@ const (
 // re-derived from the mean gap between the dispatched deadlines (see
 // retune). Both rebuild the calendar in place. None of this can change
 // dispatch order, which less alone fixes.
+//
+// A Handle from ScheduleCall stays valid until its event runs, is
+// cancelled, or the engine is Reset; gen counts resets, so a handle from
+// before one never matches a node again.
 type Engine struct {
 	now       Time
 	seq       uint64
 	processed uint64
+	gen       uint32
 
 	nodes   []node   // slab of queue entries; a queued node never moves
 	free    int32    // head of the free-node list
@@ -168,13 +181,15 @@ func NewEngine() *Engine {
 // sequence counter at zero, empty queue. The node slab's capacity and the
 // calendar's learned size are retained so a reset engine schedules without
 // growing again; any still-queued events are dropped (their callbacks never
-// run) and their references released. Reset is the engine-level half of the
-// cluster-reuse contract: a reset engine is indistinguishable from a fresh
-// one to the simulation, because dispatch order depends only on the
-// (at, stamp, pri, seq) keys, which restart identically.
+// run) and their references released, and every Handle issued so far stops
+// matching. Reset is the engine-level half of the cluster-reuse contract: a
+// reset engine is indistinguishable from a fresh one to the simulation,
+// because dispatch order depends only on the (at, stamp, pri, seq) keys,
+// which restart identically.
 func (e *Engine) Reset() {
 	clear(e.nodes) // release call/arg references for the GC
 	e.nodes = e.nodes[:0]
+	e.gen++
 	e.free = -1
 	e.setBuckets(len(e.buckets))
 	e.cur = math.MaxUint64
@@ -194,8 +209,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
 
-// push queues one event in a free node.
-func (e *Engine) push(at, stamp Time, pri, seq uint64, call func(any), arg any) {
+// push queues one event in a free node and returns the node's index.
+func (e *Engine) push(at, stamp Time, pri, seq uint64, call func(any), arg any) int32 {
 	i := e.free
 	if i < 0 {
 		i = int32(len(e.nodes))
@@ -211,6 +226,7 @@ func (e *Engine) push(at, stamp Time, pri, seq uint64, call func(any), arg any) 
 		e.grows++
 		e.rebuild(2*len(e.buckets), e.shift)
 	}
+	return i
 }
 
 // insert links node i into its bucket's sorted list and lowers the cursor
@@ -310,10 +326,7 @@ func (e *Engine) dispatch(i int32) {
 		e.fingerClears++
 		b.last = -1
 	}
-	n.call, n.arg = nil, nil // drop references so the GC can reclaim them
-	n.next = e.free
-	e.free = i
-	e.pending--
+	e.release(i)
 
 	e.now = at
 	e.processed++
@@ -325,6 +338,16 @@ func (e *Engine) dispatch(i int32) {
 		e.rebuild(len(e.buckets)/2, e.shift)
 	}
 	call(arg)
+}
+
+// release returns dequeued node i to the free list. Dropping call and arg
+// lets the GC reclaim them, and a nil call marks the node free for Cancel.
+func (e *Engine) release(i int32) {
+	n := &e.nodes[i]
+	n.call, n.arg = nil, nil
+	n.next = e.free
+	e.free = i
+	e.pending--
 }
 
 // retune closes a sampling window. The ideal bucket width is the power of
@@ -394,14 +417,57 @@ func (e *Engine) checkAt(at Time) {
 	}
 }
 
-// ScheduleCall runs fn(arg) at absolute time at. The callback and its
+// Handle names one event scheduled with ScheduleCall, for Cancel. It is
+// valid until the event runs, is cancelled, or the engine is Reset; after
+// that Cancel reports false for it, even once its queue node holds another
+// event. The zero Handle names no event.
+type Handle struct {
+	node int32
+	gen  uint32
+	seq  uint64
+}
+
+// ScheduleCall runs fn(arg) at absolute time at and returns a Handle that
+// can cancel it; callers that never cancel ignore it. The callback and its
 // argument are stored directly in the queue node, so callers that reuse a
 // non-capturing fn (and a pooled or pointer-typed arg) schedule without
 // allocating a closure.
-func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) {
+func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) Handle {
 	e.checkAt(at)
 	e.seq++
-	e.push(at, e.now, 0, e.seq, fn, arg)
+	return Handle{node: e.push(at, e.now, 0, e.seq, fn, arg), gen: e.gen, seq: e.seq}
+}
+
+// Cancel removes the event h names from the queue, if it is still there,
+// and reports whether it did; its callback never runs. The node is unlinked
+// from its bucket's list in O(1) and freed. The event's sequence number
+// stays used, so every other event keeps its (at, stamp, pri, seq) key and
+// dispatches exactly when it would have.
+func (e *Engine) Cancel(h Handle) bool {
+	if h.gen != e.gen || int(h.node) >= len(e.nodes) {
+		return false
+	}
+	n := &e.nodes[h.node]
+	if n.seq != h.seq || n.call == nil {
+		return false
+	}
+	day := uint64(n.at) >> e.shift
+	b := &e.buckets[day&uint64(len(e.buckets)-1)]
+	if n.prev < 0 {
+		b.head = n.next
+	} else {
+		e.nodes[n.prev].next = n.next
+	}
+	if n.next < 0 {
+		b.tail = n.prev
+	} else {
+		e.nodes[n.next].prev = n.prev
+	}
+	if b.last == h.node {
+		b.last = n.prev // the finger must stay a node of the list
+	}
+	e.release(h.node)
+	return true
 }
 
 // ReserveSeq claims n consecutive sequence numbers and returns the first.

@@ -133,12 +133,16 @@ echo "== impairment-grammar fuzz smoke (FuzzParseImpairment, 5s) =="
 go test -run '^$' -fuzz 'FuzzParseImpairment' -fuzztime 5s ./internal/netsim
 
 echo "== engine reference-oracle fuzz (FuzzEngineMatchesReference, 5s) =="
-# Random schedule/reserve/nested/RunUntil/RunBefore/Reset programs must
-# dispatch in exactly the order of the test-only container/heap closure
-# engine — the (at, stamp, pri, seq) tie-break included. Minimizing a new
-# corpus entry replays a program up to 2 KiB long thousands of times, which
-# would stall a 5 s smoke, so minimization is capped at one attempt.
-go test -run '^$' -fuzz 'FuzzEngineMatchesReference' -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
+# Random schedule/reserve/cancel/nested/RunUntil/RunBefore/Reset programs
+# must dispatch in exactly the order of the test-only container/heap
+# closure engine — the (at, stamp, pri, seq) tie-break included — and every
+# Cancel, of a queued, dispatched, cancelled or pre-Reset event, must
+# report what the reference reports. Minimizing a new corpus entry replays
+# a program up to 2 KiB long thousands of times, which would stall a 5 s
+# smoke, so minimization is capped at one attempt. Fuzzed from a private
+# cold cache (fuzz_cold, defined above), so a warm local cache cannot turn
+# the 5 s into a replay of cached inputs.
+fuzz_cold ./internal/sim FuzzEngineMatchesReference
 
 echo "== interval-pool reference-oracle fuzz (FuzzIntervalPoolMatchesNaive, 5s) =="
 # Random request streams on 1-8 servers — per-handler chains, lagging,
